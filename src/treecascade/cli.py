@@ -32,7 +32,6 @@ from .trees import (
     WeightedGraph,
     check_strict_triangle_condition,
     cluster_by_edge_deletion,
-    maximum_spanning_tree,
     root_tree,
 )
 
@@ -162,11 +161,10 @@ def _cmd_verify(args) -> int:
     triangle = check_strict_triangle_condition(graph, model.rt.tree)
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
 
-    mst = maximum_spanning_tree(graph)
-    recovered = mst.tree.edges == model.rt.tree.edges
-    rows.append(("mst-recovery", recovered and mst.is_unique, f"unique={mst.is_unique}"))
-
     fit = fit_cascade(summary)
+    recovered = fit.tree.edges == model.rt.tree.edges
+    rows.append(("mst-recovery", recovered and fit.tree_unique, f"unique={fit.tree_unique}"))
+
     identity_gap = abs(fit.objective - (fit.tree.d - sum(fit.weights.values())))
     rows.append(("objective-identity", identity_gap <= 1e-12, f"gap {identity_gap:.3e}"))
 

@@ -12,7 +12,6 @@ enumerator over all labeled trees serves as the optimality oracle.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -66,24 +65,25 @@ class CorrelationSummary:
 def correlation_from_covariance(cov: np.ndarray, source: str = "population") -> CorrelationSummary:
     """Normalize a covariance matrix into a correlation summary.
 
-    Each off-diagonal pair is normalized independently by the same scalar
-    expression, so any other code computing a pairwise correlation from
-    the identical covariance entries reproduces these values bit-exactly.
+    Each upper-triangle pair is normalized independently by the same
+    scalar expression, ``C_ij / sqrt(C_ii * C_jj)`` clipped to [-1, 1], and
+    mirrored below the diagonal, so any other code computing a pairwise
+    correlation from the identical covariance entries reproduces these
+    values bit-exactly.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise InvalidInputError(f"covariance must be square, got shape {cov.shape}")
-    d = cov.shape[0]
-    corr = np.eye(d)
-    for i in range(d):
-        if not cov[i, i] > 0.0:
-            raise InvalidInputError(f"covariance diagonal must be positive, got {cov[i, i]} at {i}")
-    for i in range(d):
-        for j in range(i + 1, d):
-            rho = float(cov[i, j]) / math.sqrt(float(cov[i, i]) * float(cov[j, j]))
-            rho = min(1.0, max(-1.0, rho))
-            corr[i, j] = rho
-            corr[j, i] = rho
+    diag = np.diag(cov)
+    nonpositive = np.flatnonzero(~(diag > 0.0))
+    if nonpositive.size:
+        k = nonpositive[0]
+        raise InvalidInputError(f"covariance diagonal must be positive, got {cov[k, k]} at {k}")
+    i, j = np.triu_indices(cov.shape[0], 1)
+    rho = np.clip(cov[i, j] / np.sqrt(diag[i] * diag[j]), -1.0, 1.0)
+    corr = np.eye(cov.shape[0])
+    corr[i, j] = rho
+    corr[j, i] = rho
     return CorrelationSummary(corr, source)
 
 
@@ -175,7 +175,7 @@ def fit_cascade(c: CorrelationSummary, root_hint: int | None = None) -> FitResul
         root=root,
         coeffs=coeffs,
         objective=objective_value(rt, coeffs, c),
-        weights={e: graph.weights[e] for e in mst.tree.sorted_edges()},
+        weights={e: graph.weight(*e) for e in mst.tree.sorted_edges()},
         tree_unique=mst.is_unique,
         root_hint_source="default" if root_hint is None else "user",
     )

@@ -1,25 +1,29 @@
 """Trees, rooted trees, and deterministic maximum spanning trees.
 
 Vertices are always the integers ``0..d-1``.  Undirected edges are stored
-canonically as ``(i, j)`` tuples with ``i < j``.  The maximum spanning tree
-uses a fixed total edge order -- weight descending, then ``(min, max)``
+canonically as ``(i, j)`` tuples with ``i < j``, and edge weights as a
+dense symmetric matrix.  The maximum spanning tree is dense Prim under a
+fixed strict total edge order -- weight descending, then ``(min, max)``
 vertex pair ascending -- so equal inputs yield identical trees on every
-platform.  Uniqueness of the maximum is certified exactly (no tolerance)
-through the strict cycle property.
+platform, ties included.  Uniqueness of the maximum is certified exactly
+(no tolerance) through the strict cycle property: every non-tree weight
+must fall strictly below the bottleneck matrix entry, the lightest edge on
+the tree path between its endpoints.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
 
-#: Description of the deterministic edge order used by Kruskal's construction.
+#: The strict total edge order under which Prim's construction compares edges;
+#: it makes the maximum spanning tree unique, ties in weight included.
 CANONICAL_EDGE_ORDER = "weight descending, then (min vertex, max vertex) ascending"
 
 #: Guard for exhaustive spanning-tree enumeration (8**6 = 262144 trees).
@@ -120,107 +124,34 @@ class RootedTree:
     def d(self) -> int:
         return self.tree.d
 
-    def parent_of(self, i: int) -> int | None:
-        """Parent of ``i``, or None at the root."""
-        p = self.parent[i]
-        return None if p == -1 else p
-
     def non_root_vertices(self) -> list[int]:
         return [i for i in range(self.d) if i != self.root]
 
-    def ancestors(self, i: int) -> list[int]:
-        """Proper ancestors of ``i``, nearest first, ending at the root."""
-        out = []
-        p = self.parent[i]
-        while p != -1:
-            out.append(p)
-            p = self.parent[p]
-        return out
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff ``a`` is a proper ancestor of ``b``."""
-        if a == b:
-            return False
-        p = self.parent[b]
-        while p != -1:
-            if p == a:
-                return True
-            p = self.parent[p]
-        return False
-
-    def lca(self, i: int, j: int) -> int:
-        """Deepest common ancestor of ``i`` and ``j``; a vertex is its own ancestor here."""
-        self._check_vertex(i)
-        self._check_vertex(j)
-        a, b = i, j
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
-
-    def path_vertices(self, i: int, j: int) -> list[int]:
-        """Vertices on the unique tree path from ``i`` to ``j``, inclusive."""
-        m = self.lca(i, j)
-        up = [i]
-        a = i
-        while a != m:
-            a = self.parent[a]
-            up.append(a)
-        down = []
-        b = j
-        while b != m:
-            down.append(b)
-            b = self.parent[b]
-        return up + down[::-1]
-
-    def path_edges(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Canonical edges along the tree path from ``i`` to ``j``."""
-        verts = self.path_vertices(i, j)
-        return [canonical_edge(a, b) for a, b in zip(verts, verts[1:])]
-
-    def directed_path(self, ancestor: int, descendant: int) -> list[tuple[int, int]]:
-        """Directed edges ``(parent, child)`` from ``ancestor`` down to ``descendant``.
-
-        Empty when ``ancestor`` is not a proper ancestor of ``descendant``.
-        """
-        if not self.is_ancestor(ancestor, descendant):
-            return []
-        hops = []
-        b = descendant
-        while b != ancestor:
-            hops.append((self.parent[b], b))
-            b = self.parent[b]
-        return hops[::-1]
-
-    def _check_vertex(self, i: int) -> None:
-        if not (0 <= i < self.d):
-            raise InvalidInputError(f"vertex {i} out of range for {self.d} vertices")
-
-
-@dataclass(frozen=True)
 class WeightedGraph:
     """An undirected graph on ``0..d-1`` with finite real edge weights.
 
-    Weights are stored once per canonical edge.  Construction accepts any
-    subset of edges; operations that require the complete graph (the
-    maximum spanning tree) validate completeness themselves.
+    Weights live in ``matrix``, a dense symmetric ``d``-by-``d`` array in
+    which NaN marks a pair without an edge (the diagonal always).
+    Construction from a mapping accepts any subset of canonical edges;
+    operations that require the complete graph (the maximum spanning tree
+    and the checks against it) validate completeness themselves.
     """
 
-    d: int
-    weights: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    __slots__ = ("d", "matrix")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise InvalidInputError(f"vertex count must be >= 1, got {self.d}")
-        for (i, j), w in self.weights.items():
-            if not (0 <= i < j < self.d):
-                raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {self.d} vertices")
+    def __init__(self, d: int, weights: Mapping[tuple[int, int], float] | None = None) -> None:
+        if d < 1:
+            raise InvalidInputError(f"vertex count must be >= 1, got {d}")
+        matrix = np.full((d, d), np.nan)
+        for (i, j), w in (weights or {}).items():
+            if not (0 <= i < j < d):
+                raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {d} vertices")
             if not math.isfinite(w):
                 raise InvalidInputError(f"weight of edge ({i}, {j}) is not finite: {w!r}")
+            matrix[i, j] = matrix[j, i] = w
+        self.d = d
+        self.matrix = matrix
 
     @staticmethod
     def from_matrix(matrix: np.ndarray) -> "WeightedGraph":
@@ -228,31 +159,28 @@ class WeightedGraph:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"weight matrix must be square, got shape {m.shape}")
-        d = m.shape[0]
-        weights = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                if m[i, j] != m[j, i]:
-                    raise InvalidInputError(f"weight matrix not symmetric at ({i}, {j})")
-                weights[(i, j)] = float(m[i, j])
-        return WeightedGraph(d, weights)
+        asymmetric = np.argwhere(np.triu(m != m.T, 1))
+        if asymmetric.size:
+            i, j = asymmetric[0]
+            raise InvalidInputError(f"weight matrix not symmetric at ({i}, {j})")
+        non_finite = np.argwhere(np.triu(~np.isfinite(m), 1))
+        if non_finite.size:
+            i, j = non_finite[0]
+            raise InvalidInputError(f"weight of edge ({i}, {j}) is not finite: {float(m[i, j])!r}")
+        graph = WeightedGraph(m.shape[0])
+        graph.matrix[:] = m
+        np.fill_diagonal(graph.matrix, np.nan)
+        return graph
 
     def weight(self, i: int, j: int) -> float:
         e = canonical_edge(i, j)
-        try:
-            return self.weights[e]
-        except KeyError:
-            raise InvalidInputError(f"no weight defined for edge {e}") from None
+        w = self.matrix[e] if 0 <= e[0] and e[1] < self.d else math.nan
+        if math.isnan(w):
+            raise InvalidInputError(f"no weight defined for edge {e}")
+        return float(w)
 
     def is_complete(self) -> bool:
-        return len(self.weights) == self.d * (self.d - 1) // 2
-
-    def sorted_edges(self) -> list[tuple[float, int, int]]:
-        """All weighted edges in the canonical Kruskal order."""
-        return sorted(
-            ((w, i, j) for (i, j), w in self.weights.items()),
-            key=lambda t: (-t[0], t[1], t[2]),
-        )
+        return int(np.count_nonzero(np.isnan(self.matrix))) == self.d
 
 
 @dataclass(frozen=True)
@@ -262,7 +190,6 @@ class MstResult:
     tree: Tree
     total_weight: float
     is_unique: bool
-    edge_order_used: str = CANONICAL_EDGE_ORDER
 
 
 class _UnionFind:
@@ -303,58 +230,119 @@ def connected_components(d: int, edges) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
+def _require_complete(g: WeightedGraph, caller: str) -> None:
+    if not g.is_complete():
+        raise InvalidInputError(f"{caller} requires a complete graph on {g.d} vertices")
+
+
 def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     """Maximum-weight spanning tree of a complete weighted graph.
 
-    Kruskal's greedy construction over the canonical edge order, so the
-    result (including tie resolution) is identical across runs and
-    platforms.  ``is_unique`` certifies via :func:`mst_is_unique` that no
-    other spanning tree attains the same total weight.
+    Dense Prim from vertex 0: every vertex outside the tree keeps its best
+    edge into it, and each step joins the best of those.  Edges compare by
+    the strict total order :data:`CANONICAL_EDGE_ORDER`, under which the
+    maximum spanning tree is unique, so the result (including tie
+    resolution) is identical across runs and platforms, and equals
+    Kruskal's greedy tree over that order.  ``total_weight`` sums the tree
+    edges in that order.  ``is_unique`` certifies via :func:`mst_is_unique`
+    that no other spanning tree attains the same total weight.
     """
-    if not g.is_complete():
-        raise InvalidInputError(
-            f"maximum_spanning_tree requires a complete graph on {g.d} vertices"
-        )
-    uf = _UnionFind(g.d)
-    chosen: list[tuple[int, int]] = []
+    _require_complete(g, "maximum_spanning_tree")
+    w = g.matrix
+    outside = np.ones(g.d, dtype=bool)
+    outside[0] = False
+    best_w = np.where(outside, w[0], -np.inf)
+    best_u = np.zeros(g.d, dtype=np.intp)
+    edges: list[tuple[int, int]] = []
+    for _ in range(g.d - 1):
+        ties = np.flatnonzero(best_w == best_w.max())
+        lo = np.minimum(best_u[ties], ties)
+        hi = np.maximum(best_u[ties], ties)
+        v = int(ties[np.lexsort((hi, lo))[0]])
+        edges.append(canonical_edge(int(best_u[v]), v))
+        outside[v] = False
+        best_w[v] = -np.inf
+        # Candidate edges into one outside vertex share it, so among equal
+        # weights the canonical order prefers the smaller other endpoint.
+        row = w[v]
+        better = outside & ((row > best_w) | ((row == best_w) & (v < best_u)))
+        best_w[better] = row[better]
+        best_u[better] = v
     total = 0.0
-    for w, i, j in g.sorted_edges():
-        if uf.union(i, j):
-            chosen.append((i, j))
-            total += w
-            if len(chosen) == g.d - 1:
-                break
-    tree = Tree(g.d, frozenset(chosen))
+    for e in sorted(edges, key=lambda e: (-w[e], e)):
+        total += float(w[e])
+    tree = Tree(g.d, frozenset(edges))
     return MstResult(tree, total, mst_is_unique(g, tree))
+
+
+def _bfs_joins(rt: RootedTree) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Walk ``rt`` breadth-first from its root, one join per non-root vertex.
+
+    Each join is ``(v, u, seen)``: vertex ``v``, its parent ``u``, and the
+    indices of every vertex visited before ``v``, ``u`` among them.  None
+    of those lies in the subtree of ``v``, so the tree path from ``v`` to
+    each of them starts with the edge to ``u``: a matrix of path quantities
+    gains row and column ``v`` from row ``u`` in one vectorized step.
+    Children are visited in ascending order, as in :func:`root_tree`.
+    """
+    children: list[list[int]] = [[] for _ in range(rt.d)]
+    for v in rt.non_root_vertices():
+        children[rt.parent[v]].append(v)
+    order = [rt.root]
+    for u in order:
+        order.extend(children[u])
+    visited = np.array(order, dtype=np.intp)
+    for k in range(1, rt.d):
+        v = order[k]
+        yield v, rt.parent[v], visited[:k]
+
+
+def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
+    """First-hop and deepest-common-ancestor matrices of a rooted tree.
+
+    ``hop[i, j]`` is the vertex after ``i`` on the tree path to ``j``, so
+    it equals ``j`` exactly when ``i`` and ``j`` are adjacent.
+    ``meet[i, j]`` is the deepest common ancestor of ``i`` and ``j``, a
+    vertex being its own ancestor.  Both diagonals hold the vertex itself.
+    """
+    hop = np.empty((rt.d, rt.d), dtype=np.intp)
+    meet = np.empty((rt.d, rt.d), dtype=np.intp)
+    np.fill_diagonal(hop, np.arange(rt.d))
+    np.fill_diagonal(meet, np.arange(rt.d))
+    for v, u, seen in _bfs_joins(rt):
+        hop[v, seen] = u
+        hop[seen, v] = hop[seen, u]
+        hop[u, v] = v
+        meet[v, seen] = meet[seen, v] = meet[u, seen]
+    return hop, meet
 
 
 def mst_is_unique(g: WeightedGraph, t: Tree) -> bool:
     """Exact uniqueness certificate for a maximum spanning tree.
 
     ``t`` is the unique maximum iff every non-tree edge ``{i, j}`` weighs
-    strictly less than every edge on the tree path between ``i`` and ``j``.
-    Equality anywhere yields an equal-weight exchange, hence a tie.  Raises
-    if ``t`` does not span ``g`` or is not maximal (some non-tree edge
-    outweighs a path edge).
+    strictly less than its bottleneck, the lightest edge on the tree path
+    between ``i`` and ``j``.  Equality anywhere yields an equal-weight
+    exchange, hence a tie.  The bottleneck matrix fills in one
+    breadth-first pass.  Raises if ``t`` does not span ``g`` or is not
+    maximal (some non-tree edge outweighs a path edge).
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
-    rt = root_tree(t, 0)
-    unique = True
-    for i in range(g.d):
-        for j in range(i + 1, g.d):
-            if t.has_edge(i, j):
-                continue
-            bound = min(g.weight(a, b) for a, b in rt.path_edges(i, j))
-            w = g.weight(i, j)
-            if w > bound:
-                raise InvalidInputError(
-                    f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
-                    f"outweighs a tree edge on its path"
-                )
-            if w == bound:
-                unique = False
-    return unique
+    _require_complete(g, "mst_is_unique")
+    w = g.matrix
+    bottleneck = np.full((g.d, g.d), np.inf)
+    for v, u, seen in _bfs_joins(root_tree(t, 0)):
+        bottleneck[v, seen] = bottleneck[seen, v] = np.minimum(bottleneck[u, seen], w[u, v])
+    heavier = np.argwhere(np.triu(w > bottleneck, 1))
+    if heavier.size:
+        i, j = heavier[0]
+        raise InvalidInputError(
+            f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
+            f"outweighs a tree edge on its path"
+        )
+    # A tree edge is its own bottleneck; any other equality is a tie.
+    return int(np.count_nonzero(w == bottleneck)) == 2 * (g.d - 1)
 
 
 def check_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
@@ -367,15 +355,14 @@ def check_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
-    rt = root_tree(t, 0)
-    for i in range(g.d):
-        for j in range(g.d):
-            if i == j or t.has_edge(i, j):
-                continue
-            k = rt.path_vertices(i, j)[1]
-            if not g.weight(i, j) < min(g.weight(i, k), g.weight(k, j)):
-                return False
-    return True
+    _require_complete(g, "check_strict_triangle_condition")
+    w = g.matrix
+    hop, _ = _hop_and_meet_matrices(root_tree(t, 0))
+    rows = np.arange(g.d)[:, None]
+    cols = np.arange(g.d)[None, :]
+    nonadjacent = hop != cols
+    dominated = w < np.minimum(w[rows, hop], w[hop, cols])
+    return bool(dominated[nonadjacent].all())
 
 
 def enumerate_spanning_trees(d: int) -> Iterator[Tree]:

@@ -1,0 +1,212 @@
+"""Loop-based reference implementations, kept as test oracles.
+
+The library computes the maximum spanning tree with dense Prim, certifies
+it with a bottleneck matrix, and runs the dominance and covariance-lemma
+checks as array expressions over first-hop and LCA matrices.  The
+functions here are the straightforward versions those replaced: Kruskal
+over the canonical edge order, one tree-path walk per vertex pair, and
+per-pair loops.  Tests require the fast paths to agree with them exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+from treecascade import (
+    InvalidInputError,
+    LemmaCheck,
+    LemmaReport,
+    MstResult,
+    Tree,
+    UnsupportedModelError,
+    WeightedGraph,
+    canonical_edge,
+    cascade_inverse,
+    population_covariance,
+    root_tree,
+)
+from treecascade.trees import _UnionFind
+
+
+def ancestors(rt, i: int) -> list[int]:
+    """Proper ancestors of ``i``, nearest first, ending at the root."""
+    out = []
+    p = rt.parent[i]
+    while p != -1:
+        out.append(p)
+        p = rt.parent[p]
+    return out
+
+
+def is_ancestor(rt, a: int, b: int) -> bool:
+    """True iff ``a`` is a proper ancestor of ``b``."""
+    if a == b:
+        return False
+    p = rt.parent[b]
+    while p != -1:
+        if p == a:
+            return True
+        p = rt.parent[p]
+    return False
+
+
+def lca(rt, i: int, j: int) -> int:
+    """Deepest common ancestor of ``i`` and ``j``; a vertex is its own ancestor here."""
+    for v in (i, j):
+        if not (0 <= v < rt.d):
+            raise InvalidInputError(f"vertex {v} out of range for {rt.d} vertices")
+    a, b = i, j
+    while rt.depth[a] > rt.depth[b]:
+        a = rt.parent[a]
+    while rt.depth[b] > rt.depth[a]:
+        b = rt.parent[b]
+    while a != b:
+        a = rt.parent[a]
+        b = rt.parent[b]
+    return a
+
+
+def path_vertices(rt, i: int, j: int) -> list[int]:
+    """Vertices on the unique tree path from ``i`` to ``j``, inclusive."""
+    m = lca(rt, i, j)
+    up = [i]
+    a = i
+    while a != m:
+        a = rt.parent[a]
+        up.append(a)
+    down = []
+    b = j
+    while b != m:
+        down.append(b)
+        b = rt.parent[b]
+    return up + down[::-1]
+
+
+def path_edges(rt, i: int, j: int) -> list[tuple[int, int]]:
+    """Canonical edges along the tree path from ``i`` to ``j``."""
+    verts = path_vertices(rt, i, j)
+    return [canonical_edge(a, b) for a, b in zip(verts, verts[1:])]
+
+
+def kruskal_mst(g: WeightedGraph) -> MstResult:
+    """Kruskal's greedy construction over the canonical edge order."""
+    if not g.is_complete():
+        raise InvalidInputError(
+            f"maximum_spanning_tree requires a complete graph on {g.d} vertices"
+        )
+    edges = sorted(
+        ((g.weight(i, j), i, j) for i in range(g.d) for j in range(i + 1, g.d)),
+        key=lambda t: (-t[0], t[1], t[2]),
+    )
+    uf = _UnionFind(g.d)
+    chosen: list[tuple[int, int]] = []
+    total = 0.0
+    for w, i, j in edges:
+        if uf.union(i, j):
+            chosen.append((i, j))
+            total += w
+            if len(chosen) == g.d - 1:
+                break
+    tree = Tree(g.d, frozenset(chosen))
+    return MstResult(tree, total, path_walk_is_unique(g, tree))
+
+
+def path_walk_is_unique(g: WeightedGraph, t: Tree) -> bool:
+    """Strict cycle property, checked by walking the tree path of every non-tree pair."""
+    if t.d != g.d:
+        raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
+    rt = root_tree(t, 0)
+    unique = True
+    for i in range(g.d):
+        for j in range(i + 1, g.d):
+            if t.has_edge(i, j):
+                continue
+            bound = min(g.weight(a, b) for a, b in path_edges(rt, i, j))
+            w = g.weight(i, j)
+            if w > bound:
+                raise InvalidInputError(
+                    f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
+                    f"outweighs a tree edge on its path"
+                )
+            if w == bound:
+                unique = False
+    return unique
+
+
+def loop_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
+    """``W_ij < min(W_ik, W_kj)`` for every nonadjacent ordered pair, k the first hop."""
+    if t.d != g.d:
+        raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
+    rt = root_tree(t, 0)
+    for i in range(g.d):
+        for j in range(g.d):
+            if i == j or t.has_edge(i, j):
+                continue
+            k = path_vertices(rt, i, j)[1]
+            if not g.weight(i, j) < min(g.weight(i, k), g.weight(k, j)):
+                return False
+    return True
+
+
+def loop_covariance_lemmas(m, tol: float = 1e-12) -> LemmaReport:
+    """The three covariance-lemma checks, one pair at a time."""
+    if not m.unit_variance:
+        raise UnsupportedModelError("verify_covariance_lemmas requires a unit-variance model")
+    inv = cascade_inverse(m)
+    cov = population_covariance(m)
+    rt = m.rt
+
+    ancestor_dev = 0.0
+    ancestor_pairs = 0
+    branch_dev = 0.0
+    branch_pairs = 0
+    for i in range(m.d):
+        for j in range(m.d):
+            if i == j:
+                continue
+            if is_ancestor(rt, i, j):
+                ancestor_dev = max(ancestor_dev, float(abs(cov[i, j] - inv[j, i])))
+                ancestor_pairs += 1
+            elif i < j and not is_ancestor(rt, j, i):
+                meet = lca(rt, i, j)
+                branch_dev = max(branch_dev, float(abs(cov[i, j] - inv[i, meet] * inv[j, meet])))
+                branch_pairs += 1
+
+    margin = math.inf
+    bound_pairs = 0
+    bound_ok = True
+    for i in range(m.d):
+        for j in range(m.d):
+            if i == j or rt.tree.has_edge(i, j):
+                continue
+            k = path_vertices(rt, i, j)[1]
+            gap = float(min(abs(cov[i, k]), abs(cov[k, j])) - abs(cov[i, j]))
+            margin = min(margin, gap)
+            bound_ok = bound_ok and gap > 0.0
+            bound_pairs += 1
+
+    return LemmaReport(
+        (
+            LemmaCheck(
+                "ancestor-covariance",
+                ancestor_dev <= tol,
+                ancestor_dev,
+                "max |C_ij - B_ji|",
+                ancestor_pairs,
+            ),
+            LemmaCheck(
+                "branching-covariance",
+                branch_dev <= tol,
+                branch_dev,
+                "max |C_ij - B_im B_jm|",
+                branch_pairs,
+            ),
+            LemmaCheck(
+                "strict-dominance",
+                bound_ok,
+                margin,
+                "min margin min(|C_ik|, |C_kj|) - |C_ij|",
+                bound_pairs,
+            ),
+        )
+    )

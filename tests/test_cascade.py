@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import ancestors, path_vertices
 from treecascade import (
     BUILTIN_SAMPLERS,
     CascadeModel,
@@ -82,8 +83,8 @@ class TestCascadeInverse:
             inv = cascade_inverse(m)
             rt = m.rt
             for i in range(d):
-                for j in rt.ancestors(i):
-                    for k in rt.path_vertices(j, i):
+                for j in ancestors(rt, i):
+                    for k in path_vertices(rt, j, i):
                         assert inv[i, j] == pytest.approx(
                             inv[i, k] * inv[k, j], rel=1e-15, abs=1e-300
                         )
@@ -124,8 +125,10 @@ class TestUnitVarianceConstruction:
 
     def test_unit_diagonal_for_random_inputs(self):
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            m = random_unit_variance_model(int(rng.integers(1, 11)), rng)
+        models = [random_unit_variance_model(int(rng.integers(1, 11)), rng) for _ in range(25)]
+        chain = root_tree(Tree.from_edges(200, [(i, i + 1) for i in range(199)]), 0)
+        models.append(make_unit_variance_model(chain, {i: 0.99 * (-1) ** i for i in range(1, 200)}))
+        for m in models:
             diag = np.diag(population_covariance(m))
             assert np.max(np.abs(diag - 1.0)) <= 1e-12
 

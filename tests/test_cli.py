@@ -264,3 +264,13 @@ class TestEntryPoint:
             text=True,
         )
         assert result.returncode == 2
+
+    def test_verify_passes_with_asserts_stripped(self):
+        # python -O removes assert statements; no check may depend on them
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "treecascade.cli", "verify", "--random", "30", "7"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert "result: pass" in result.stdout

@@ -14,10 +14,12 @@ Claims covered:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import random_correlation
+from conftest import random_correlation, random_spd_covariance
 from treecascade import (
     CorrelationSummary,
     DataError,
@@ -69,6 +71,25 @@ class TestCorrelationSummary:
     def test_from_covariance_rejects_nonpositive_diagonal(self):
         with pytest.raises(InvalidInputError):
             correlation_from_covariance(np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+    def test_from_covariance_matches_scalar_loop(self):
+        # the pairwise expression, one upper-triangle pair at a time
+        def loop(cov):
+            corr = np.eye(cov.shape[0])
+            for i in range(cov.shape[0]):
+                for j in range(i + 1, cov.shape[0]):
+                    rho = float(cov[i, j]) / math.sqrt(float(cov[i, i]) * float(cov[j, j]))
+                    corr[i, j] = corr[j, i] = min(1.0, max(-1.0, rho))
+            return corr
+
+        rng = np.random.default_rng(31)
+        inputs = [random_spd_covariance(int(rng.integers(1, 40)), rng) for _ in range(30)]
+        asymmetric = random_spd_covariance(12, rng) + np.tril(rng.normal(size=(12, 12)), -1)
+        # off-diagonal entries beyond the diagonal scale clip to +-1
+        clipped = np.array([[1.0, 3.0, -2.0], [0.5, 4.0, 9.0], [0.0, 0.0, 1.0]])
+        for cov in inputs + [asymmetric, clipped]:
+            assert np.array_equal(correlation_from_covariance(cov).corr, loop(cov))
+        assert correlation_from_covariance(clipped).corr[0, 1] == 1.0
 
 
 class TestOptimalCoefficients:

@@ -5,6 +5,7 @@ Claims covered:
   - The MST matches brute-force enumeration over all labeled trees.
   - Uniqueness certification is exact: strict cycle property, no tolerance.
   - The strict path-dominance condition implies a unique maximum.
+  - The first-hop and common-ancestor matrices match the path-walk oracles.
   - Monotone re-weighting never changes the selected edge set.
   - Edge-deletion clustering removes exactly the lightest tree edges.
 """
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ancestors, lca, path_edges, path_vertices
 from treecascade import (
     InvalidInputError,
     SizeLimitError,
@@ -34,6 +36,7 @@ from treecascade import (
     random_unit_variance_model,
     root_tree,
 )
+from treecascade.trees import _hop_and_meet_matrices
 
 # Drawn once with seed 20260810 and frozen; the expected tree was computed
 # by maximizing total weight over all 125 enumerated trees.
@@ -101,7 +104,7 @@ class TestRootTree:
             r = int(rng.integers(d))
             rt = root_tree(t, r)
             for v in range(d):
-                anc = rt.ancestors(v)
+                anc = ancestors(rt, v)
                 assert len(anc) <= d - 1
                 if v != r:
                     assert anc[-1] == r
@@ -110,23 +113,34 @@ class TestRootTree:
 class TestLca:
     def test_self_is_own_ancestor(self):
         rt = root_tree(Tree.from_edges(3, [(0, 1), (1, 2)]), 0)
-        assert rt.lca(2, 2) == 2
+        assert lca(rt, 2, 2) == 2
 
     def test_star_meets_at_center(self):
         rt = root_tree(Tree.from_edges(3, [(0, 1), (0, 2)]), 0)
-        assert rt.lca(1, 2) == 0
+        assert lca(rt, 1, 2) == 0
 
     def test_shared_parent(self):
         t = Tree.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
         rt = root_tree(t, 0)
-        assert rt.lca(3, 4) == 1
+        assert lca(rt, 3, 4) == 1
 
     def test_ancestor_descendant_pair(self):
         t = Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         rt = root_tree(t, 0)
-        assert rt.lca(1, 3) == 1
-        assert rt.path_vertices(3, 0) == [3, 2, 1, 0]
-        assert rt.path_edges(0, 3) == [(0, 1), (1, 2), (2, 3)]
+        assert lca(rt, 1, 3) == 1
+        assert path_vertices(rt, 3, 0) == [3, 2, 1, 0]
+        assert path_edges(rt, 0, 3) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_matrices_match_path_walks(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            d = int(rng.integers(1, 13))
+            rt = root_tree(random_tree(d, rng), int(rng.integers(d)))
+            hop, meet = _hop_and_meet_matrices(rt)
+            for i in range(d):
+                for j in range(d):
+                    assert meet[i, j] == lca(rt, i, j)
+                    assert hop[i, j] == (i if i == j else path_vertices(rt, i, j)[1])
 
 
 class TestWeightedGraph:
@@ -144,6 +158,18 @@ class TestWeightedGraph:
         g = WeightedGraph(3, {(0, 1): 1.0})
         with pytest.raises(InvalidInputError, match=r"\(0, 2\)"):
             g.weight(2, 0)
+        with pytest.raises(InvalidInputError, match=r"\(1, 3\)"):
+            g.weight(1, 3)
+
+    def test_from_matrix_non_finite_named(self):
+        m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, math.inf], [2.0, math.inf, 0.0]])
+        with pytest.raises(InvalidInputError, match=r"\(1, 2\) is not finite: inf"):
+            WeightedGraph.from_matrix(m)
+
+    def test_completeness(self):
+        assert not WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}).is_complete()
+        g = WeightedGraph.from_matrix(np.array([[7.0, 1.0], [1.0, math.nan]]))
+        assert g.is_complete() and g.weight(1, 0) == 1.0
 
 
 class TestMaximumSpanningTree:
