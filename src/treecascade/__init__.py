@@ -28,7 +28,7 @@ from .chowliu import (
     GaussianSummary,
     chow_liu_tree,
     correspondence_check,
-    pairwise_mi_weight,
+    mutual_information_weights,
 )
 from .dataio import (
     Dataset,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import InvalidInputError, UnsupportedModelError
-from .trees import RootedTree, _hop_and_meet_matrices, random_tree, root_tree
+from .trees import RootedTree, random_tree, root_tree
+from .trees import _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,20 @@ def cascade_inverse(m: CascadeModel) -> np.ndarray:
 
     Entry (i, j) is 1 when i = j, the product of edge coefficients along
     the directed path from j down to i when j is an ancestor of i, and 0
-    otherwise.  Products accumulate in double precision walking from the
-    vertex up toward the root; no numerical inversion is performed.
+    otherwise.  Columns fill deepest vertex first: column ``j`` times its
+    coefficient becomes the parent's column over the subtree of ``j``, so
+    each product accumulates in double precision from the vertex up toward
+    the root.  No numerical inversion is performed.
     """
-    inv = np.eye(m.d)
-    parent = m.rt.parent
-    for i in range(m.d):
-        acc = 1.0
-        j = i
-        while parent[j] != -1:
-            acc *= m.coeffs[j]
-            j = parent[j]
-            inv[i, j] = acc
-    return inv
+    # Row j of inv_t is column j of the inverse; below[j] marks the subtree of j.
+    # Writing only there keeps signed zeros as an exact walk leaves them.
+    inv_t = np.eye(m.d)
+    below = np.eye(m.d, dtype=bool)
+    for j in _parent_first_order(m.rt)[:0:-1].tolist():
+        p = m.rt.parent[j]
+        np.multiply(inv_t[j], m.coeffs[j], out=inv_t[p], where=below[j])
+        below[p] |= below[j]
+    return np.ascontiguousarray(inv_t.T)
 
 
 def population_covariance(m: CascadeModel) -> np.ndarray:
@@ -320,8 +322,7 @@ def verify_covariance_lemmas(m: CascadeModel, tol: float = 1e-12) -> LemmaReport
     i, j = np.nonzero((rows < cols) & (meet != rows) & (meet != cols))
     k = meet[i, j]
     branch_devs = np.abs(cov[i, j] - inv[i, k] * inv[j, k])
-    magnitude = np.abs(cov)
-    gaps = (np.minimum(magnitude[rows, hop], magnitude[hop, cols]) - magnitude)[hop != cols]
+    gaps = _path_neighbor_gaps(np.abs(cov), hop)
 
     ancestor_dev = float(ancestor_devs.max(initial=0.0))
     branch_dev = float(branch_devs.max(initial=0.0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
-from .regression import correlation_from_covariance, fit_cascade
+from .regression import CorrelationSummary, correlation_from_covariance, fit_cascade
 from .trees import MstResult, Tree, WeightedGraph, maximum_spanning_tree
 
 
@@ -33,8 +33,8 @@ class GaussianSummary:
 
     def __post_init__(self) -> None:
         cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise InvalidInputError(f"covariance must be square, got shape {cov.shape}")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+            raise InvalidInputError(f"covariance must be square and non-empty, got shape {cov.shape}")
         if not np.isfinite(cov).all():
             raise InvalidInputError("covariance contains non-finite entries")
         cov = (cov + cov.T) / 2.0
@@ -52,29 +52,32 @@ class GaussianSummary:
         return self.covariance.shape[0]
 
 
-def pairwise_mi_weight(s: GaussianSummary, i: int, j: int) -> float:
-    """Mutual information between components i and j: -1/2 log(1 - rho^2).
+def mutual_information_weights(c: CorrelationSummary) -> np.ndarray:
+    """Pairwise mutual information -1/2 log(1 - rho^2) as a symmetric matrix.
 
-    Nonnegative, zero exactly when the pair is uncorrelated, and strictly
-    increasing in the squared correlation.
+    Nonnegative, zero exactly for uncorrelated pairs, strictly increasing
+    in the squared correlation, and zero on the diagonal.  A pair with
+    ``|rho| = 1`` has no finite weight; the first one in row-major
+    upper-triangle order raises.
     """
-    if i == j:
-        raise InvalidInputError(f"pairwise weight needs two distinct vertices, got {i}")
-    cov = s.covariance
-    if not (0 <= i < s.d and 0 <= j < s.d):
-        raise InvalidInputError(f"vertex pair ({i}, {j}) out of range for d={s.d}")
-    rho = float(cov[i, j]) / math.sqrt(float(cov[i, i]) * float(cov[j, j]))
-    if abs(rho) >= 1.0:
+    degenerate = np.argwhere(np.triu(np.abs(c.corr) == 1.0, 1))
+    if degenerate.size:
+        i, j = degenerate[0]
         raise DegeneracyError(f"components {i} and {j} are perfectly correlated")
-    return -0.5 * math.log1p(-rho * rho)
+    i, j = np.triu_indices(c.d, 1)
+    rho = c.corr[i, j]
+    # math.log1p, not np.log1p: numpy's SIMD log1p differs from the C
+    # library's in the last bit for some inputs, which could move ties.
+    log1p = np.fromiter(map(math.log1p, (-rho * rho).tolist()), float, count=rho.size)
+    mi = np.zeros((c.d, c.d))
+    mi[i, j] = mi[j, i] = -0.5 * log1p
+    return mi
 
 
 def chow_liu_tree(s: GaussianSummary) -> MstResult:
     """Optimal approximator tree: maximum spanning tree of pairwise MI weights."""
-    weights = {
-        (i, j): pairwise_mi_weight(s, i, j) for i in range(s.d) for j in range(i + 1, s.d)
-    }
-    return maximum_spanning_tree(WeightedGraph(s.d, weights))
+    mi = mutual_information_weights(correlation_from_covariance(s.covariance))
+    return maximum_spanning_tree(WeightedGraph.from_matrix(mi))
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,14 @@ def correspondence_check(s: GaussianSummary) -> CorrespondenceReport:
     Inequality is reported, not raised.  Non-unique maxima on either side
     are surfaced so callers can flag ties.
     """
-    approx = chow_liu_tree(s)
-    fit = fit_cascade(correlation_from_covariance(s.covariance))
+    corr = correlation_from_covariance(s.covariance)
+    mi = mutual_information_weights(corr)
+    approx = maximum_spanning_tree(WeightedGraph.from_matrix(mi))
+    fit = fit_cascade(corr)
     pairs = []
     for i, j in approx.tree.sorted_edges():
-        rho = float(s.covariance[i, j]) / math.sqrt(
-            float(s.covariance[i, i]) * float(s.covariance[j, j])
-        )
-        pairs.append(((i, j), rho * rho, pairwise_mi_weight(s, i, j)))
+        rho = float(corr.corr[i, j])
+        pairs.append(((i, j), rho * rho, float(mi[i, j])))
     return CorrespondenceReport(
         approximator_tree=approx.tree,
         cascade_tree=fit.tree,

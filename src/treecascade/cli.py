@@ -27,7 +27,12 @@ from .cascade import (
 )
 from .chowliu import GaussianSummary, correspondence_check
 from .errors import InvalidInputError, TreeCascadeError
-from .regression import correlation_from_covariance, empirical_fit, fit_cascade
+from .regression import (
+    correlation_from_covariance,
+    empirical_fit,
+    fit_cascade,
+    squared_correlation_graph,
+)
 from .trees import (
     WeightedGraph,
     check_strict_triangle_condition,
@@ -116,7 +121,7 @@ def _cmd_fit(args) -> int:
         ds = dataio.price_changes(ds)
     fit = empirical_fit(ds, root_hint=args.root)
     dataio.save_fit(fit, args.out)
-    identity_gap = abs(fit.objective - (fit.tree.d - sum(fit.weights.values())))
+    identity_gap = _identity_gap(fit)
     print(f"objective: {fit.objective!r}")
     print(f"identity |objective - (d - sum weights)|: {identity_gap:.3e}")
     print(f"tree_unique: {str(fit.tree_unique).lower()}")
@@ -157,15 +162,14 @@ def _cmd_verify(args) -> int:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
 
     summary = correlation_from_covariance(population_covariance(model))
-    graph = WeightedGraph.from_matrix(summary.corr * summary.corr)
-    triangle = check_strict_triangle_condition(graph, model.rt.tree)
+    triangle = check_strict_triangle_condition(squared_correlation_graph(summary), model.rt.tree)
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
 
     fit = fit_cascade(summary)
     recovered = fit.tree.edges == model.rt.tree.edges
     rows.append(("mst-recovery", recovered and fit.tree_unique, f"unique={fit.tree_unique}"))
 
-    identity_gap = abs(fit.objective - (fit.tree.d - sum(fit.weights.values())))
+    identity_gap = _identity_gap(fit)
     rows.append(("objective-identity", identity_gap <= 1e-12, f"gap {identity_gap:.3e}"))
 
     print(f"verification of {label}")
@@ -175,6 +179,11 @@ def _cmd_verify(args) -> int:
     all_ok = all(ok for _, ok, _ in rows)
     print(f"result: {'pass' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
+
+
+def _identity_gap(fit) -> float:
+    """``|objective - (d - sum of weights)|``, zero at an exact optimum."""
+    return abs(fit.objective - (fit.tree.d - sum(fit.weights.values())))
 
 
 def _cmd_cluster(args) -> int:

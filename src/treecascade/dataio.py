@@ -28,16 +28,11 @@ FORMAT_VERSION = 1
 class Dataset:
     """An n-by-d observation matrix with unique column names.
 
-    ``standardized`` marks data whose columns have mean zero and sample
-    standard deviation one; ``means``/``scales`` then record the affine
-    map that produced it.  Values are validated finite and frozen.
+    Values are validated finite and frozen.
     """
 
     values: np.ndarray
     names: tuple[str, ...]
-    standardized: bool = False
-    means: np.ndarray | None = None
-    scales: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
@@ -141,13 +136,7 @@ def standardize(ds: Dataset) -> Dataset:
     for c, s in enumerate(scales):
         if not (math.isfinite(s) and s > 0.0):
             raise DataError(f"column {ds.names[c]!r} has zero variance; cannot standardize")
-    return Dataset(
-        values=centered / scales,
-        names=ds.names,
-        standardized=True,
-        means=means,
-        scales=scales,
-    )
+    return Dataset(values=centered / scales, names=ds.names)
 
 
 def price_changes(ds: Dataset) -> Dataset:

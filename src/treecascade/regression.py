@@ -44,8 +44,10 @@ class CorrelationSummary:
 
     def __post_init__(self) -> None:
         corr = np.array(self.corr, dtype=float)
-        if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-            raise InvalidInputError(f"correlation matrix must be square, got shape {corr.shape}")
+        if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or not corr.size:
+            raise InvalidInputError(
+                f"correlation matrix must be square and non-empty, got shape {corr.shape}"
+            )
         if not np.isfinite(corr).all():
             raise InvalidInputError("correlation matrix contains non-finite entries")
         if not np.array_equal(corr, corr.T):
@@ -67,13 +69,11 @@ def correlation_from_covariance(cov: np.ndarray, source: str = "population") -> 
 
     Each upper-triangle pair is normalized independently by the same
     scalar expression, ``C_ij / sqrt(C_ii * C_jj)`` clipped to [-1, 1], and
-    mirrored below the diagonal, so any other code computing a pairwise
-    correlation from the identical covariance entries reproduces these
-    values bit-exactly.
+    mirrored below the diagonal.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise InvalidInputError(f"covariance must be square, got shape {cov.shape}")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+        raise InvalidInputError(f"covariance must be square and non-empty, got shape {cov.shape}")
     diag = np.diag(cov)
     nonpositive = np.flatnonzero(~(diag > 0.0))
     if nonpositive.size:
@@ -88,10 +88,9 @@ def correlation_from_covariance(cov: np.ndarray, source: str = "population") -> 
 
 
 def correlation_from_dataset(ds: Dataset) -> CorrelationSummary:
-    """Empirical correlations of a standardized dataset (n - 1 divisor)."""
-    if not ds.standardized:
-        raise InvalidInputError("correlation_from_dataset expects standardized data")
-    raw = ds.values.T @ ds.values / (ds.n - 1)
+    """Empirical correlations of a dataset, standardized here (n - 1 divisor)."""
+    z = standardize(ds).values
+    raw = z.T @ z / (ds.n - 1)
     corr = (raw + raw.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     corr = np.clip(corr, -1.0, 1.0)
@@ -191,24 +190,21 @@ def brute_force_fit(c: CorrelationSummary) -> FitResult:
     """
     if c.d > 8:
         raise SizeLimitError(f"brute-force fit is limited to d <= 8, got {c.d}")
-    corr = c.corr
-    best: tuple[float, list[tuple[int, int]], Tree, dict[int, float]] | None = None
-    tied = False
-    for tree in enumerate_spanning_trees(c.d):
+
+    def evaluate(tree: Tree) -> tuple[float, list[tuple[int, int]], Tree, dict[int, float]]:
         rt = root_tree(tree, 0)
         coeffs = optimal_coefficients(rt, c)
-        objective = objective_value(rt, coeffs, c)
-        key = tree.sorted_edges()
-        if best is None or objective < best[0]:
-            best = (objective, key, tree, coeffs)
-            tied = False
-        elif objective == best[0]:
-            tied = True
-            if key < best[1]:
-                best = (objective, key, tree, coeffs)
-    assert best is not None
+        return objective_value(rt, coeffs, c), tree.sorted_edges(), tree, coeffs
+
+    candidates = map(evaluate, enumerate_spanning_trees(c.d))
+    best, tied = next(candidates), False
+    for candidate in candidates:
+        if candidate[0] <= best[0]:
+            tied = candidate[0] == best[0]
+        if candidate[:2] < best[:2]:  # lower objective, then smaller edge list
+            best = candidate
     objective, edges, tree, coeffs = best
-    weights = {e: float(corr[e[0], e[1]]) ** 2 for e in edges}
+    weights = {e: float(c.corr[e[0], e[1]]) ** 2 for e in edges}
     return FitResult(
         tree=tree,
         root=0,
@@ -229,6 +225,5 @@ def empirical_fit(data: Dataset, root_hint: int | None = None) -> FitResult:
     """
     if data.n < 2:
         raise InvalidInputError(f"empirical fit needs at least 2 rows, got {data.n}")
-    z = data if data.standardized else standardize(data)
-    fit = fit_cascade(correlation_from_dataset(z), root_hint)
+    fit = fit_cascade(correlation_from_dataset(data), root_hint)
     return dataclasses.replace(fit, names=data.names)

@@ -275,26 +275,23 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     return MstResult(tree, total, mst_is_unique(g, tree))
 
 
+def _parent_first_order(rt: RootedTree) -> np.ndarray:
+    """Vertices by ascending depth, ties by index: each parent precedes its children."""
+    return np.argsort(rt.depth, kind="stable")
+
+
 def _bfs_joins(rt: RootedTree) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Walk ``rt`` breadth-first from its root, one join per non-root vertex.
+    """Walk ``rt`` level by level from its root, one join per non-root vertex.
 
     Each join is ``(v, u, seen)``: vertex ``v``, its parent ``u``, and the
     indices of every vertex visited before ``v``, ``u`` among them.  None
     of those lies in the subtree of ``v``, so the tree path from ``v`` to
     each of them starts with the edge to ``u``: a matrix of path quantities
     gains row and column ``v`` from row ``u`` in one vectorized step.
-    Children are visited in ascending order, as in :func:`root_tree`.
     """
-    children: list[list[int]] = [[] for _ in range(rt.d)]
-    for v in rt.non_root_vertices():
-        children[rt.parent[v]].append(v)
-    order = [rt.root]
-    for u in order:
-        order.extend(children[u])
-    visited = np.array(order, dtype=np.intp)
-    for k in range(1, rt.d):
-        v = order[k]
-        yield v, rt.parent[v], visited[:k]
+    order = _parent_first_order(rt)
+    for k, v in enumerate(order.tolist()[1:], start=1):
+        yield v, rt.parent[v], order[:k]
 
 
 def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
@@ -356,13 +353,18 @@ def check_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
     _require_complete(g, "check_strict_triangle_condition")
-    w = g.matrix
     hop, _ = _hop_and_meet_matrices(root_tree(t, 0))
-    rows = np.arange(g.d)[:, None]
-    cols = np.arange(g.d)[None, :]
-    nonadjacent = hop != cols
-    dominated = w < np.minimum(w[rows, hop], w[hop, cols])
-    return bool(dominated[nonadjacent].all())
+    return bool((_path_neighbor_gaps(g.matrix, hop) > 0.0).all())
+
+
+def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> np.ndarray:
+    """``min(x[i, k], x[k, j]) - x[i, j]`` over nonadjacent ordered pairs, ``k = hop[i, j]``.
+
+    For finite doubles a gap is positive exactly when ``x[i, j]`` is smaller.
+    """
+    rows = np.arange(len(x))[:, None]
+    cols = np.arange(len(x))[None, :]
+    return (np.minimum(x[rows, hop], x[hop, cols]) - x)[hop != cols]
 
 
 def enumerate_spanning_trees(d: int) -> Iterator[Tree]:

@@ -1,18 +1,23 @@
 """Loop-based reference implementations, kept as test oracles.
 
 The library computes the maximum spanning tree with dense Prim, certifies
-it with a bottleneck matrix, and runs the dominance and covariance-lemma
-checks as array expressions over first-hop and LCA matrices.  The
-functions here are the straightforward versions those replaced: Kruskal
-over the canonical edge order, one tree-path walk per vertex pair, and
-per-pair loops.  Tests require the fast paths to agree with them exactly.
+it with a bottleneck matrix, runs the dominance and covariance-lemma
+checks as array expressions over first-hop and LCA matrices, fills the
+cascade inverse column by column, and takes mutual-information weights
+from the shared correlation matrix.  The functions here are the
+straightforward versions those replaced: Kruskal over the canonical edge
+order, one tree-path walk per vertex pair or per vertex, and per-pair
+scalar formulas.  Tests require the fast paths to agree with them exactly.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from treecascade import (
+    DegeneracyError,
     InvalidInputError,
     LemmaCheck,
     LemmaReport,
@@ -210,3 +215,30 @@ def loop_covariance_lemmas(m, tol: float = 1e-12) -> LemmaReport:
             ),
         )
     )
+
+
+def scalar_mi_weight(s, i: int, j: int) -> float:
+    """Mutual information -1/2 log(1 - rho^2) of one pair of a Gaussian summary."""
+    if i == j:
+        raise InvalidInputError(f"pairwise weight needs two distinct vertices, got {i}")
+    cov = s.covariance
+    if not (0 <= i < s.d and 0 <= j < s.d):
+        raise InvalidInputError(f"vertex pair ({i}, {j}) out of range for d={s.d}")
+    rho = float(cov[i, j]) / math.sqrt(float(cov[i, i]) * float(cov[j, j]))
+    if abs(rho) >= 1.0:
+        raise DegeneracyError(f"components {i} and {j} are perfectly correlated")
+    return -0.5 * math.log1p(-rho * rho)
+
+
+def path_walk_inverse(m):
+    """(I - A)^-1 by walking from each vertex up to the root, multiplying coefficients."""
+    inv = np.eye(m.d)
+    parent = m.rt.parent
+    for i in range(m.d):
+        acc = 1.0
+        j = i
+        while parent[j] != -1:
+            acc *= m.coeffs[j]
+            j = parent[j]
+            inv[i, j] = acc
+    return inv

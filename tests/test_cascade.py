@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import ancestors, path_vertices
+from oracles import ancestors, path_vertices, path_walk_inverse
 from treecascade import (
     BUILTIN_SAMPLERS,
     CascadeModel,
@@ -88,6 +88,48 @@ class TestCascadeInverse:
                         assert inv[i, j] == pytest.approx(
                             inv[i, k] * inv[k, j], rel=1e-15, abs=1e-300
                         )
+
+
+def assert_bit_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestInverseMatchesWalkOracle:
+    def test_single_vertex(self):
+        m = random_unit_variance_model(1, np.random.default_rng(0))
+        assert_bit_equal(cascade_inverse(m), path_walk_inverse(m))
+
+    def test_star(self):
+        rng = np.random.default_rng(6)
+        leaves = 40
+        rt = root_tree(Tree.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)]), 7)
+        m = make_unit_variance_model(
+            rt, {i: float(rng.uniform(-0.95, 0.95)) for i in rt.non_root_vertices()}
+        )
+        assert_bit_equal(cascade_inverse(m), path_walk_inverse(m))
+
+    def test_chain_of_200(self):
+        rng = np.random.default_rng(8)
+        rt = root_tree(Tree.from_edges(200, [(i, i + 1) for i in range(199)]), 120)
+        m = make_unit_variance_model(
+            rt, {i: float(rng.uniform(0.2, 0.99)) * (-1) ** i for i in rt.non_root_vertices()}
+        )
+        assert_bit_equal(cascade_inverse(m), path_walk_inverse(m))
+
+    def test_random_models(self):
+        rng = np.random.default_rng(10)
+        for _ in range(60):
+            m = random_unit_variance_model(int(rng.integers(1, 60)), rng)
+            assert_bit_equal(cascade_inverse(m), path_walk_inverse(m))
+
+    def test_signed_zeros_and_underflow(self):
+        # -0.0 coefficients and products that underflow keep the walk's sign bits
+        coeffs = [-0.0 if i % 3 == 0 else -1e-3 for i in range(1, 400)]
+        m = chain_model(*coeffs)
+        inv = cascade_inverse(m)
+        assert_bit_equal(inv, path_walk_inverse(m))
+        assert np.signbit(inv[1, 0]) and inv[399, 300] == 0.0
 
 
 class TestPopulationCovariance:

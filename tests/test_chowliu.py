@@ -1,8 +1,9 @@
 """Tests for the Gaussian pairwise-MI tree and its regression correspondence.
 
 Claims covered:
-  - The pairwise weight matches -1/2 log(1 - rho^2), is nonnegative,
-    symmetric, scale-invariant, and strictly increasing in rho^2.
+  - The pairwise weight matrix matches -1/2 log(1 - rho^2), is nonnegative,
+    symmetric, scale-invariant, and strictly increasing in rho^2, and equals
+    the scalar per-pair oracle bit for bit.
   - The MI tree equals the squared-correlation regression tree, including
     under exact ties.
   - At d=3 the selected tree minimizes the actual KL divergence to the
@@ -17,8 +18,10 @@ import numpy as np
 import pytest
 
 from conftest import random_spd_covariance
+from oracles import scalar_mi_weight
 from treecascade import (
     CascadeModel,
+    CorrelationSummary,
     DegeneracyError,
     GaussianSummary,
     InvalidInputError,
@@ -28,7 +31,7 @@ from treecascade import (
     correspondence_check,
     enumerate_spanning_trees,
     fit_cascade,
-    pairwise_mi_weight,
+    mutual_information_weights,
     population_covariance,
     random_unit_variance_model,
     root_tree,
@@ -54,54 +57,87 @@ class TestGaussianSummary:
         assert np.array_equal(s.covariance, s.covariance.T)
 
 
+def mi_matrix(s: GaussianSummary) -> np.ndarray:
+    return mutual_information_weights(correlation_from_covariance(s.covariance))
+
+
+def bypass_summary(cov) -> GaussianSummary:
+    """A summary that skips validation, to probe singular covariances."""
+    s = GaussianSummary.__new__(GaussianSummary)
+    object.__setattr__(s, "covariance", np.array(cov, dtype=float))
+    return s
+
+
 class TestPairwiseWeight:
     def test_zero_correlation_gives_zero(self):
-        assert pairwise_mi_weight(summary(np.eye(2)), 0, 1) == 0.0
+        assert mi_matrix(summary(np.eye(2)))[0, 1] == 0.0
 
     def test_known_value(self):
         s = summary([[1.0, 0.6], [0.6, 1.0]])
-        assert pairwise_mi_weight(s, 0, 1) == pytest.approx(-0.5 * math.log(0.64), abs=1e-15)
+        assert mi_matrix(s)[0, 1] == pytest.approx(-0.5 * math.log(0.64), abs=1e-15)
 
     def test_symmetric_in_pair(self):
-        s = summary(random_spd_covariance(4, np.random.default_rng(1)))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert pairwise_mi_weight(s, i, j) == pairwise_mi_weight(s, j, i)
+        mi = mi_matrix(summary(random_spd_covariance(4, np.random.default_rng(1))))
+        assert np.array_equal(mi, mi.T)
+        assert np.array_equal(np.diag(mi), np.zeros(4))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         cov = random_spd_covariance(3, rng)
         scales = np.diag(rng.uniform(0.1, 10.0, size=3))
         rescaled = scales @ cov @ scales
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert pairwise_mi_weight(summary(cov), i, j) == pytest.approx(
-                    pairwise_mi_weight(summary(rescaled), i, j), rel=1e-12
-                )
+        assert mi_matrix(summary(cov)) == pytest.approx(mi_matrix(summary(rescaled)), rel=1e-12)
 
     def test_nonnegative_and_increasing_in_rho_squared(self):
         values = [
-            pairwise_mi_weight(summary([[1.0, r], [r, 1.0]]), 0, 1)
+            mi_matrix(summary([[1.0, r], [r, 1.0]]))[0, 1]
             for r in (0.0, 0.1, -0.3, 0.5, -0.7, 0.9)
         ]
         assert all(v >= 0.0 for v in values)
         assert values == sorted(values)
 
     def test_perfect_correlation_degenerate(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        # bypass the PD check to probe the weight directly
-        s = GaussianSummary(cov + 1e-9 * np.eye(2))
-        objected = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(DegeneracyError):
-            # construct via object dict to hit the guard
-            bad = GaussianSummary.__new__(GaussianSummary)
-            object.__setattr__(bad, "covariance", objected)
-            pairwise_mi_weight(bad, 0, 1)
-        assert pairwise_mi_weight(s, 0, 1) > 9.0  # near-singular pair, huge weight
+        near = summary(np.ones((2, 2)) + 1e-9 * np.eye(2))
+        with pytest.raises(DegeneracyError, match="components 0 and 1"):
+            mi_matrix(bypass_summary(np.ones((2, 2))))
+        assert mi_matrix(near)[0, 1] > 9.0  # near-singular pair, huge weight
 
-    def test_same_vertex_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pairwise_mi_weight(summary(np.eye(2)), 1, 1)
+
+class TestMatrixMatchesScalarOracle:
+    def test_bit_equal_on_random_covariances(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            d = int(rng.integers(2, 12))
+            s = summary(random_spd_covariance(d, rng) * rng.uniform(0.01, 100.0))
+            mi = mi_matrix(s)
+            for i in range(d):
+                for j in range(d):
+                    if i != j:
+                        assert mi[i, j] == scalar_mi_weight(s, i, j)
+
+    def test_bit_equal_on_near_singular_pair(self):
+        s = summary([[1.0, 1.0 - 1e-12, 0.1], [1.0 - 1e-12, 1.0, 0.1], [0.1, 0.1, 1.0]])
+        mi = mi_matrix(s)
+        assert mi[0, 1] > 13.0
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert mi[i, j] == scalar_mi_weight(s, i, j)
+
+    def test_same_degeneracy_error_as_oracle(self):
+        # an invalid covariance can give |rho| > 1; clipping maps exactly those pairs to +-1
+        cov = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 3.5], [0.2, 3.5, 9.0]])
+        s = bypass_summary(cov)
+        with pytest.raises(DegeneracyError) as scalar:
+            scalar_mi_weight(s, 1, 2)
+        with pytest.raises(DegeneracyError) as matrix:
+            mi_matrix(s)
+        assert str(matrix.value) == str(scalar.value) == "components 1 and 2 are perfectly correlated"
+
+    def test_first_degenerate_pair_in_row_major_order(self):
+        corr = np.eye(4)
+        corr[1, 3] = corr[3, 1] = -1.0
+        corr[2, 3] = corr[3, 2] = 1.0
+        with pytest.raises(DegeneracyError, match="components 1 and 3"):
+            mutual_information_weights(CorrelationSummary(corr))
 
 
 class TestChowLiuTree:
@@ -133,8 +169,9 @@ class TestCorrespondenceCheck:
             s = summary(random_spd_covariance(3, rng))
             report = correspondence_check(s)
             assert report.trees_equal
+            mi = mi_matrix(s)
             totals = {
-                t.edges: sum(pairwise_mi_weight(s, i, j) for i, j in t.sorted_edges())
+                t.edges: sum(mi[i, j] for i, j in t.sorted_edges())
                 for t in enumerate_spanning_trees(3)
             }
             best = max(totals.values())

@@ -11,11 +11,14 @@ Claims covered:
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import treecascade
 from treecascade import (
     correlation_from_covariance,
     fit_cascade,
@@ -247,6 +250,50 @@ class TestChowCheckCommand:
         assert code != 0 and "missing field" in stderr
 
 
+VERIFY_D12_STDOUT = """\
+verification of {path}
+  closed-form-inverse   pass  max gap 1.388e-17
+  ancestor-covariance   pass  max |C_ij - B_ji| = 5.551e-17
+  branching-covariance  pass  max |C_ij - B_im B_jm| = 2.776e-17
+  strict-dominance      pass  min margin min(|C_ik|, |C_kj|) - |C_ij| = 2.284e-03
+  strict-triangle       pass  squared-correlation weights
+  mst-recovery          pass  unique=True
+  objective-identity    pass  gap 0.000e+00
+result: pass
+"""
+
+CHOW_CHECK_D12_STDOUT = """\
+edge x0 -- x5: squared_correlation=0.418979 mi_weight=0.271484
+edge x0 -- x7: squared_correlation=0.266881 mi_weight=0.155224
+edge x1 -- x6: squared_correlation=0.162063 mi_weight=0.088406
+edge x1 -- x11: squared_correlation=0.097906 mi_weight=0.051518
+edge x2 -- x6: squared_correlation=0.185775 mi_weight=0.102759
+edge x2 -- x9: squared_correlation=0.670939 mi_weight=0.555756
+edge x3 -- x6: squared_correlation=0.409187 mi_weight=0.263128
+edge x3 -- x7: squared_correlation=0.282693 mi_weight=0.166126
+edge x4 -- x11: squared_correlation=0.706501 mi_weight=0.612941
+edge x6 -- x8: squared_correlation=0.099618 mi_weight=0.052468
+edge x7 -- x10: squared_correlation=0.227503 mi_weight=0.129064
+trees_equal: true
+"""
+
+
+class TestGoldenStdout:
+    """Stdout pinned byte for byte on a fixed-seed d=12 fit document."""
+
+    def test_verify_model(self, capsys, tmp_path):
+        _, _, path = model_fit_document(tmp_path, d=12, seed=29)
+        code, stdout, _ = run(capsys, "verify", "--model", str(path))
+        assert code == 0
+        assert stdout == VERIFY_D12_STDOUT.format(path=path)
+
+    def test_chow_check_fit(self, capsys, tmp_path):
+        _, _, path = model_fit_document(tmp_path, d=12, seed=29)
+        code, stdout, _ = run(capsys, "chow-check", "--fit", str(path))
+        assert code == 0
+        assert stdout == CHOW_CHECK_D12_STDOUT
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -274,3 +321,11 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "result: pass" in result.stdout
+
+    def test_no_assert_statements_in_package(self):
+        # a static guard for the rule above: checks must not be asserts
+        package = Path(treecascade.__file__).parent
+        for source in sorted(package.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+            asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not asserts, f"{source.name}: assert at lines {asserts}"

@@ -24,6 +24,7 @@ from treecascade import (
     CorrelationSummary,
     DataError,
     Dataset,
+    GaussianSummary,
     InvalidInputError,
     SizeLimitError,
     Tree,
@@ -67,6 +68,12 @@ class TestCorrelationSummary:
         c = correlation_from_covariance(cov)
         assert c.corr[0, 1] == pytest.approx(0.6, abs=1e-15)
         assert c.corr[0, 0] == 1.0 and c.corr[1, 1] == 1.0
+
+    def test_empty_matrices_rejected(self):
+        empty = np.zeros((0, 0))
+        for build in (CorrelationSummary, correlation_from_covariance, GaussianSummary):
+            with pytest.raises(InvalidInputError, match="non-empty"):
+                build(empty)
 
     def test_from_covariance_rejects_nonpositive_diagonal(self):
         with pytest.raises(InvalidInputError):
@@ -298,6 +305,17 @@ class TestEmpiricalFit:
         via_package = correlation_from_dataset(standardize(ds)).corr
         raw = np.corrcoef(values.T)
         assert np.max(np.abs(via_package - raw)) < 1e-12
+
+    def test_raw_data_correlations_match_corrcoef(self):
+        # correlation_from_dataset standardizes its input itself
+        rng = np.random.default_rng(67)
+        values = rng.standard_normal((300, 5)) * np.array([1.0, 10.0, 0.1, 5.0, 1e3]) + 40.0
+        corr = correlation_from_dataset(Dataset(values=values, names=tuple("abcde"))).corr
+        assert np.max(np.abs(corr - np.corrcoef(values.T))) < 1e-12
+        three_rows = Dataset(values=[[10.0, 1.0], [12.0, 3.0], [11.0, 7.0]], names=("a", "b"))
+        coeff = empirical_fit(three_rows).coeffs[1]
+        assert coeff == pytest.approx(np.corrcoef([10.0, 12.0, 11.0], [1.0, 3.0, 7.0])[0, 1])
+        assert coeff == pytest.approx(0.327, abs=5e-4)
 
 
 class TestBruteForceRootIndependence:
