@@ -10,7 +10,6 @@ tree solves the Gaussian pairwise-MI approximation problem.
 from .cascade import (
     BUILTIN_SAMPLERS,
     CascadeModel,
-    ErrorSampler,
     LemmaCheck,
     LemmaReport,
     cascade_inverse,

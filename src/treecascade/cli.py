@@ -29,16 +29,12 @@ from .chowliu import GaussianSummary, correspondence_check
 from .errors import InvalidInputError, TreeCascadeError
 from .regression import (
     correlation_from_covariance,
+    correlation_from_dataset,
     empirical_fit,
     fit_cascade,
     squared_correlation_graph,
 )
-from .trees import (
-    WeightedGraph,
-    check_strict_triangle_condition,
-    cluster_by_edge_deletion,
-    root_tree,
-)
+from .trees import check_strict_triangle_condition, cluster_by_edge_deletion, root_tree
 
 
 def main(argv=None) -> int:
@@ -191,9 +187,8 @@ def _cmd_cluster(args) -> int:
     d = fit.tree.d
     if not (1 <= args.k <= d):
         raise InvalidInputError(f"--k {args.k} out of range 1..{d}")
-    graph = WeightedGraph(d, fit.weights)
     names = fit.names if fit.names is not None else tuple(f"x{i}" for i in range(d))
-    for group in cluster_by_edge_deletion(graph, fit.tree, args.k):
+    for group in cluster_by_edge_deletion(fit.tree, fit.weights, args.k):
         print(", ".join(names[v] for v in group))
     return 0
 
@@ -201,10 +196,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_chow_check(args) -> int:
     if args.data is not None:
         ds = dataio.load_csv(args.data)
-        if ds.n < 2:
-            raise InvalidInputError(f"need at least 2 rows, got {ds.n}")
-        centered = ds.values - ds.values.mean(axis=0)
-        cov = centered.T @ centered / (ds.n - 1)
+        cov = correlation_from_dataset(ds).corr
         names = ds.names
     else:
         model = dataio.model_from_document(dataio.load_document(args.fit))

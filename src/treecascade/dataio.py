@@ -116,8 +116,9 @@ def save_csv(ds: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(ds.names)
-        for row in ds.values:
-            writer.writerow([repr(float(v)) for v in row])
+        # csv writes each float with str(), the shortest round-trip form;
+        # converting row by row keeps only one row of Python floats alive.
+        writer.writerows(row.tolist() for row in ds.values)
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -34,13 +34,11 @@ from .trees import (
 class CorrelationSummary:
     """Symmetric pairwise-correlation matrix with an exactly unit diagonal.
 
-    ``source`` records provenance ("population" or "empirical(n=...)").
     Exact symmetry is required so downstream results are invariant to how
     vertex pairs are traversed; the builders below guarantee it.
     """
 
     corr: np.ndarray
-    source: str = "population"
 
     def __post_init__(self) -> None:
         corr = np.array(self.corr, dtype=float)
@@ -64,7 +62,7 @@ class CorrelationSummary:
         return self.corr.shape[0]
 
 
-def correlation_from_covariance(cov: np.ndarray, source: str = "population") -> CorrelationSummary:
+def correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
     """Normalize a covariance matrix into a correlation summary.
 
     Each upper-triangle pair is normalized independently by the same
@@ -84,7 +82,7 @@ def correlation_from_covariance(cov: np.ndarray, source: str = "population") -> 
     corr = np.eye(cov.shape[0])
     corr[i, j] = rho
     corr[j, i] = rho
-    return CorrelationSummary(corr, source)
+    return CorrelationSummary(corr)
 
 
 def correlation_from_dataset(ds: Dataset) -> CorrelationSummary:
@@ -94,7 +92,7 @@ def correlation_from_dataset(ds: Dataset) -> CorrelationSummary:
     corr = (raw + raw.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     corr = np.clip(corr, -1.0, 1.0)
-    return CorrelationSummary(corr, f"empirical(n={ds.n})")
+    return CorrelationSummary(corr)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ the tree path between its endpoints.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -129,58 +128,46 @@ class RootedTree:
 
 
 class WeightedGraph:
-    """An undirected graph on ``0..d-1`` with finite real edge weights.
+    """The complete graph on ``0..d-1`` with finite real edge weights.
 
-    Weights live in ``matrix``, a dense symmetric ``d``-by-``d`` array in
-    which NaN marks a pair without an edge (the diagonal always).
-    Construction from a mapping accepts any subset of canonical edges;
-    operations that require the complete graph (the maximum spanning tree
-    and the checks against it) validate completeness themselves.
+    Weights live in ``matrix``, a dense symmetric ``d``-by-``d`` array
+    whose diagonal is NaN.  Build one with :meth:`from_matrix`, the
+    validating constructor; every instance is therefore complete, and the
+    maximum spanning tree and the checks against it need no checks of
+    their own.
     """
 
     __slots__ = ("d", "matrix")
 
-    def __init__(self, d: int, weights: Mapping[tuple[int, int], float] | None = None) -> None:
-        if d < 1:
-            raise InvalidInputError(f"vertex count must be >= 1, got {d}")
-        matrix = np.full((d, d), np.nan)
-        for (i, j), w in (weights or {}).items():
-            if not (0 <= i < j < d):
-                raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {d} vertices")
-            if not math.isfinite(w):
-                raise InvalidInputError(f"weight of edge ({i}, {j}) is not finite: {w!r}")
-            matrix[i, j] = matrix[j, i] = w
-        self.d = d
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.d = matrix.shape[0]
         self.matrix = matrix
 
     @staticmethod
     def from_matrix(matrix: np.ndarray) -> "WeightedGraph":
         """Complete graph from a symmetric matrix; the diagonal is ignored."""
-        m = np.asarray(matrix, dtype=float)
+        m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"weight matrix must be square, got shape {m.shape}")
-        asymmetric = np.argwhere(np.triu(m != m.T, 1))
-        if asymmetric.size:
-            i, j = asymmetric[0]
-            raise InvalidInputError(f"weight matrix not symmetric at ({i}, {j})")
+        if not m.size:
+            raise InvalidInputError("vertex count must be >= 1, got 0")
+        # Finiteness first: NaN compares unequal to itself.
         non_finite = np.argwhere(np.triu(~np.isfinite(m), 1))
         if non_finite.size:
             i, j = non_finite[0]
             raise InvalidInputError(f"weight of edge ({i}, {j}) is not finite: {float(m[i, j])!r}")
-        graph = WeightedGraph(m.shape[0])
-        graph.matrix[:] = m
-        np.fill_diagonal(graph.matrix, np.nan)
-        return graph
+        asymmetric = np.argwhere(np.triu(m != m.T, 1))
+        if asymmetric.size:
+            i, j = asymmetric[0]
+            raise InvalidInputError(f"weight matrix not symmetric at ({i}, {j})")
+        np.fill_diagonal(m, np.nan)
+        return WeightedGraph(m)
 
     def weight(self, i: int, j: int) -> float:
         e = canonical_edge(i, j)
-        w = self.matrix[e] if 0 <= e[0] and e[1] < self.d else math.nan
-        if math.isnan(w):
-            raise InvalidInputError(f"no weight defined for edge {e}")
-        return float(w)
-
-    def is_complete(self) -> bool:
-        return int(np.count_nonzero(np.isnan(self.matrix))) == self.d
+        if not (0 <= e[0] and e[1] < self.d):
+            raise InvalidInputError(f"edge {e} is out of range for {self.d} vertices")
+        return float(self.matrix[e])
 
 
 @dataclass(frozen=True)
@@ -230,11 +217,6 @@ def connected_components(d: int, edges) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _require_complete(g: WeightedGraph, caller: str) -> None:
-    if not g.is_complete():
-        raise InvalidInputError(f"{caller} requires a complete graph on {g.d} vertices")
-
-
 def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     """Maximum-weight spanning tree of a complete weighted graph.
 
@@ -247,7 +229,6 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     edges in that order.  ``is_unique`` certifies via :func:`mst_is_unique`
     that no other spanning tree attains the same total weight.
     """
-    _require_complete(g, "maximum_spanning_tree")
     w = g.matrix
     outside = np.ones(g.d, dtype=bool)
     outside[0] = False
@@ -326,7 +307,6 @@ def mst_is_unique(g: WeightedGraph, t: Tree) -> bool:
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
-    _require_complete(g, "mst_is_unique")
     w = g.matrix
     bottleneck = np.full((g.d, g.d), np.inf)
     for v, u, seen in _bfs_joins(root_tree(t, 0)):
@@ -352,7 +332,6 @@ def check_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
-    _require_complete(g, "check_strict_triangle_condition")
     hop, _ = _hop_and_meet_matrices(root_tree(t, 0))
     return bool((_path_neighbor_gaps(g.matrix, hop) > 0.0).all())
 
@@ -450,17 +429,24 @@ def root_tree(t: Tree, r: int) -> RootedTree:
     return RootedTree(t, r, tuple(parent), tuple(depth))
 
 
-def cluster_by_edge_deletion(g: WeightedGraph, t: Tree, k: int) -> list[list[int]]:
+def cluster_by_edge_deletion(
+    t: Tree, weights: Mapping[tuple[int, int], float], k: int
+) -> list[list[int]]:
     """Partition vertices by deleting the ``k - 1`` lightest tree edges.
 
-    Ties resolve by ascending canonical vertex pair, mirroring the fixed
-    order of :func:`maximum_spanning_tree`.  Each cluster is sorted and the
-    clusters are ordered by their smallest vertex.
+    ``weights`` maps each canonical tree edge to its weight, as a fit's
+    ``weights`` does; other keys are ignored.  Ties resolve by ascending
+    canonical vertex pair, mirroring the fixed order of
+    :func:`maximum_spanning_tree`.  Each cluster is sorted and the clusters
+    are ordered by their smallest vertex.
     """
-    if t.d != g.d:
-        raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
     if not (1 <= k <= t.d):
         raise InvalidInputError(f"cluster count {k} out of range 1..{t.d}")
-    by_lightness = sorted(t.edges, key=lambda e: (g.weight(*e), e[0], e[1]))
-    kept = by_lightness[k - 1 :]
-    return connected_components(t.d, kept)
+    edges = t.sorted_edges()
+    for e in edges:
+        if e not in weights:
+            raise InvalidInputError(f"no weight given for tree edge {e}")
+        if not np.isfinite(weights[e]):
+            raise InvalidInputError(f"weight of edge {e} is not finite: {weights[e]!r}")
+    by_lightness = sorted(edges, key=lambda e: weights[e])
+    return connected_components(t.d, by_lightness[k - 1 :])

@@ -93,12 +93,16 @@ def path_edges(rt, i: int, j: int) -> list[tuple[int, int]]:
     return [canonical_edge(a, b) for a, b in zip(verts, verts[1:])]
 
 
+def graph_from_weights(d: int, weights) -> WeightedGraph:
+    """Graph from a ``{(i, j): w}`` mapping; a pair left out stays NaN, which fails."""
+    m = np.full((d, d), np.nan)
+    for (i, j), w in weights.items():
+        m[i, j] = m[j, i] = w
+    return WeightedGraph.from_matrix(m)
+
+
 def kruskal_mst(g: WeightedGraph) -> MstResult:
     """Kruskal's greedy construction over the canonical edge order."""
-    if not g.is_complete():
-        raise InvalidInputError(
-            f"maximum_spanning_tree requires a complete graph on {g.d} vertices"
-        )
     edges = sorted(
         ((g.weight(i, j), i, j) for i in range(g.d) for j in range(i + 1, g.d)),
         key=lambda t: (-t[0], t[1], t[2]),

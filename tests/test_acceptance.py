@@ -35,8 +35,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spd_covariance
+from oracles import graph_from_weights
 from treecascade import (
-    WeightedGraph,
     brute_force_fit,
     cascade_inverse,
     chow_liu_tree,
@@ -230,12 +230,12 @@ def test_criterion_7_monotone_invariance():
                 rng.uniform(0.0, 0.99, size=d * (d - 1) // 2),
             )
         }
-        base = maximum_spanning_tree(WeightedGraph(d, raw)).tree.edges
+        base = maximum_spanning_tree(graph_from_weights(d, raw)).tree.edges
         squared = maximum_spanning_tree(
-            WeightedGraph(d, {e: w * w for e, w in raw.items()})
+            graph_from_weights(d, {e: w * w for e, w in raw.items()})
         ).tree.edges
         logged = maximum_spanning_tree(
-            WeightedGraph(d, {e: -0.5 * math.log1p(-w) for e, w in raw.items()})
+            graph_from_weights(d, {e: -0.5 * math.log1p(-w) for e, w in raw.items()})
         ).tree.edges
         ok = ok and base == squared == logged
     report(7, "monotone-invariance", ok, "w, w^2, -1/2 log(1-w) select identical trees, 100 graphs")

@@ -245,7 +245,7 @@ class TestErrorSamplers:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
     def test_marginal_moments(self, name):
         n = 200_000
-        draws = BUILTIN_SAMPLERS[name].draw(np.random.default_rng(33), n, self.VARIANCES)
+        draws = BUILTIN_SAMPLERS[name](np.random.default_rng(33), n, self.VARIANCES)
         means = draws.mean(axis=0)
         variances = (draws * draws).mean(axis=0)
         assert np.all(np.abs(means) <= 3.0 * np.sqrt(self.VARIANCES / n))
@@ -254,14 +254,14 @@ class TestErrorSamplers:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
     def test_pairwise_uncorrelated(self, name):
         n = 200_000
-        draws = BUILTIN_SAMPLERS[name].draw(np.random.default_rng(37), n, self.VARIANCES)
+        draws = BUILTIN_SAMPLERS[name](np.random.default_rng(37), n, self.VARIANCES)
         corr = np.corrcoef(draws.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off)) < 4.0 / np.sqrt(n)
 
     def test_dependent_sampler_is_not_independent(self):
         # shared magnitude: squared draws are (nearly) perfectly correlated
-        draws = BUILTIN_SAMPLERS["dependent"].draw(np.random.default_rng(41), 50_000, self.VARIANCES)
+        draws = BUILTIN_SAMPLERS["dependent"](np.random.default_rng(41), 50_000, self.VARIANCES)
         sq_corr = np.corrcoef((draws**2).T)
         assert np.min(sq_corr) > 0.99
 

@@ -12,6 +12,7 @@ Claims covered:
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,14 @@ class TestClusterCommand:
         code, _, stderr = run(capsys, "cluster", "--fit", str(doc), "--k", "9")
         assert code != 0 and "--k" in stderr
 
+    def test_non_finite_weight_named(self, capsys, tmp_path):
+        _, _, doc = model_fit_document(tmp_path, d=4)
+        document = json.loads(doc.read_text())
+        document["weights"][1] = float("nan")
+        doc.write_text(json.dumps(document))
+        code, _, stderr = run(capsys, "cluster", "--fit", str(doc), "--k", "2")
+        assert code == 2 and "is not finite: nan" in stderr
+
 
 class TestExportDotCommand:
     def test_two_vertex_single_edge_line(self, capsys, tmp_path):
@@ -238,6 +247,12 @@ class TestChowCheckCommand:
         assert code == 0
         assert "tie detected" in stdout
 
+    def test_constant_column_named(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("a,flat,b\n1,5,2\n2,5,1\n3,5,3\n")
+        code, _, stderr = run(capsys, "chow-check", "--data", str(path))
+        assert code == 2 and "column 'flat' has zero variance" in stderr
+
     def test_fit_document_route(self, capsys, tmp_path):
         _, _, doc = model_fit_document(tmp_path, d=5)
         code, stdout, _ = run(capsys, "chow-check", "--fit", str(doc))
@@ -278,8 +293,56 @@ trees_equal: true
 """
 
 
+CLUSTER_D12_K4_STDOUT = """\
+x0, x2, x3, x5, x6, x7, x9, x10
+x1
+x4, x11
+x8
+"""
+
+DOT_D12_NODES = "".join(f'  "x{i}";\n' for i in range(12))
+
+DOT_D12_UNROOTED = (
+    "graph cascade {\n"
+    + DOT_D12_NODES
+    + """\
+  "x0" -- "x5" [label="0.4190"];
+  "x0" -- "x7" [label="0.2669"];
+  "x1" -- "x6" [label="0.1621"];
+  "x1" -- "x11" [label="0.0979"];
+  "x2" -- "x6" [label="0.1858"];
+  "x2" -- "x9" [label="0.6709"];
+  "x3" -- "x6" [label="0.4092"];
+  "x3" -- "x7" [label="0.2827"];
+  "x4" -- "x11" [label="0.7065"];
+  "x6" -- "x8" [label="0.0996"];
+  "x7" -- "x10" [label="0.2275"];
+}
+"""
+)
+
+DOT_D12_ROOTED_AT_3 = (
+    "digraph cascade {\n"
+    + DOT_D12_NODES
+    + """\
+  "x7" -> "x0" [label="0.2669"];
+  "x6" -> "x1" [label="0.1621"];
+  "x6" -> "x2" [label="0.1858"];
+  "x11" -> "x4" [label="0.7065"];
+  "x0" -> "x5" [label="0.4190"];
+  "x3" -> "x6" [label="0.4092"];
+  "x3" -> "x7" [label="0.2827"];
+  "x6" -> "x8" [label="0.0996"];
+  "x2" -> "x9" [label="0.6709"];
+  "x7" -> "x10" [label="0.2275"];
+  "x1" -> "x11" [label="0.0979"];
+}
+"""
+)
+
+
 class TestGoldenStdout:
-    """Stdout pinned byte for byte on a fixed-seed d=12 fit document."""
+    """Outputs pinned byte for byte on a fixed-seed d=12 fit document."""
 
     def test_verify_model(self, capsys, tmp_path):
         _, _, path = model_fit_document(tmp_path, d=12, seed=29)
@@ -292,6 +355,20 @@ class TestGoldenStdout:
         code, stdout, _ = run(capsys, "chow-check", "--fit", str(path))
         assert code == 0
         assert stdout == CHOW_CHECK_D12_STDOUT
+
+    def test_cluster(self, capsys, tmp_path):
+        _, _, path = model_fit_document(tmp_path, d=12, seed=29)
+        code, stdout, _ = run(capsys, "cluster", "--fit", str(path), "--k", "4")
+        assert code == 0
+        assert stdout == CLUSTER_D12_K4_STDOUT
+
+    def test_export_dot(self, capsys, tmp_path):
+        for root_hint, expected in ((None, DOT_D12_UNROOTED), (3, DOT_D12_ROOTED_AT_3)):
+            _, _, path = model_fit_document(tmp_path, d=12, seed=29, root_hint=root_hint)
+            out = tmp_path / "fit.dot"
+            code, stdout, _ = run(capsys, "export-dot", "--fit", str(path), "--out", str(out))
+            assert code == 0 and stdout == f"wrote 11 edges to {out}\n"
+            assert out.read_text() == expected
 
 
 class TestEntryPoint:
@@ -329,3 +406,15 @@ class TestEntryPoint:
             tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
             asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not asserts, f"{source.name}: assert at lines {asserts}"
+
+    def test_import_loads_no_more_of_numpy(self):
+        # numpy loads numpy.random lazily; the CLI import must not pull it in
+        # (it costs every command about 6 MB and 20 ms)
+        probe = (
+            "import sys, numpy; before = set(sys.modules); import treecascade.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"

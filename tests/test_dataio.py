@@ -125,6 +125,17 @@ class TestSaveCsv:
         save_csv(ds, path)
         assert np.array_equal(load_csv(path).values, ds.values)
 
+    def test_edge_values_written_as_shortest_repr(self, tmp_path):
+        # signed zero, subnormals, the largest double, exponent switch points
+        values = [[-0.0, 5e-324, 1e-310, 1.7976931348623157e308], [1e16, 1e-05, 0.1, -2.5]]
+        path = tmp_path / "edge.csv"
+        save_csv(Dataset(values=np.array(values), names=("a", "b", "c", "d")), path)
+        assert path.read_bytes() == (
+            b"a,b,c,d\r\n"
+            b"-0.0,5e-324,1e-310,1.7976931348623157e+308\r\n"
+            b"1e+16,1e-05,0.1,-2.5\r\n"
+        )
+
 
 class TestDatasetValidation:
     def test_duplicate_names(self):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    graph_from_weights,
     kruskal_mst,
     loop_covariance_lemmas,
     loop_strict_triangle_condition,
@@ -63,7 +64,7 @@ def grid_graphs(draw):
     ks = draw(st.lists(st.integers(0, levels - 1), min_size=d * (d - 1) // 2,
                        max_size=d * (d - 1) // 2))
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return WeightedGraph(d, {e: k / 64.0 for e, k in zip(pairs, ks)})
+    return graph_from_weights(d, {e: k / 64.0 for e, k in zip(pairs, ks)})
 
 
 @given(grid_graphs(), st.integers(0, 2**32 - 1))
@@ -83,7 +84,7 @@ def test_non_maximal_trees_raise_like_oracle():
     for _ in range(200):
         d = int(rng.integers(3, 9))
         weights = {(i, j): float(rng.integers(0, 8)) / 64.0 for i in range(d) for j in range(i + 1, d)}
-        g = WeightedGraph(d, weights)
+        g = graph_from_weights(d, weights)
         other = random_tree(d, rng)
         outcome = certificate_outcome(mst_is_unique, g, other)
         assert outcome == certificate_outcome(path_walk_is_unique, g, other)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ancestors, lca, path_edges, path_vertices
+from oracles import ancestors, graph_from_weights, lca, path_edges, path_vertices
 from treecascade import (
     InvalidInputError,
     SizeLimitError,
@@ -49,7 +49,7 @@ FROZEN_D5_MST_EDGES = {(0, 2), (0, 4), (1, 3), (3, 4)}
 
 
 def complete_graph(d, weight_map):
-    return WeightedGraph(d, dict(weight_map))
+    return graph_from_weights(d, dict(weight_map))
 
 
 class TestTreeType:
@@ -145,19 +145,20 @@ class TestLca:
 
 class TestWeightedGraph:
     def test_non_finite_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            WeightedGraph(2, {(0, 1): math.nan})
-        with pytest.raises(InvalidInputError):
-            WeightedGraph(2, {(0, 1): math.inf})
+        with pytest.raises(InvalidInputError, match=r"\(0, 1\) is not finite: nan"):
+            graph_from_weights(2, {(0, 1): math.nan})
+        with pytest.raises(InvalidInputError, match=r"\(0, 1\) is not finite: inf"):
+            graph_from_weights(2, {(0, 1): math.inf})
 
     def test_from_matrix_requires_symmetry(self):
         with pytest.raises(InvalidInputError):
             WeightedGraph.from_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_missing_weight_named(self):
-        g = WeightedGraph(3, {(0, 1): 1.0})
         with pytest.raises(InvalidInputError, match=r"\(0, 2\)"):
-            g.weight(2, 0)
+            graph_from_weights(3, {(0, 1): 1.0, (1, 2): 1.0})
+        g = graph_from_weights(3, {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0})
+        assert g.weight(2, 0) == 2.0
         with pytest.raises(InvalidInputError, match=r"\(1, 3\)"):
             g.weight(1, 3)
 
@@ -167,9 +168,12 @@ class TestWeightedGraph:
             WeightedGraph.from_matrix(m)
 
     def test_completeness(self):
-        assert not WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}).is_complete()
         g = WeightedGraph.from_matrix(np.array([[7.0, 1.0], [1.0, math.nan]]))
-        assert g.is_complete() and g.weight(1, 0) == 1.0
+        assert g.weight(1, 0) == 1.0
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="vertex count must be >= 1, got 0"):
+            WeightedGraph.from_matrix(np.zeros((0, 0)))
 
 
 class TestMaximumSpanningTree:
@@ -188,12 +192,12 @@ class TestMaximumSpanningTree:
         assert res.is_unique
 
     def test_single_vertex(self):
-        res = maximum_spanning_tree(WeightedGraph(1, {}))
+        res = maximum_spanning_tree(complete_graph(1, {}))
         assert res.tree.d == 1 and res.total_weight == 0.0 and res.is_unique
 
     def test_incomplete_graph_rejected(self):
         with pytest.raises(InvalidInputError):
-            maximum_spanning_tree(WeightedGraph(3, {(0, 1): 1.0}))
+            complete_graph(3, {(0, 1): 1.0})
 
     def test_frozen_d5_fixture_matches_enumeration_oracle(self):
         g = complete_graph(5, FROZEN_D5_WEIGHTS)
@@ -343,26 +347,41 @@ class TestClustering:
         weights = {(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.8}
         full = dict(weights)
         full.update({(0, 2): 0.0, (0, 3): 0.0, (1, 3): 0.0})
-        return complete_graph(4, full), Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g, t = complete_graph(4, full), Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        return t, {e: g.weight(*e) for e in t.edges}
 
     def test_k1_is_everything(self):
-        g, t = self.path_graph()
-        assert cluster_by_edge_deletion(g, t, 1) == [[0, 1, 2, 3]]
+        t, w = self.path_graph()
+        assert cluster_by_edge_deletion(t, w, 1) == [[0, 1, 2, 3]]
 
     def test_kd_is_singletons(self):
-        g, t = self.path_graph()
-        assert cluster_by_edge_deletion(g, t, 4) == [[0], [1], [2], [3]]
+        t, w = self.path_graph()
+        assert cluster_by_edge_deletion(t, w, 4) == [[0], [1], [2], [3]]
 
     def test_k2_cuts_lightest_edge(self):
-        g, t = self.path_graph()
-        assert cluster_by_edge_deletion(g, t, 2) == [[0, 1], [2, 3]]
+        t, w = self.path_graph()
+        assert cluster_by_edge_deletion(t, w, 2) == [[0, 1], [2, 3]]
 
     def test_k_out_of_range(self):
-        g, t = self.path_graph()
+        t, w = self.path_graph()
         with pytest.raises(InvalidInputError):
-            cluster_by_edge_deletion(g, t, 0)
+            cluster_by_edge_deletion(t, w, 0)
         with pytest.raises(InvalidInputError):
-            cluster_by_edge_deletion(g, t, 5)
+            cluster_by_edge_deletion(t, w, 5)
+
+    def test_uncovered_tree_edge_named(self):
+        t, w = self.path_graph()
+        del w[(1, 2)]
+        with pytest.raises(InvalidInputError, match=r"\(1, 2\)"):
+            cluster_by_edge_deletion(t, w, 2)
+        with pytest.raises(InvalidInputError, match=r"\(2, 3\) is not finite: nan"):
+            cluster_by_edge_deletion(t, {(0, 1): 0.5, (1, 2): 0.5, (2, 3): math.nan}, 2)
+
+    def test_ties_cut_smallest_pair_first(self):
+        t = Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        w = {(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5}
+        assert cluster_by_edge_deletion(t, w, 2) == [[0], [1, 2, 3]]
+        assert cluster_by_edge_deletion(t, w, 3) == [[0], [1], [2, 3]]
 
     def test_k2_always_splits_at_single_lightest_edge(self):
         rng = np.random.default_rng(13)
@@ -377,10 +396,10 @@ class TestClustering:
                 continue
             lightest = min(t.edges, key=lambda e: (weights[e], e))
             kept = t.edges - {lightest}
-            parts = cluster_by_edge_deletion(g, t, 2)
+            parts = cluster_by_edge_deletion(t, {e: g.weight(*e) for e in t.edges}, 2)
             assert len(parts) == 2
             for i, j in kept:
                 assert any(i in p and j in p for p in parts)
 
     def test_single_vertex(self):
-        assert cluster_by_edge_deletion(WeightedGraph(1, {}), Tree(1), 1) == [[0]]
+        assert cluster_by_edge_deletion(Tree(1), {}, 1) == [[0]]
