@@ -8,9 +8,11 @@ digits, so doubles round-trip bit-exactly.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -65,11 +67,13 @@ class Dataset:
 
 def read_csv_header(path) -> tuple[str, ...]:
     """Column names from the first row only; no data rows are touched."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _utf8_text(path, DataError) as handle:
         try:
             header = next(csv.reader(handle))
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from None
     return tuple(name.strip() for name in header)
 
 
@@ -78,10 +82,84 @@ def load_csv(path) -> Dataset:
 
     Trailing blank lines are ignored; interior blank lines, ragged rows,
     and unparseable cells are errors naming the 1-based data row and the
-    column.
+    column.  Plain files (one-line header, LF or CRLF line ends, unquoted
+    decimals) are read by numpy's C reader; any other file, and any file
+    it reads differently from ``float()``, goes through the validating
+    parser, whose result is the same bits.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    names = read_csv_header(path)
+    # the C reader skips one line: a quoted name with a line break in it
+    # makes the header longer
+    one_line = not any("\n" in name or "\r" in name for name in names)
+    if one_line and len(set(names)) == len(names):
+        values = _read_plain(path, len(names))
+        if values is not None:
+            return Dataset(values=values, names=names)
+    return _parse_csv(path)
+
+
+# Bytes numpy's float reader strips as whitespace but float() rejects.
+_NOT_SPACE_FOR_FLOAT = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_BLOCK_BYTES = 1 << 20
+
+
+def _read_plain(path, d: int):
+    """The values of a plain CSV through ``np.loadtxt``, or None.
+
+    None leaves the file to the validating parser: it has no data lines,
+    a bare CR or a byte of ``_NOT_SPACE_FOR_FLOAT``, or the C reader
+    failed, skipped a blank line (it read fewer rows than the file has
+    data lines), or read a non-finite value.
+    """
+    lines = _data_line_count(path)
+    if not lines:
+        # no data lines: loadtxt would warn on stderr that it read nothing
+        return None
+    try:
+        # comments=None: the default "#" would read the cell "2 #x" as 2
+        values = np.loadtxt(
+            path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
+        )
+    except ValueError:
+        return None
+    if values.shape != (lines, d) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _data_line_count(path) -> int | None:
+    """Newlines before the file's trailing whitespace, or None.
+
+    Under a one-line header this is the number of data lines, blank ones
+    included.  None marks a file that the C reader splits or strips unlike
+    the validating parser: one with a bare CR line break or a byte of
+    ``_NOT_SPACE_FOR_FLOAT``.
+    """
+    lines = trailing = 0
+    with open(path, "rb") as handle:
+        while block := handle.read(_BLOCK_BYTES):
+            if block.endswith(b"\r"):
+                block += handle.read(1)
+            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            if any(byte in block for byte in _NOT_SPACE_FOR_FLOAT):
+                return None
+            body = block.rstrip()
+            if body:
+                lines += trailing + body.count(b"\n")
+                trailing = block.count(b"\n", len(body))
+            else:
+                trailing += block.count(b"\n")
+    return lines
+
+
+def _parse_csv(path) -> Dataset:
+    """The validating parser: ``csv`` rows, then ``float()`` cell by cell."""
+    with _utf8_text(path, DataError) as handle:
+        try:
+            rows = list(csv.reader(handle))
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from None
     while rows and all(cell.strip() == "" for cell in rows[-1]):
         rows.pop()
     if not rows:
@@ -111,14 +189,53 @@ def load_csv(path) -> Dataset:
     return Dataset(values=parsed, names=names)
 
 
+@contextmanager
+def _utf8_text(path, error):
+    """Open ``path`` as UTF-8 text for the body of a ``with`` block.
+
+    A byte that is not UTF-8 raises ``error`` naming the path and the
+    byte's offset in the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raise error(f"{path}: not valid UTF-8 at byte {_utf8_error_offset(path)}") from None
+
+
+def _utf8_error_offset(path) -> int:
+    """Offset of the first byte of ``path`` that does not decode as UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as handle:
+        while True:
+            pending = len(decoder.getstate()[0])
+            block = handle.read(_BLOCK_BYTES)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                return offset - pending + exc.start
+            if not block:
+                return offset
+            offset += len(block)
+
+
+# Rows per write in save_csv: a block's Python floats and text stay about
+# 1 MiB at d=30, where 4096-row blocks cost 15 MiB of peak memory.
+_ROWS_PER_BLOCK = 256
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write header plus rows; floats use shortest round-trip decimals."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ds.names)
-        # csv writes each float with str(), the shortest round-trip form;
-        # converting row by row keeps only one row of Python floats alive.
-        writer.writerows(row.tolist() for row in ds.values)
+        csv.writer(handle).writerow(ds.names)
+        # Dataset values are finite floats, whose repr (the shortest
+        # round-trip form csv writes) holds only digits, '.', 'e', '+' and
+        # '-'.  So the repr of a block of rows, with its brackets and
+        # separators swapped, is exactly the rows csv.writer would write.
+        for start in range(0, ds.n, _ROWS_PER_BLOCK):
+            block = repr(ds.values[start : start + _ROWS_PER_BLOCK].tolist())
+            handle.write(block[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -244,7 +361,7 @@ def document_to_fit(doc: Mapping):
     # zero is legal here (a perfectly collinear pair fits with |coeff| = 1);
     # rebuilding a generative model from such a document fails separately
     for k, v in enumerate(error_vars):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not v >= 0:
+        if _finite_number(v, f"error_vars[{k}]") < 0:
             raise SchemaError(f"error_vars[{k}]: expected a nonnegative number, got {v!r}")
     _require(doc, "unit_variance", bool)
     weights_field = _require(doc, "weights", list)
@@ -252,9 +369,7 @@ def document_to_fit(doc: Mapping):
         raise SchemaError(f"weights: expected {d - 1} entries aligned with edges")
     weights = {}
     for k, w in enumerate(weights_field):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise SchemaError(f"weights[{k}]: expected a number, got {w!r}")
-        weights[canonical_edge(*pairs[k])] = float(w)
+        weights[canonical_edge(*pairs[k])] = _finite_number(w, f"weights[{k}]")
     source = _require(doc, "root_hint_source", str)
     if source not in _SOURCES:
         raise SchemaError(f"root_hint_source: expected one of {_SOURCES}, got {source!r}")
@@ -314,11 +429,13 @@ def load_fit(path):
 
 
 def load_document(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    with _utf8_text(path, SchemaError) as handle:
+        text = handle.read()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers beyond Python's digit limit
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")
     return doc
@@ -387,7 +504,17 @@ def _require_int(doc: Mapping, key: str, minimum: int, prefix: str = "") -> int:
 def _require_number(doc: Mapping, key: str, prefix: str = "") -> float:
     if key not in doc:
         raise SchemaError(f"missing field: {prefix}{key}")
-    value = doc[key]
+    return _finite_number(doc[key], f"{prefix}{key}")
+
+
+def _finite_number(value, field: str) -> float:
+    # json reads NaN and Infinity literals, and integers too large for a float
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{prefix}{key}: expected a number, got {value!r}")
-    return float(value)
+        raise SchemaError(f"{field}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{field}: value is not finite: {number!r}")
+    return number

@@ -7,17 +7,25 @@ Claims covered:
     root validation happens before data rows are parsed.
   - Fit documents round-trip through simulate/cluster/export-dot.
   - A simulate -> fit round trip recovers the generating tree.
+  - Input that is not UTF-8, and fit documents holding NaN or Infinity,
+    exit 2 with a message naming the file or the field.
+  - On fuzzed CSV text and fit documents every command returns 0, 1 or 2
+    and raises nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treecascade
 from treecascade import (
@@ -30,6 +38,9 @@ from treecascade import (
     save_fit,
 )
 from treecascade.cli import main
+from treecascade.dataio import fit_to_document
+
+from conftest import csv_texts
 
 
 def run(capsys, *argv):
@@ -76,6 +87,14 @@ class TestFitCommand:
         assert code != 0
         assert "--root 99" in stderr and "3 columns" in stderr
 
+    def test_header_only_csv_exits_2_without_warning(self, capsys, tmp_path):
+        # numpy's reader would warn on stderr that it read no data
+        path = tmp_path / "header.csv"
+        path.write_text("a,b\n")
+        code, _, stderr = run(capsys, "fit", "--data", str(path), "--out", str(tmp_path / "f.json"))
+        assert code == 2
+        assert stderr == "error: empirical fit needs at least 2 rows, got 0\n"
+
     def test_deterministic_output(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "fit", "--data", str(sample_prices_path()), "--diff", "--out", str(out1))
@@ -112,6 +131,18 @@ class TestSimulateCommand:
         assert code != 0
         for name in ("gaussian", "laplace", "uniform", "rademacher", "dependent"):
             assert name in stderr
+
+    def test_infinite_objective_named(self, capsys, tmp_path):
+        _, _, doc = model_fit_document(tmp_path, d=3)
+        document = json.loads(doc.read_text())
+        document["objective"] = float("inf")
+        doc.write_text(json.dumps(document))
+        code, _, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--n", "5", "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2 and "objective: value is not finite: inf" in stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_simulate_fit_round_trip_recovers_tree(self, capsys, tmp_path):
         model, _, doc = model_fit_document(tmp_path, d=10, seed=23)
@@ -217,6 +248,16 @@ class TestExportDotCommand:
         assert text.startswith("digraph")
         assert sum("->" in ln for ln in text.splitlines()) == 6
 
+    def test_non_finite_weight_named(self, capsys, tmp_path):
+        _, _, doc = model_fit_document(tmp_path, d=4)
+        document = json.loads(doc.read_text())
+        document["weights"][0] = float("nan")
+        doc.write_text(json.dumps(document))
+        out = tmp_path / "fit.dot"
+        code, _, stderr = run(capsys, "export-dot", "--fit", str(doc), "--out", str(out))
+        assert code == 2 and "weights[0]: value is not finite: nan" in stderr
+        assert not out.exists()
+
     def test_round_trip_from_fit_command(self, capsys, tmp_path):
         fit_path = tmp_path / "fit.json"
         run(capsys, "fit", "--data", str(sample_prices_path()), "--diff", "--out", str(fit_path))
@@ -263,6 +304,120 @@ class TestChowCheckCommand:
         path.write_text("{}")
         code, _, stderr = run(capsys, "chow-check", "--fit", str(path))
         assert code != 0 and "missing field" in stderr
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is bad input (exit 2), not a failed check."""
+
+    def bad_csv(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        return path
+
+    def test_fit(self, capsys, tmp_path):
+        path = self.bad_csv(tmp_path)
+        code, _, stderr = run(capsys, "fit", "--data", str(path), "--out", str(tmp_path / "f.json"))
+        assert code == 2 and stderr == f"error: {path}: not valid UTF-8 at byte 8\n"
+
+    def test_fit_with_root(self, capsys, tmp_path):
+        path = self.bad_csv(tmp_path)
+        code, _, stderr = run(
+            capsys, "fit", "--data", str(path), "--root", "0", "--out", str(tmp_path / "f.json")
+        )
+        assert code == 2 and stderr == f"error: {path}: not valid UTF-8 at byte 8\n"
+
+    def test_chow_check(self, capsys, tmp_path):
+        path = self.bad_csv(tmp_path)
+        code, _, stderr = run(capsys, "chow-check", "--data", str(path))
+        assert code == 2 and stderr == f"error: {path}: not valid UTF-8 at byte 8\n"
+
+    def test_cluster(self, capsys, tmp_path):
+        _, _, doc = model_fit_document(tmp_path, d=4)
+        text = doc.read_bytes()
+        doc.write_bytes(text[:1] + b"\xe9" + text[1:])
+        code, _, stderr = run(capsys, "cluster", "--fit", str(doc), "--k", "2")
+        assert code == 2 and stderr == f"error: {doc}: not valid UTF-8 at byte 1\n"
+
+
+# A fit document to mutate: d=5, with names.
+FUZZ_DOCUMENT = {
+    **fit_to_document(
+        fit_cascade(
+            correlation_from_covariance(
+                population_covariance(random_unit_variance_model(5, np.random.default_rng(4)))
+            )
+        )
+    ),
+    "names": ["a", "b", "c", "d", "e"],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def slots(value) -> list:
+    """Every (container, key) pair in a JSON value, at any depth."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    found = [(value, key) for key, _ in items]
+    for _, inner in items:
+        found += slots(inner)
+    return found
+
+
+@st.composite
+def document_texts(draw) -> str:
+    """The fuzz document with up to three fields replaced or deleted,
+    written with NaN/Infinity literals, and sometimes cut short."""
+    doc = json.loads(json.dumps(FUZZ_DOCUMENT))
+    for _ in range(draw(st.integers(0, 3))):
+        found = slots(doc)
+        if not found:
+            break
+        container, key = draw(st.sampled_from(found))
+        if draw(st.booleans()):
+            container[key] = draw(JSON_VALUES)
+        else:
+            del container[key]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 7)) == 5:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def quiet_main(*argv) -> int:
+    """``main`` with its output discarded; any exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+class TestCliFuzz:
+    """Every command ends in exit 0, 1 or 2: no other exception escapes."""
+
+    @given(text=csv_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_csv_commands(self, text, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp()
+        data = base / "fuzz.csv"
+        data.write_bytes(text.encode("utf-8"))
+        assert quiet_main("fit", "--data", data, "--out", base / "fuzz.json") in (0, 1, 2)
+        assert quiet_main("fit", "--data", data, "--diff", "--out", base / "fuzz.json") in (0, 1, 2)
+        assert quiet_main("chow-check", "--data", data) in (0, 1, 2)
+
+    @given(text=document_texts(), k=st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_document_commands(self, text, k, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp()
+        doc = base / "fuzz-doc.json"
+        doc.write_text(text, encoding="utf-8")
+        assert quiet_main("cluster", "--fit", doc, "--k", k) in (0, 1, 2)
+        assert quiet_main("export-dot", "--fit", doc, "--out", base / "fuzz.dot") in (0, 1, 2)
 
 
 VERIFY_D12_STDOUT = """\

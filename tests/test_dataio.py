@@ -3,6 +3,10 @@
 Claims covered:
   - CSV errors name the offending row and column; trailing blanks are
     tolerated; duplicate headers are rejected.
+  - numpy's C reader, which reads plain files, returns what the
+    validating parser returns, bit for bit, or leaves the file to it.
+  - A byte that is not UTF-8 is an error naming the file and its offset.
+  - The block writer writes the bytes csv.writer writes.
   - Standardization hits the n-1 convention exactly, is idempotent, and
     errors by column name on zero variance.
   - Differencing obeys the shape contract and chains into the standardize
@@ -13,10 +17,14 @@ Claims covered:
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -40,7 +48,10 @@ from treecascade import (
     save_fit,
     standardize,
 )
+from treecascade import dataio
 from treecascade.dataio import dumps_document, read_csv_header
+
+from conftest import csv_texts
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -100,6 +111,130 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b,c\n1,2,3\n")
         assert read_csv_header(path) == ("a", "b", "c")
 
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1," + "9" * 200_000 + "\n", "a" * 200_000 + "\n1\n"], ids=["cell", "name"]
+    )
+    def test_cell_over_the_csv_field_limit_is_a_data_error(self, text, tmp_path):
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(write(tmp_path, text))
+
+    def test_interior_blank_line_names_row(self, tmp_path):
+        # numpy's reader skips blank lines; the data-line count catches it
+        with pytest.raises(DataError, match="row 2: expected 2 values, got 0"):
+            load_csv(write(tmp_path, "a,b\n1,2\n\n3,4\n"))
+
+    def test_separator_byte_is_not_whitespace(self, tmp_path):
+        # numpy's reader strips \x1c around a number; float() does not
+        with pytest.raises(DataError, match=r"row 1, column 'a': could not parse"):
+            load_csv(write(tmp_path, "a,b\n\x1c1,2\n"))
+
+    def test_bare_cr_line_ends_parsed(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a,b\r1,2\r3,4\r"))
+        assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_split_over_lines_parsed_as_one_row(self, tmp_path):
+        # an unterminated quote makes the whole file one header cell
+        ds = load_csv(write(tmp_path, '"a\n1\n2\n'))
+        assert ds.names == ("a\n1\n2",) and ds.n == 0
+
+
+def outcome(read, path):
+    """What a CSV reader makes of a file: its result bits, or its error."""
+    try:
+        ds = read(path)
+    except Exception as exc:  # the oracle compares failures too
+        return type(exc), str(exc)
+    return ds.names, ds.values.shape, ds.values.view(np.int64).tobytes()
+
+
+class TestCReaderOracle:
+    """``load_csv`` against the validating parser called directly."""
+
+    @given(text=csv_texts())
+    @example(text="a,b\n1,2\n\n3,4\n")  # loadtxt skips the blank line
+    @example(text="a,b\n1,2\r3,4\n\n5,6\n")  # a bare CR hides it from the count
+    @example(text="a,b\n\x1c1,2\n")  # loadtxt strips \x1c, float() does not
+    @example(text="a,b\n1,nan\n3,1e400\n")
+    @example(text='"a\n1\n2\n')  # a header cell spanning the whole file
+    @example(text="a,b\n")
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_or_same_error(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_csv, path) == outcome(dataio._parse_csv, path)
+
+    def test_plain_files_take_the_c_reader(self, tmp_path, monkeypatch):
+        bundled = dataio._parse_csv(sample_prices_path())
+
+        def refuse(path):
+            raise AssertionError(f"validating parser called on {path}")
+
+        monkeypatch.setattr(dataio, "_parse_csv", refuse)
+        fast = load_csv(sample_prices_path())
+        assert fast.names == bundled.names
+        assert np.array_equal(fast.values.view(np.int64), bundled.values.view(np.int64))
+        texts = (
+            "a,b\n1,2\n-3.5,4e-3\n",  # LF
+            "a,b\r\n1,2\r\n-3.5,4e-3\r\n",  # CRLF
+            "a,b\n1,2\n-3.5,4e-3",  # no final newline
+            "a,b\n1,2\n-3.5,4e-3\n\n\n",  # trailing blank lines
+            "a,b\r\n1,2\r\n-3.5,4e-3\r\n\r\n",
+        )
+        for k, text in enumerate(texts):
+            ds = load_csv(write(tmp_path, text, name=f"plain{k}.csv"))
+            assert np.array_equal(ds.values, [[1.0, 2.0], [-3.5, 4e-3]])
+
+    def test_file_longer_than_a_read_block(self, tmp_path, monkeypatch):
+        # the first 1 MiB block ends on a newline, which the count carries
+        path = write(tmp_path, "a,b\n" + "1,2\n" * (1 << 18) + "3,4\n")
+        monkeypatch.setattr(dataio, "_parse_csv", None)
+        ds = load_csv(path)
+        assert ds.n == (1 << 18) + 1 and ds.values[-1].tolist() == [3.0, 4.0]
+
+    def test_fuzzed_decimals_read_as_float_does(self, tmp_path):
+        # shortest reprs of random bit patterns, long mantissas, wide
+        # exponents and subnormals: one column, one spelling per line
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**63, 2000, dtype=np.uint64).view(np.float64)
+        spellings = [repr(x) for x in bits.tolist() if math.isfinite(x)]
+        spellings += [
+            f"{'-' if rng.random() < 0.5 else ''}{rng.integers(1, 10**9)}"
+            f"{''.join(rng.choice(list('0123456789'), rng.integers(0, 30)))}"
+            f"e{rng.integers(-360, 260)}"
+            for _ in range(2000)
+        ]
+        spellings += ["2.4703282292062327e-324", "2.4703282292062328e-324", "4.9e-324"]
+        spellings += [f" {s}\t" for s in spellings[:50]]
+        path = write(tmp_path, "x\n" + "\n".join(spellings) + "\n")
+        expected = np.array([[float(s)] for s in spellings])
+        assert np.isfinite(expected).all()
+        assert dataio._read_plain(path, 1) is not None  # the C reader read it
+        assert np.array_equal(load_csv(path).values.view(np.int64), expected.view(np.int64))
+
+
+class TestNonUtf8:
+    def test_csv_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match=r"bad\.csv: not valid UTF-8 at byte 8"):
+            load_csv(path)
+        with pytest.raises(DataError, match="byte 8"):
+            read_csv_header(path)
+
+    def test_offset_past_the_first_block(self, tmp_path):
+        # a two-byte character split across the 1 MiB read boundary
+        head = b"a\n" + b"1\n" * ((1 << 19) - 2) + b"1"
+        path = tmp_path / "long.csv"
+        path.write_bytes(head + "é".encode() + b"\n\xff\n")
+        with pytest.raises(DataError, match=f"at byte {len(head) + 3}$"):
+            load_csv(path)
+
+    def test_document_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"d": "\xe9"}')
+        with pytest.raises(SchemaError, match=r"bad\.json: not valid UTF-8 at byte 7"):
+            load_fit(path)
+
 
 class TestSaveCsv:
     def test_round_trip_lossless(self, tmp_path):
@@ -124,6 +259,19 @@ class TestSaveCsv:
         ds = Dataset(values=values, names=("u", "v"))
         save_csv(ds, path)
         assert np.array_equal(load_csv(path).values, ds.values)
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700])
+    def test_block_writer_matches_csv_writer(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        ds = Dataset(values=values, names=("a", "b,c", "d"))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(ds.names)
+        writer.writerows(ds.values.tolist())
+        path = tmp_path / "blocks.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_edge_values_written_as_shortest_repr(self, tmp_path):
         # signed zero, subnormals, the largest double, exponent switch points
@@ -303,6 +451,40 @@ class TestFitDocuments:
         doc["edges"][0] = dict(doc["edges"][1])
         with pytest.raises(SchemaError, match="edges"):
             document_to_fit(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("objective", float("inf"), "objective: value is not finite: inf"),
+            ("coeff", float("nan"), r"edges\[0\]\.coeff: value is not finite: nan"),
+            ("weights", float("nan"), r"weights\[1\]: value is not finite: nan"),
+            ("error_vars", float("inf"), r"error_vars\[0\]: value is not finite: inf"),
+            ("objective", 10**400, "objective: value is not finite: inf"),
+        ],
+        ids=["objective-inf", "coeff-nan", "weight-nan", "error-var-inf", "objective-huge-int"],
+    )
+    def test_non_finite_numbers_named(self, field, value, message):
+        doc = fit_to_document(example_fit())
+        if field == "coeff":
+            doc["edges"][0]["coeff"] = value
+        elif field == "weights":
+            doc["weights"][1] = value
+        elif field == "error_vars":
+            doc["error_vars"][0] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SchemaError, match=message):
+            document_to_fit(doc)
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"d": ' + "1" * 5000 + "}"], ids=["nesting", "digits"]
+    )
+    def test_unreadable_json_is_a_schema_error(self, text, tmp_path):
+        # nesting past the recursion limit; an integer past the digit limit
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_fit(path)
 
     def test_orientation_must_match_root(self):
         base = fit_to_document(example_fit())
