@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, _adopt
 from .errors import InvalidInputError, UnsupportedModelError
 from .trees import RootedTree, random_tree, root_tree
 from .trees import _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
@@ -167,17 +167,23 @@ Sampler = Callable[["np.random.Generator", int, np.ndarray], np.ndarray]
 
 
 def _draw_gaussian(rng, n, variances):
-    return rng.standard_normal((n, variances.size)) * np.sqrt(variances)
+    x = rng.standard_normal((n, variances.size))
+    x *= np.sqrt(variances)
+    return x
 
 
 def _draw_laplace(rng, n, variances):
     # Laplace(scale b) has variance 2 b^2.
-    return rng.laplace(0.0, 1.0, (n, variances.size)) * np.sqrt(variances / 2.0)
+    x = rng.laplace(0.0, 1.0, (n, variances.size))
+    x *= np.sqrt(variances / 2.0)
+    return x
 
 
 def _draw_uniform(rng, n, variances):
     # Uniform on [-a, a] has variance a^2 / 3.
-    return rng.uniform(-1.0, 1.0, (n, variances.size)) * np.sqrt(3.0 * variances)
+    x = rng.uniform(-1.0, 1.0, (n, variances.size))
+    x *= np.sqrt(3.0 * variances)
+    return x
 
 
 def _draw_rademacher(rng, n, variances):
@@ -230,7 +236,7 @@ def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -
     values = errors @ cascade_inverse(m).T
     if names is None:
         names = tuple(f"x{i}" for i in range(m.d))
-    return Dataset(values=values, names=tuple(names))
+    return _adopt(values, names)
 
 
 def reroot(m: CascadeModel, new_root: int) -> CascadeModel:

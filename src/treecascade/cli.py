@@ -112,10 +112,9 @@ def _cmd_fit(args) -> int:
             raise InvalidInputError(
                 f"--root {args.root} out of range for {len(header)} columns"
             )
+    # the loaded values are the only n-by-d array: the fit overwrites them
     ds = dataio.load_csv(args.data)
-    if args.diff:
-        ds = dataio.price_changes(ds)
-    fit = empirical_fit(ds, root_hint=args.root)
+    fit = empirical_fit(ds, root_hint=args.root, diff=args.diff, overwrite=True)
     dataio.save_fit(fit, args.out)
     identity_gap = _identity_gap(fit)
     print(f"objective: {fit.objective!r}")
@@ -196,7 +195,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_chow_check(args) -> int:
     if args.data is not None:
         ds = dataio.load_csv(args.data)
-        cov = correlation_from_dataset(ds).corr
+        cov = correlation_from_dataset(ds, overwrite=True).corr
         names = ds.names
     else:
         model = dataio.model_from_document(dataio.load_document(args.fit))

@@ -12,6 +12,8 @@ import codecs
 import csv
 import json
 import math
+import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.resources import files
@@ -30,14 +32,18 @@ FORMAT_VERSION = 1
 class Dataset:
     """An n-by-d observation matrix with unique column names.
 
-    Values are validated finite and frozen.
+    Values are validated finite and frozen.  The constructor copies them
+    into a C-ordered float64 array, so later changes to the caller's array
+    do not reach the dataset.
     """
 
     values: np.ndarray
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        self._freeze(np.array(self.values, dtype=float, order="C"))
+
+    def _freeze(self, values: np.ndarray) -> None:
         if values.ndim != 2:
             raise InvalidInputError(f"values must be a 2-D matrix, got ndim={values.ndim}")
         if len(self.names) != values.shape[1]:
@@ -47,9 +53,9 @@ class Dataset:
         if len(set(self.names)) != len(self.names):
             dupes = sorted({n for n in self.names if self.names.count(n) > 1})
             raise DataError(f"duplicate column names: {', '.join(dupes)}")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
+        finite = np.isfinite(values)
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
             raise DataError(
                 f"non-finite value at row {r + 1}, column {self.names[c]!r}"
             )
@@ -63,6 +69,28 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+
+def _adopt(values: np.ndarray, names) -> Dataset:
+    """A dataset over ``values`` itself, validated like any other.
+
+    For fresh C-ordered float64 arrays that the caller gives up: the
+    package's readers and transforms hand theirs over this way, and skip
+    the constructor's copy.
+    """
+    ds = object.__new__(Dataset)
+    object.__setattr__(ds, "names", tuple(names))
+    ds._freeze(values)
+    return ds
+
+
+def _buffer(ds: Dataset, overwrite: bool) -> np.ndarray:
+    """A writable array of ``ds``'s values: a copy, or with ``overwrite`` the values themselves."""
+    if not overwrite:
+        return ds.values.copy()
+    # every dataset's values own their memory or view a writable array
+    ds.values.setflags(write=True)
+    return ds.values
 
 
 def read_csv_header(path) -> tuple[str, ...]:
@@ -94,7 +122,7 @@ def load_csv(path) -> Dataset:
     if one_line and len(set(names)) == len(names):
         values = _read_plain(path, len(names))
         if values is not None:
-            return Dataset(values=values, names=names)
+            return _adopt(values, names)
     return _parse_csv(path)
 
 
@@ -107,19 +135,30 @@ def _read_plain(path, d: int):
     """The values of a plain CSV through ``np.loadtxt``, or None.
 
     None leaves the file to the validating parser: it has no data lines,
-    a bare CR or a byte of ``_NOT_SPACE_FOR_FLOAT``, or the C reader
-    failed, skipped a blank line (it read fewer rows than the file has
-    data lines), or read a non-finite value.
+    a bare CR or a byte of ``_NOT_SPACE_FOR_FLOAT``, too few bytes for a
+    full row on every data line, or the C reader failed, skipped a blank
+    line (it read fewer rows than the file has data lines), or read a
+    non-finite value.
     """
     lines = _data_line_count(path)
     if not lines:
         # no data lines: loadtxt would warn on stderr that it read nothing
         return None
+    if 2 * d * lines > os.path.getsize(path) + 1:
+        # a row of d values takes at least 2d bytes, so some line is short;
+        # and loadtxt would reserve the whole array for a file of blank lines
+        return None
     try:
-        # comments=None: the default "#" would read the cell "2 #x" as 2
-        values = np.loadtxt(
-            path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
-        )
+        # max_rows has loadtxt allocate the array once instead of growing it,
+        # which copies it when the allocator gives it heap memory; it warns of
+        # each blank line it skips, and such files go to the validating parser
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            # comments=None: the default "#" would read the cell "2 #x" as 2
+            values = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, ndmin=2,
+                encoding="utf-8", max_rows=lines,
+            )
     except ValueError:
         return None
     if values.shape != (lines, d) or not np.isfinite(values).all():
@@ -186,7 +225,7 @@ def _parse_csv(path) -> Dataset:
                     f"{path}: row {r}, column {names[c]!r}: non-finite value {cell!r}"
                 )
             parsed[r - 1, c] = value
-    return Dataset(values=parsed, names=names)
+    return _adopt(parsed, names)
 
 
 @contextmanager
@@ -244,28 +283,102 @@ def standardize(ds: Dataset) -> Dataset:
     The divisor is n - 1.  Already-standardized input passes through
     numerically unchanged.  A column with zero spread is an error naming
     the column; the structure of any downstream fit is invariant to the
-    n vs n - 1 convention because correlations are scale-free.
+    n vs n - 1 convention because correlations are scale-free.  The values
+    are copied once and standardized in that copy; ``ds`` is unchanged.
     """
-    if ds.n < 2:
-        raise InvalidInputError(f"standardization needs at least 2 rows, got {ds.n}")
-    means = ds.values.mean(axis=0)
-    centered = ds.values - means
-    scales = np.sqrt((centered * centered).sum(axis=0) / (ds.n - 1))
-    for c, s in enumerate(scales):
-        if not (math.isfinite(s) and s > 0.0):
-            raise DataError(f"column {ds.names[c]!r} has zero variance; cannot standardize")
-    return Dataset(values=centered / scales, names=ds.names)
+    return _adopt(_standardize_in_place(ds.values.copy(), ds.names), ds.names)
 
 
 def price_changes(ds: Dataset) -> Dataset:
     """First differences of time-ordered rows (one fewer row).
 
     Downstream fitting treats the differences as exchangeable draws; any
-    serial dependence is deliberately ignored.
+    serial dependence is deliberately ignored.  The values are copied once
+    and differenced in that copy; ``ds`` is unchanged.
     """
-    if ds.n < 2:
-        raise InvalidInputError(f"need at least 2 rows to difference, got {ds.n}")
-    return Dataset(values=np.diff(ds.values, axis=0), names=ds.names)
+    return _adopt(_difference_in_place(ds.values.copy()), ds.names)
+
+
+def _difference_in_place(v: np.ndarray) -> np.ndarray:
+    """First differences of the rows of ``v``, written over its leading rows.
+
+    Returns that n - 1 row view; row i is ``v[i + 1] - v[i]``, as
+    ``np.diff`` computes it.  Blocks go forward, so each reads rows that
+    are not yet overwritten.
+    """
+    rows = _differenced_rows(v.shape[0])
+    step = _block_rows(v.shape[1])
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        np.subtract(v[start + 1 : stop + 1], v[start:stop], out=v[start:stop])
+    return v[:rows]
+
+
+def _block_rows(d: int) -> int:
+    """Rows of ``d`` float64 columns in one ``_BLOCK_BYTES`` block of the in-place passes."""
+    return max(1, _BLOCK_BYTES // (8 * d))
+
+
+def _differenced_rows(n: int) -> int:
+    """Rows left after differencing ``n`` rows; fewer than 2 is an error."""
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 rows to difference, got {n}")
+    return n - 1
+
+
+_SMALLEST_NORMAL = 2.0**-1022  # the smallest normal float64
+
+
+def _standardize_in_place(v: np.ndarray, names) -> np.ndarray:
+    """Center and scale the columns of ``v`` in place (n - 1 divisor); returns ``v``.
+
+    ``v`` is a writable C-ordered float64 array.  The bits are those of
+    ``(v - mean) / sqrt(((v - mean) ** 2).sum(axis=0) / (n - 1))``.  A
+    column whose mean or sum of squares overflows, or whose sum of squares
+    falls below the normal range, is first scaled by a power of two that
+    brings its largest magnitude into [0.5, 1); that scaling is exact and
+    cancels in the result.
+    """
+    n = v.shape[0]
+    if n < 2:
+        raise InvalidInputError(f"standardization needs at least 2 rows, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, sums = _moments(v)
+        out_of_range = ~np.isfinite(means) | ~np.isfinite(sums) | (sums < _SMALLEST_NORMAL)
+        if out_of_range.any():
+            cols = np.flatnonzero(out_of_range)
+            exponents = np.frexp(np.abs(v[:, cols]).max(axis=0))[1]
+            v[:, cols] = np.ldexp(v[:, cols], -exponents)
+            means, sums = _moments(v)
+    scales = np.sqrt(sums / (n - 1))
+    for c, s in enumerate(scales):
+        if not s > 0.0:
+            raise DataError(f"column {names[c]!r} has zero variance; cannot standardize")
+    v -= means
+    v /= scales
+    return v
+
+
+def _moments(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of ``v`` and the column sums of squares about them.
+
+    The squares are formed one block of rows at a time in a work array
+    whose first row carries the running sums into the next block.  numpy
+    reduces a C-ordered array over axis 0 one row after another, so the
+    sums are bit for bit ``((v - means) ** 2).sum(axis=0)``.  It sums a
+    single column pairwise instead, so one column is taken in one block.
+    """
+    n, d = v.shape
+    rows = n if d == 1 else min(n, _block_rows(d))
+    means = v.mean(axis=0)
+    work = np.empty((rows + 1, d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = work[1 : stop - start + 1]
+        np.subtract(v[start:stop], means, out=block)
+        block *= block
+        work[0] = work[0 if start else 1 : stop - start + 1].sum(axis=0)
+    return means, work[0]
 
 
 def sample_prices_path() -> Path:

@@ -17,7 +17,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataio import Dataset, standardize
+from .dataio import (
+    Dataset,
+    _buffer,
+    _difference_in_place,
+    _differenced_rows,
+    _standardize_in_place,
+)
 from .errors import InvalidInputError, SizeLimitError
 from .trees import (
     RootedTree,
@@ -85,10 +91,22 @@ def correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
     return CorrelationSummary(corr)
 
 
-def correlation_from_dataset(ds: Dataset) -> CorrelationSummary:
-    """Empirical correlations of a dataset, standardized here (n - 1 divisor)."""
-    z = standardize(ds).values
-    raw = z.T @ z / (ds.n - 1)
+def correlation_from_dataset(
+    ds: Dataset, *, diff: bool = False, overwrite: bool = False
+) -> CorrelationSummary:
+    """Empirical correlations of a dataset, standardized here (n - 1 divisor).
+
+    With ``diff`` the rows are first differenced, as ``price_changes``
+    does.  The values are copied once, and the differences and the
+    standardized values overwrite that copy.  With ``overwrite`` they
+    overwrite ``ds``'s own values instead, which are then unspecified: for
+    a caller that holds the only reference and wants no copy.
+    """
+    v = _buffer(ds, overwrite)
+    if diff:
+        v = _difference_in_place(v)
+    z = _standardize_in_place(v, ds.names)
+    raw = z.T @ z / (z.shape[0] - 1)
     corr = (raw + raw.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     corr = np.clip(corr, -1.0, 1.0)
@@ -214,14 +232,19 @@ def brute_force_fit(c: CorrelationSummary) -> FitResult:
     )
 
 
-def empirical_fit(data: Dataset, root_hint: int | None = None) -> FitResult:
+def empirical_fit(
+    data: Dataset, root_hint: int | None = None, *, diff: bool = False, overwrite: bool = False
+) -> FitResult:
     """Standardize a dataset, take empirical correlations, and fit.
 
     The reported objective uses the same correlation identity as the
     population fit, so empirical and population objectives share a scale.
-    Column names carry through to the result.
+    Column names carry through to the result.  ``diff`` fits the first
+    differences of the rows; ``overwrite`` lets the fit reuse ``data``'s
+    values as working space, as in ``correlation_from_dataset``.
     """
-    if data.n < 2:
-        raise InvalidInputError(f"empirical fit needs at least 2 rows, got {data.n}")
-    fit = fit_cascade(correlation_from_dataset(data), root_hint)
-    return dataclasses.replace(fit, names=data.names)
+    n = _differenced_rows(data.n) if diff else data.n
+    if n < 2:
+        raise InvalidInputError(f"empirical fit needs at least 2 rows, got {n}")
+    corr = correlation_from_dataset(data, diff=diff, overwrite=overwrite)
+    return dataclasses.replace(fit_cascade(corr, root_hint), names=data.names)

@@ -7,7 +7,9 @@ cascade inverse column by column, and takes mutual-information weights
 from the shared correlation matrix.  The functions here are the
 straightforward versions those replaced: Kruskal over the canonical edge
 order, one tree-path walk per vertex pair or per vertex, and per-pair
-scalar formulas.  Tests require the fast paths to agree with them exactly.
+scalar formulas.  The data pipeline differences, standardizes and
+correlates in place over one buffer; the copying formulas it replaced are
+kept here too.  Tests require the fast paths to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -246,3 +248,20 @@ def path_walk_inverse(m):
             j = parent[j]
             inv[i, j] = acc
     return inv
+
+
+def copying_standardize(values: np.ndarray) -> np.ndarray:
+    """Centered values over their n - 1 standard deviation, each step a new array."""
+    means = values.mean(axis=0)
+    centered = values - means
+    scales = np.sqrt((centered * centered).sum(axis=0) / (values.shape[0] - 1))
+    return centered / scales
+
+
+def copying_correlation(values: np.ndarray) -> np.ndarray:
+    """Correlation matrix of the copying standardization, symmetrized and clipped."""
+    z = copying_standardize(values)
+    raw = z.T @ z / (z.shape[0] - 1)
+    corr = (raw + raw.T) / 2.0
+    np.fill_diagonal(corr, 1.0)
+    return np.clip(corr, -1.0, 1.0)

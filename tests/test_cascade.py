@@ -8,7 +8,8 @@ Claims covered:
     rejects degenerate edge correlations.
   - Sampling is seed-deterministic; every built-in error sampler hits its
     declared moments and is pairwise uncorrelated; the "dependent" one is
-    demonstrably not independent.
+    demonstrably not independent; scaling the draws in place keeps them
+    bit for bit.
   - Re-rooting preserves the covariance and the undirected edge set.
   - The covariance-structure checks pass with positive slack on random
     unit-variance models.
@@ -258,6 +259,20 @@ class TestErrorSamplers:
         corr = np.corrcoef(draws.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off)) < 4.0 / np.sqrt(n)
+
+    @pytest.mark.parametrize(
+        "name, draw, scale",
+        [
+            ("gaussian", lambda rng, shape: rng.standard_normal(shape), lambda v: np.sqrt(v)),
+            ("laplace", lambda rng, shape: rng.laplace(0.0, 1.0, shape), lambda v: np.sqrt(v / 2.0)),
+            ("uniform", lambda rng, shape: rng.uniform(-1.0, 1.0, shape), lambda v: np.sqrt(3.0 * v)),
+        ],
+    )
+    def test_in_place_scaling_keeps_the_draws(self, name, draw, scale):
+        # simulate's output files are pinned: scaling in place is the product bit for bit
+        draws = BUILTIN_SAMPLERS[name](np.random.default_rng(43), 500, self.VARIANCES)
+        expected = draw(np.random.default_rng(43), (500, 3)) * scale(self.VARIANCES)
+        assert np.array_equal(draws.view(np.int64), expected.view(np.int64))
 
     def test_dependent_sampler_is_not_independent(self):
         # shared magnitude: squared draws are (nearly) perfectly correlated

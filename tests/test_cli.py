@@ -11,6 +11,9 @@ Claims covered:
     exit 2 with a message naming the file or the field.
   - On fuzzed CSV text and fit documents every command returns 0, 1 or 2
     and raises nothing.
+  - A column near the float limit fits like the same column scaled down.
+  - fit and chow-check --data hold one n-by-d array: their traced peak
+    memory stays within 1.5 times the parsed values.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +99,39 @@ class TestFitCommand:
         code, _, stderr = run(capsys, "fit", "--data", str(path), "--out", str(tmp_path / "f.json"))
         assert code == 2
         assert stderr == "error: empirical fit needs at least 2 rows, got 0\n"
+
+    @pytest.mark.parametrize(
+        "rows, flags, message",
+        [
+            (1, ["fit"], "empirical fit needs at least 2 rows, got 1"),
+            (0, ["fit", "--diff"], "need at least 2 rows to difference, got 0"),
+            (1, ["fit", "--diff"], "need at least 2 rows to difference, got 1"),
+            (2, ["fit", "--diff"], "empirical fit needs at least 2 rows, got 1"),
+            (0, ["chow-check"], "standardization needs at least 2 rows, got 0"),
+            (1, ["chow-check"], "standardization needs at least 2 rows, got 1"),
+        ],
+    )
+    def test_too_few_rows_exit_2_with_one_message(self, capsys, tmp_path, rows, flags, message):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b\n" + "".join(f"{r},{r * r + 1}\n" for r in range(rows)))
+        argv = [flags[0], "--data", str(path), *flags[1:]]
+        if flags[0] == "fit":
+            argv += ["--out", str(tmp_path / "f.json")]
+        code, _, stderr = run(capsys, *argv)
+        assert (code, stderr) == (2, f"error: {message}\n")
+
+    def test_column_near_the_float_limit(self, capsys, tmp_path):
+        # squaring 1e308 overflows; the fit matches the column scaled by 2**-1000
+        fits = []
+        for k, scale in enumerate([1.0, 2.0**-1000]):
+            path = tmp_path / f"huge{k}.csv"
+            path.write_text(f"a,b\n{1e308 * scale!r},1\n{-1e308 * scale!r},2\n{3.0 * scale!r},5\n")
+            out = tmp_path / f"huge{k}.json"
+            code, _, stderr = run(capsys, "fit", "--data", str(path), "--out", str(out))
+            assert (code, stderr) == (0, "")
+            fits.append(load_fit(out))
+        assert fits[0].tree == fits[1].tree
+        assert abs(fits[0].coeffs[1] - fits[1].coeffs[1]) <= 1e-15
 
     def test_deterministic_output(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -524,6 +562,33 @@ class TestGoldenStdout:
             code, stdout, _ = run(capsys, "export-dot", "--fit", str(path), "--out", str(out))
             assert code == 0 and stdout == f"wrote 11 edges to {out}\n"
             assert out.read_text() == expected
+
+
+class TestPeakMemory:
+    """The parsed values are the only n-by-d array that fit and chow-check hold."""
+
+    N, D = 20_000, 30
+
+    def test_traced_peak_within_one_and_a_half_arrays(self, tmp_path):
+        rng = np.random.default_rng(5)
+        prices = 100.0 + np.cumsum(rng.standard_normal((self.N, self.D)), axis=0)
+        path = tmp_path / "prices.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(f"c{j}" for j in range(self.D)) + "\n")
+            np.savetxt(handle, prices, fmt="%.2f", delimiter=",")
+        limit = 1.5 * self.N * self.D * 8
+        for argv in (
+            ("fit", "--data", path, "--diff", "--out", tmp_path / "fit.json"),
+            ("chow-check", "--data", path),
+        ):
+            tracemalloc.start()
+            try:
+                code = quiet_main(*argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak <= limit, f"{argv[0]}: peak {peak / limit * 1.5:.2f} arrays"
 
 
 class TestEntryPoint:

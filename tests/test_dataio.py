@@ -11,6 +11,10 @@ Claims covered:
     errors by column name on zero variance.
   - Differencing obeys the shape contract and chains into the standardize
     error for constant series.
+  - The in-place kernel (differences, standardization, correlation over
+    one buffer) is bit for bit the copying formulas, at and around its
+    block size; the public functions leave their input unchanged, and a
+    column near the float limit standardizes instead of overflowing.
   - Fit documents round-trip losslessly with 17-significant-digit
     decimals, and schema violations name the field path.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +39,8 @@ from treecascade import (
     InvalidInputError,
     SchemaError,
     correlation_from_covariance,
+    correlation_from_dataset,
+    empirical_fit,
     document_to_fit,
     fit_cascade,
     fit_to_document,
@@ -52,6 +59,7 @@ from treecascade import dataio
 from treecascade.dataio import dumps_document, read_csv_header
 
 from conftest import csv_texts
+from oracles import copying_correlation, copying_standardize
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -190,6 +198,18 @@ class TestCReaderOracle:
         monkeypatch.setattr(dataio, "_parse_csv", None)
         ds = load_csv(path)
         assert ds.n == (1 << 18) + 1 and ds.values[-1].tolist() == [3.0, 4.0]
+
+    def test_blank_lines_reserve_no_array(self, tmp_path):
+        # loadtxt sizes its array by the data-line count: 24 MB for these lines
+        header = ",".join(f"c{j}" for j in range(30))
+        path = write(tmp_path, header + "\n" * 100_000 + "\n" + ",".join(["1"] * 30) + "\n")
+        tracemalloc.start()
+        try:
+            assert dataio._read_plain(path, 30) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_fuzzed_decimals_read_as_float_does(self, tmp_path):
         # shortest reprs of random bit patterns, long mantissas, wide
@@ -359,6 +379,82 @@ class TestPriceChanges:
         diff = price_changes(ds)
         assert diff.n == ds.n - 1
         assert diff.d == 30
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestInPlaceKernel:
+    @given(
+        d=st.integers(1, 12),
+        size=st.sampled_from([(0, 2), (0, 3), (1, -1), (1, 0), (1, 1), (3, 5)]),
+        diff=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_copying_formulas(self, d, size, diff, seed):
+        # n is whole blocks of d columns plus an offset: 2, 3, B - 1, B, B + 1
+        # and 3B + 5 rows, with at least two rows left to standardize
+        blocks, offset = size
+        n = max(blocks * dataio._block_rows(d) + offset, 2 + diff)
+        rng = np.random.default_rng(seed)
+        offsets = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(0, 6, d)
+        values = offsets + 10.0 ** rng.uniform(-3, 3, d) * rng.standard_normal((n, d))
+        ds = Dataset(values=values, names=tuple(f"c{j}" for j in range(d)))
+        base = np.diff(values, axis=0) if diff else values
+        rows = price_changes(ds) if diff else ds
+        assert np.array_equal(bits(rows.values), bits(base))
+        assert np.array_equal(bits(standardize(rows).values), bits(copying_standardize(base)))
+        expected = bits(copying_correlation(base))
+        assert np.array_equal(bits(correlation_from_dataset(ds, diff=diff).corr), expected)
+        spent = Dataset(values=values, names=ds.names)
+        corr = correlation_from_dataset(spent, diff=diff, overwrite=True).corr
+        assert np.array_equal(bits(corr), expected)
+
+    def test_public_functions_leave_values_unchanged_and_read_only(self):
+        rng = np.random.default_rng(4)
+        ds = Dataset(values=rng.standard_normal((30, 3)) + 50.0, names=("a", "b", "c"))
+        before = ds.values.copy()
+        results = [standardize(ds), price_changes(ds)]
+        correlation_from_dataset(ds)
+        correlation_from_dataset(ds, diff=True)
+        empirical_fit(ds)
+        empirical_fit(ds, diff=True)
+        assert np.array_equal(bits(ds.values), bits(before))
+        for values in [ds.values] + [r.values for r in results]:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
+
+    def test_constructor_copies_the_callers_array(self):
+        user = np.arange(6.0).reshape(3, 2)
+        ds = Dataset(values=user, names=("a", "b"))
+        user[0, 0] = 99.0
+        assert ds.values[0, 0] == 0.0
+        assert user.flags.writeable
+
+    @pytest.mark.parametrize(
+        "column, scale",
+        [
+            ([1e308, -1e308, 3.0], 2.0**-1000),  # the squares overflow
+            ([1.0, 2.0, 4.0], 2.0**-600),  # the squares underflow to zero
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_column_out_of_the_squares_range(self, column, scale):
+        plain = Dataset(values=np.c_[column, [1.0, 2.0, 5.0]], names=("a", "b"))
+        scaled = Dataset(values=np.c_[np.array(column) * scale, [1.0, 2.0, 5.0]], names=("a", "b"))
+        assert np.max(np.abs(standardize(plain).values - standardize(scaled).values)) <= 1e-15
+        corr = correlation_from_dataset(plain).corr
+        assert np.max(np.abs(corr - correlation_from_dataset(scaled).corr)) <= 1e-15
+
+    @pytest.mark.parametrize("value", [1.5 * 2.0**1023, 0.0, 2.0**-600], ids=["huge", "zero", "tiny"])
+    def test_constant_column_out_of_the_squares_range_has_zero_variance(self, value):
+        # the sum overflows, or the squares are zero; rescaled the column is still constant
+        ds = Dataset(values=[[value, 1.0], [value, 2.0], [value, 4.0]], names=("flat", "b"))
+        with pytest.raises(DataError, match="column 'flat' has zero variance"):
+            standardize(ds)
 
 
 class TestFitDocuments:
