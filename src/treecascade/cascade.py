@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, _adopt
+from .dataio import Dataset, _adopt, _block_rows
 from .errors import InvalidInputError, UnsupportedModelError
 from .trees import RootedTree, random_tree, root_tree
 from .trees import _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
@@ -96,18 +96,24 @@ def cascade_inverse(m: CascadeModel) -> np.ndarray:
     # Writing only there keeps signed zeros as an exact walk leaves them.
     inv_t = np.eye(m.d)
     below = np.eye(m.d, dtype=bool)
-    for j in _parent_first_order(m.rt)[:0:-1].tolist():
-        p = m.rt.parent[j]
-        np.multiply(inv_t[j], m.coeffs[j], out=inv_t[p], where=below[j])
-        below[p] |= below[j]
+    # products that overflow are left infinite, for the caller to reject
+    with np.errstate(over="ignore"):
+        for j in _parent_first_order(m.rt)[:0:-1].tolist():
+            p = m.rt.parent[j]
+            np.multiply(inv_t[j], m.coeffs[j], out=inv_t[p], where=below[j])
+            below[p] |= below[j]
     return np.ascontiguousarray(inv_t.T)
 
 
 def population_covariance(m: CascadeModel) -> np.ndarray:
-    """Covariance induced by the model: (I - A)^-1 D (I - A)^-T, symmetrized."""
+    """Covariance induced by the model: (I - A)^-1 D (I - A)^-T, symmetrized.
+
+    Entries that overflow come out infinite or NaN, without a warning.
+    """
     inv = cascade_inverse(m)
-    cov = (inv * m.error_variance_vector()) @ inv.T
-    return (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (inv * m.error_variance_vector()) @ inv.T
+        return (cov + cov.T) / 2.0
 
 
 def make_unit_variance_model(
@@ -163,44 +169,62 @@ def random_unit_variance_model(
 
 # The generator type is a string so that importing this module does not load
 # numpy.random (about 6 MB and 20 ms) for commands that draw nothing.
-Sampler = Callable[["np.random.Generator", int, np.ndarray], np.ndarray]
+Sampler = Callable[["np.random.Generator", Sequence[int], np.ndarray], Iterator[np.ndarray]]
 
 
-def _draw_gaussian(rng, n, variances):
-    x = rng.standard_normal((n, variances.size))
-    x *= np.sqrt(variances)
-    return x
+def _draw_gaussian(rng, sizes, variances):
+    scale = np.sqrt(variances)
+    for rows in sizes:
+        yield rng.standard_normal((rows, variances.size)) * scale
 
 
-def _draw_laplace(rng, n, variances):
+def _draw_laplace(rng, sizes, variances):
     # Laplace(scale b) has variance 2 b^2.
-    x = rng.laplace(0.0, 1.0, (n, variances.size))
-    x *= np.sqrt(variances / 2.0)
-    return x
+    scale = np.sqrt(variances / 2.0)
+    for rows in sizes:
+        yield rng.laplace(0.0, 1.0, (rows, variances.size)) * scale
 
 
-def _draw_uniform(rng, n, variances):
+def _draw_uniform(rng, sizes, variances):
     # Uniform on [-a, a] has variance a^2 / 3.
-    x = rng.uniform(-1.0, 1.0, (n, variances.size))
-    x *= np.sqrt(3.0 * variances)
-    return x
+    scale = np.sqrt(3.0 * variances)
+    for rows in sizes:
+        yield rng.uniform(-1.0, 1.0, (rows, variances.size)) * scale
 
 
-def _draw_rademacher(rng, n, variances):
-    signs = rng.integers(0, 2, (n, variances.size)) * 2 - 1
-    return signs * np.sqrt(variances)
+def _draw_rademacher(rng, sizes, variances):
+    scale = np.sqrt(variances)
+    for rows in sizes:
+        yield _flip_signs(rng, np.tile(scale, (rows, 1)))
 
 
-def _draw_dependent(rng, n, variances):
+def _draw_dependent(rng, sizes, variances):
     # One shared magnitude per draw, independent signs per coordinate:
     # pairwise correlations vanish, yet the components share |magnitude|.
-    magnitude = np.abs(rng.standard_normal((n, 1)))
-    signs = rng.integers(0, 2, (n, variances.size)) * 2 - 1
-    return signs * magnitude * np.sqrt(variances)
+    # Every magnitude is drawn before any sign, as in a single block.
+    magnitude = rng.standard_normal((sum(sizes), 1))
+    np.abs(magnitude, out=magnitude)
+    scale = np.sqrt(variances)
+    start = 0
+    for rows in sizes:
+        yield _flip_signs(rng, magnitude[start : start + rows] * scale)
+        start += rows
 
 
-#: Error samplers by name.  Each draw function ``(rng, n, variances)``
-#: returns an (n, d) array whose columns have population mean zero, the
+def _flip_signs(rng, x: np.ndarray) -> np.ndarray:
+    """Negate ``x`` in place where ``integers(0, 2)`` draws 0; returns ``x``.
+
+    Rounding is symmetric in sign, so this is ``(2 * integers(0, 2) - 1) * x``
+    bit for bit, without a second float array.
+    """
+    np.negative(x, out=x, where=rng.integers(0, 2, x.shape) == 0)
+    return x
+
+
+#: Error samplers by name.  Each draw function ``(rng, sizes, variances)``
+#: yields one C-ordered (rows, d) block per entry of the sequence ``sizes``,
+#: and the blocks are the rows of one draw of ``sum(sizes)`` rows bit for
+#: bit, however ``sizes`` splits it.  Columns have population mean zero, the
 #: requested variances, and zero pairwise correlation: independent normal,
 #: double-exponential, uniform and symmetric two-point errors, and
 #: "dependent", a shared magnitude with independent signs (uncorrelated but
@@ -229,14 +253,47 @@ def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -
     the output is a pure function of (model, sampler, n, seed).  Columns
     follow vertex order.  The generator is numpy's seeded PCG64.
     """
-    if n < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    errors = sampler(rng, n, m.error_variance_vector())
-    values = errors @ cascade_inverse(m).T
+    blocks = _simulated_blocks(m, sampler, n, seed)  # checks n before the allocation
+    values = np.empty((n, m.d))
+    start = 0
+    for block in blocks:
+        values[start : start + len(block)] = block
+        start += len(block)
     if names is None:
         names = tuple(f"x{i}" for i in range(m.d))
     return _adopt(values, names)
+
+
+def _simulated_blocks(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> Iterator[np.ndarray]:
+    """The rows ``simulate`` draws, as C-ordered blocks, first row first.
+
+    The sample count is checked at once; the draws happen as the blocks
+    are taken.  A block starts every ``_block_rows(d)`` rows (1 MiB) and
+    the remainder joins the last block, so no block is shorter unless
+    ``n`` is: BLAS multiplies a block of a few rows with other kernels,
+    whose bits can differ from those of the same rows in a taller block.
+    Overflow in a model's inverse or in the product leaves infinities,
+    without a warning, for the caller's finiteness check to name.
+    """
+    if n < 1:
+        raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    step = _block_rows(m.d)
+    full = max(1, n // step)
+    sizes = [step] * (full - 1) + [n - step * (full - 1)]
+    draws = sampler(np.random.default_rng(seed), sizes, m.error_variance_vector())
+    return _transformed(draws, cascade_inverse(m).T)
+
+
+def _transformed(draws: Iterator[np.ndarray], inv_t: np.ndarray) -> Iterator[np.ndarray]:
+    """Each error block of ``draws`` times ``inv_t``, drawn and multiplied on demand."""
+    while True:
+        # the scope ends before the yield, so the caller's error state is its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = next(draws, None)
+            if block is None:
+                return
+            block = block @ inv_t
+        yield block
 
 
 def reroot(m: CascadeModel, new_root: int) -> CascadeModel:

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import dataio
 from .cascade import (
+    _simulated_blocks,
     cascade_inverse,
     coefficient_matrix,
     get_sampler,
     population_covariance,
     random_unit_variance_model,
-    simulate,
     verify_covariance_lemmas,
 )
 from .chowliu import GaussianSummary, correspondence_check
@@ -128,9 +128,11 @@ def _cmd_simulate(args) -> int:
     model = dataio.model_from_document(doc)
     sampler = get_sampler(args.sampler)
     names = doc.get("names")
-    ds = simulate(model, sampler, args.n, args.seed, names=names)
-    dataio.save_csv(ds, args.out)
-    print(f"wrote {ds.n} samples x {ds.d} columns to {args.out}")
+    if names is None:
+        names = [f"x{i}" for i in range(model.d)]
+    # no n-by-d array: each block of rows is drawn, transformed and written in turn
+    dataio._write_csv(args.out, names, _simulated_blocks(model, sampler, args.n, args.seed))
+    print(f"wrote {args.n} samples x {model.d} columns to {args.out}")
     return 0
 
 

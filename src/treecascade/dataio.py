@@ -13,12 +13,13 @@ import csv
 import json
 import math
 import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -50,15 +51,8 @@ class Dataset:
             raise InvalidInputError(
                 f"{len(self.names)} column names for {values.shape[1]} columns"
             )
-        if len(set(self.names)) != len(self.names):
-            dupes = sorted({n for n in self.names if self.names.count(n) > 1})
-            raise DataError(f"duplicate column names: {', '.join(dupes)}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            r, c = np.argwhere(~finite)[0]
-            raise DataError(
-                f"non-finite value at row {r + 1}, column {self.names[c]!r}"
-            )
+        _check_unique(self.names)
+        _check_finite(values, self.names)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -69,6 +63,20 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+
+def _check_unique(names: tuple[str, ...]) -> None:
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise DataError(f"duplicate column names: {', '.join(dupes)}")
+
+
+def _check_finite(values: np.ndarray, names, first_row: int = 0) -> None:
+    """Name the first non-finite entry of ``values``, whose row 1 is data row ``first_row + 1``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(f"non-finite value at row {first_row + r + 1}, column {names[c]!r}")
 
 
 def _adopt(values: np.ndarray, names) -> Dataset:
@@ -259,22 +267,46 @@ def _utf8_error_offset(path) -> int:
             offset += len(block)
 
 
-# Rows per write in save_csv: a block's Python floats and text stay about
-# 1 MiB at d=30, where 4096-row blocks cost 15 MiB of peak memory.
-_ROWS_PER_BLOCK = 256
+# Rows per write: a chunk's Python floats and text stay about 1 MiB at
+# d=30, where 4096-row chunks cost 15 MiB of peak memory.
+_ROWS_PER_CHUNK = 256
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write header plus rows; floats use shortest round-trip decimals."""
+    _write_csv(path, ds.names, [ds.values])
+
+
+def _write_csv(path, names, blocks: Iterable[np.ndarray]) -> None:
+    """Write the header ``names``, then the rows of each (rows, len(names)) block.
+
+    The names are checked before the file is opened and each block before
+    it is written, with ``Dataset``'s messages; rows are numbered from the
+    first block on.  When anything fails after the file is opened, a
+    regular file at ``path`` is removed, so no partial output is left; a
+    device such as /dev/stdout is never unlinked.
+    """
+    names = tuple(names)
+    _check_unique(names)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(ds.names)
-        # Dataset values are finite floats, whose repr (the shortest
-        # round-trip form csv writes) holds only digits, '.', 'e', '+' and
-        # '-'.  So the repr of a block of rows, with its brackets and
-        # separators swapped, is exactly the rows csv.writer would write.
-        for start in range(0, ds.n, _ROWS_PER_BLOCK):
-            block = repr(ds.values[start : start + _ROWS_PER_BLOCK].tolist())
-            handle.write(block[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
+        try:
+            csv.writer(handle).writerow(names)
+            written = 0
+            for block in blocks:
+                _check_finite(block, names, written)
+                # Finite floats' repr (the shortest round-trip form csv
+                # writes) holds only digits, '.', 'e', '+' and '-'.  So the
+                # repr of a chunk of rows, with its brackets and separators
+                # swapped, is exactly the rows csv.writer would write.
+                for start in range(0, len(block), _ROWS_PER_CHUNK):
+                    text = repr(block[start : start + _ROWS_PER_CHUNK].tolist())
+                    handle.write(text[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
+                written += len(block)
+        except BaseException:
+            handle.close()
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+            raise
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -342,6 +374,11 @@ def _standardize_in_place(v: np.ndarray, names) -> np.ndarray:
     n = v.shape[0]
     if n < 2:
         raise InvalidInputError(f"standardization needs at least 2 rows, got {n}")
+    # exact: the mean of a constant column can round, and centering would
+    # leave a tiny constant of positive scale
+    constant = np.flatnonzero(v.max(axis=0) == v.min(axis=0))
+    if constant.size:
+        raise DataError(f"column {names[constant[0]]!r} has zero variance; cannot standardize")
     with np.errstate(over="ignore", invalid="ignore"):
         means, sums = _moments(v)
         out_of_range = ~np.isfinite(means) | ~np.isfinite(sums) | (sums < _SMALLEST_NORMAL)
@@ -351,9 +388,6 @@ def _standardize_in_place(v: np.ndarray, names) -> np.ndarray:
             v[:, cols] = np.ldexp(v[:, cols], -exponents)
             means, sums = _moments(v)
     scales = np.sqrt(sums / (n - 1))
-    for c, s in enumerate(scales):
-        if not s > 0.0:
-            raise DataError(f"column {names[c]!r} has zero variance; cannot standardize")
     v -= means
     v /= scales
     return v

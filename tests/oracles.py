@@ -9,11 +9,16 @@ straightforward versions those replaced: Kruskal over the canonical edge
 order, one tree-path walk per vertex pair or per vertex, and per-pair
 scalar formulas.  The data pipeline differences, standardizes and
 correlates in place over one buffer; the copying formulas it replaced are
-kept here too.  Tests require the fast paths to agree with them exactly.
+kept here too.  ``simulate`` streams one block of rows at a time from the
+draw to the file; the one-shot draw, product and ``csv.writer`` it
+replaced are kept as well.  Tests require the fast paths to agree with
+them exactly.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -265,3 +270,58 @@ def copying_correlation(values: np.ndarray) -> np.ndarray:
     corr = (raw + raw.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     return np.clip(corr, -1.0, 1.0)
+
+
+def _one_shot_gaussian(rng, n, variances):
+    x = rng.standard_normal((n, variances.size))
+    x *= np.sqrt(variances)
+    return x
+
+
+def _one_shot_laplace(rng, n, variances):
+    x = rng.laplace(0.0, 1.0, (n, variances.size))
+    x *= np.sqrt(variances / 2.0)
+    return x
+
+
+def _one_shot_uniform(rng, n, variances):
+    x = rng.uniform(-1.0, 1.0, (n, variances.size))
+    x *= np.sqrt(3.0 * variances)
+    return x
+
+
+def _one_shot_rademacher(rng, n, variances):
+    signs = rng.integers(0, 2, (n, variances.size)) * 2 - 1
+    return signs * np.sqrt(variances)
+
+
+def _one_shot_dependent(rng, n, variances):
+    magnitude = np.abs(rng.standard_normal((n, 1)))
+    signs = rng.integers(0, 2, (n, variances.size)) * 2 - 1
+    return signs * magnitude * np.sqrt(variances)
+
+
+#: Each sampler's whole (n, d) error draw in one call, by sampler name.
+ONE_SHOT_SAMPLERS = {
+    "gaussian": _one_shot_gaussian,
+    "laplace": _one_shot_laplace,
+    "uniform": _one_shot_uniform,
+    "rademacher": _one_shot_rademacher,
+    "dependent": _one_shot_dependent,
+}
+
+
+def one_shot_simulate(m, sampler_name: str, n: int, seed: int) -> np.ndarray:
+    """The whole error draw times the transposed inverse, in one product."""
+    rng = np.random.default_rng(seed)
+    errors = ONE_SHOT_SAMPLERS[sampler_name](rng, n, m.error_variance_vector())
+    return errors @ cascade_inverse(m).T
+
+
+def csv_writer_bytes(names, values: np.ndarray) -> bytes:
+    """Header and rows as ``csv.writer`` writes them, UTF-8 encoded."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(names)
+    writer.writerows(values.tolist())
+    return out.getvalue().encode("utf-8")

@@ -8,8 +8,8 @@ Claims covered:
     rejects degenerate edge correlations.
   - Sampling is seed-deterministic; every built-in error sampler hits its
     declared moments and is pairwise uncorrelated; the "dependent" one is
-    demonstrably not independent; scaling the draws in place keeps them
-    bit for bit.
+    demonstrably not independent; the scaled draws are the raw draws times
+    the scale bit for bit, and so is a draw split into blocks of any sizes.
   - Re-rooting preserves the covariance and the undirected edge set.
   - The covariance-structure checks pass with positive slack on random
     unit-variance models.
@@ -243,10 +243,15 @@ class TestSimulate:
 class TestErrorSamplers:
     VARIANCES = np.array([1.0, 0.25, 2.0])
 
+    def draw(self, name, seed, n):
+        """``n`` rows of the named sampler, drawn as one block."""
+        (block,) = BUILTIN_SAMPLERS[name](np.random.default_rng(seed), [n], self.VARIANCES)
+        return block
+
     @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
     def test_marginal_moments(self, name):
         n = 200_000
-        draws = BUILTIN_SAMPLERS[name](np.random.default_rng(33), n, self.VARIANCES)
+        draws = self.draw(name, 33, n)
         means = draws.mean(axis=0)
         variances = (draws * draws).mean(axis=0)
         assert np.all(np.abs(means) <= 3.0 * np.sqrt(self.VARIANCES / n))
@@ -255,7 +260,7 @@ class TestErrorSamplers:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
     def test_pairwise_uncorrelated(self, name):
         n = 200_000
-        draws = BUILTIN_SAMPLERS[name](np.random.default_rng(37), n, self.VARIANCES)
+        draws = self.draw(name, 37, n)
         corr = np.corrcoef(draws.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off)) < 4.0 / np.sqrt(n)
@@ -269,16 +274,27 @@ class TestErrorSamplers:
         ],
     )
     def test_in_place_scaling_keeps_the_draws(self, name, draw, scale):
-        # simulate's output files are pinned: scaling in place is the product bit for bit
-        draws = BUILTIN_SAMPLERS[name](np.random.default_rng(43), 500, self.VARIANCES)
+        # simulate's output files are pinned: each block is the raw draw times its scale
+        draws = self.draw(name, 43, 500)
         expected = draw(np.random.default_rng(43), (500, 3)) * scale(self.VARIANCES)
         assert np.array_equal(draws.view(np.int64), expected.view(np.int64))
 
     def test_dependent_sampler_is_not_independent(self):
         # shared magnitude: squared draws are (nearly) perfectly correlated
-        draws = BUILTIN_SAMPLERS["dependent"](np.random.default_rng(41), 50_000, self.VARIANCES)
+        draws = self.draw("dependent", 41, 50_000)
         sq_corr = np.corrcoef((draws**2).T)
         assert np.min(sq_corr) > 0.99
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
+    def test_any_split_gives_the_same_bits(self, name):
+        # simulate draws in blocks; the rows must not depend on where they split
+        whole = self.draw(name, 47, 1001)
+        for sizes in ([1000, 1], [1, 1000], [333, 1, 667], [7] * 143, [1] * 5 + [996]):
+            blocks = list(BUILTIN_SAMPLERS[name](np.random.default_rng(47), sizes, self.VARIANCES))
+            assert [len(b) for b in blocks] == sizes
+            assert all(b.flags.c_contiguous for b in blocks)
+            joined = np.concatenate(blocks)
+            assert np.array_equal(joined.view(np.int64), whole.view(np.int64)), sizes
 
     def test_unknown_sampler_lists_available(self):
         with pytest.raises(InvalidInputError, match="gaussian"):

@@ -14,6 +14,11 @@ Claims covered:
   - A column near the float limit fits like the same column scaled down.
   - fit and chow-check --data hold one n-by-d array: their traced peak
     memory stays within 1.5 times the parsed values.
+  - simulate streams: its CSV is byte for byte the one-shot draw written
+    by csv.writer, its traced peak stays under 8 MiB at n = 200000, an
+    overflowing model gives one error line naming the global row, and no
+    partial regular file is left behind.
+  - A constant column is rejected even when its mean rounds.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ import ast
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -43,9 +50,10 @@ from treecascade import (
     save_fit,
 )
 from treecascade.cli import main
-from treecascade.dataio import fit_to_document
+from treecascade.dataio import _block_rows, fit_to_document, load_document, model_from_document
 
 from conftest import csv_texts
+from oracles import csv_writer_bytes, one_shot_simulate
 
 
 def run(capsys, *argv):
@@ -62,6 +70,38 @@ def model_fit_document(tmp_path, d=10, seed=19, root_hint=None, name="model.json
     path = tmp_path / name
     save_fit(fit, path)
     return model, fit, path
+
+
+def chain_document(tmp_path, coeffs, error_vars, name="chain.json"):
+    """A non-unit-variance fit document on the chain x0 -> x1 -> ..., with no names."""
+    d = len(error_vars)
+    document = {
+        "format_version": 1,
+        "d": d,
+        "root": 0,
+        "edges": [{"child": i + 1, "parent": i, "coeff": c} for i, c in enumerate(coeffs)],
+        "error_vars": error_vars,
+        "unit_variance": False,
+        "objective": 0.0,
+        "weights": [0.5] * (d - 1),
+        "tree_unique": True,
+        "root_hint_source": "default",
+        "names": None,
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return path
+
+
+def overflowing_document(tmp_path):
+    # the inverse's corner entry overflows, and so does x1 in every row
+    return chain_document(tmp_path, [1e200, 1e200], [1e300, 1e300, 1e300], "overflow.json")
+
+
+# A column constant at 0.1 has the mean 0.10000000000000002; differenced,
+# -0.1, 0, 0.1, 0.2 give that column too.
+INEXACT_MEAN_CSV = "a,b,c\n0.1,1,2\n0.1,2,1\n0.1,4,3\n"
+INEXACT_MEAN_DIFF_CSV = "a,b,c\n-0.1,1,2\n0,2,1\n0.1,4,3\n0.2,7,2\n"
 
 
 class TestFitCommand:
@@ -133,6 +173,20 @@ class TestFitCommand:
         assert fits[0].tree == fits[1].tree
         assert abs(fits[0].coeffs[1] - fits[1].coeffs[1]) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [(INEXACT_MEAN_CSV, []), (INEXACT_MEAN_DIFF_CSV, ["--diff"])],
+        ids=["fit", "fit-diff"],
+    )
+    def test_constant_column_with_inexact_mean_rejected(self, capsys, tmp_path, text, flags):
+        path = tmp_path / "flat.csv"
+        path.write_text(text)
+        out = tmp_path / "f.json"
+        code, stdout, stderr = run(capsys, "fit", "--data", str(path), *flags, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: column 'a' has zero variance; cannot standardize\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "fit", "--data", str(sample_prices_path()), "--diff", "--out", str(out1))
@@ -194,6 +248,84 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, "fit", "--data", str(csv_path), "--out", str(fit_path))
         assert code == 0
         assert load_fit(fit_path).tree.edges == model.rt.tree.edges
+
+
+    @pytest.mark.parametrize("sampler", ["gaussian", "laplace", "uniform", "rademacher", "dependent"])
+    def test_streamed_csv_matches_one_shot_oracle(self, capsys, tmp_path, sampler):
+        # around one, two and three blocks, where a short block would take other BLAS kernels
+        for d in (1, 2, 8, 30, 64):
+            _, _, doc = model_fit_document(tmp_path, d=d, seed=d)
+            model = model_from_document(load_document(doc))
+            names = [f"x{i}" for i in range(d)]
+            b = _block_rows(d)
+            for n in (1, 2, b - 1, b, b + 1, 2 * b, 2 * b + 1, 3 * b + 17):
+                out = tmp_path / "sim.csv"
+                seed = n + d
+                code, stdout, stderr = run(
+                    capsys, "simulate", "--model", str(doc), "--sampler", sampler,
+                    "--n", str(n), "--seed", str(seed), "--out", str(out),
+                )
+                assert (code, stdout, stderr) == (0, f"wrote {n} samples x {d} columns to {out}\n", "")
+                expected = csv_writer_bytes(names, one_shot_simulate(model, sampler, n, seed))
+                assert out.read_bytes() == expected, (d, n)
+
+    def test_overflowing_model_gives_one_error_line(self, capsys, tmp_path):
+        doc = overflowing_document(tmp_path)
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--n", "5", "--seed", "1", "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: non-finite value at row 1, column 'x1'\n"
+        assert not out.exists()
+
+    def test_error_past_the_first_block_removes_the_file(self, capsys, tmp_path):
+        # the one difference on this path: a regular file already at --out is removed too
+        doc = overflowing_document(tmp_path)
+        out = tmp_path / "x.csv"
+        out.write_text("an older file\n")
+        n = 3 * _block_rows(3) + 5
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--n", str(n), "--seed", "1", "--out", str(out)
+        )
+        assert (code, stdout, stderr) == (2, "", "error: non-finite value at row 1, column 'x1'\n")
+        assert not out.exists()
+
+    def test_later_block_error_names_the_global_row(self, capsys, tmp_path):
+        # x1 = 4e307 * x0 + e1 overflows only where |x0| > 4.49
+        doc = chain_document(tmp_path, [4e307], [1.0, 1.0])
+        model = model_from_document(load_document(doc))
+        b = _block_rows(2)
+        n = 3 * b + 5
+        with np.errstate(over="ignore"):
+            values = one_shot_simulate(model, "gaussian", n, 1)
+        row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0]) + 1
+        assert row > 2 * b  # in the third block
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--sampler", "gaussian",
+            "--n", str(n), "--seed", "1", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: non-finite value at row {row}, column 'x1'\n"
+        assert not out.exists()
+
+    def test_non_regular_out_is_not_unlinked(self, capsys, tmp_path):
+        # a pipe stands in for /dev/stdout: it is written to, then left in place
+        doc = overflowing_document(tmp_path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        code, _, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--n", "5", "--seed", "1", "--out", str(pipe)
+        )
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert (code, stderr) == (2, "error: non-finite value at row 1, column 'x1'\n")
+        assert received == [b"x0,x1,x2\r\n"]
+        assert pipe.is_fifo()
 
 
 class TestVerifyCommand:
@@ -331,6 +463,18 @@ class TestChowCheckCommand:
         path.write_text("a,flat,b\n1,5,2\n2,5,1\n3,5,3\n")
         code, _, stderr = run(capsys, "chow-check", "--data", str(path))
         assert code == 2 and "column 'flat' has zero variance" in stderr
+
+    def test_constant_column_with_inexact_mean_rejected(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text(INEXACT_MEAN_CSV)
+        code, stdout, stderr = run(capsys, "chow-check", "--data", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: column 'a' has zero variance; cannot standardize\n"
+
+    def test_overflowing_model_gives_one_error_line(self, capsys, tmp_path):
+        doc = overflowing_document(tmp_path)
+        code, stdout, stderr = run(capsys, "chow-check", "--fit", str(doc))
+        assert (code, stdout, stderr) == (2, "", "error: covariance contains non-finite entries\n")
 
     def test_fit_document_route(self, capsys, tmp_path):
         _, _, doc = model_fit_document(tmp_path, d=5)
@@ -565,7 +709,7 @@ class TestGoldenStdout:
 
 
 class TestPeakMemory:
-    """The parsed values are the only n-by-d array that fit and chow-check hold."""
+    """The parsed values are the only n-by-d array that fit and chow-check hold; simulate holds none."""
 
     N, D = 20_000, 30
 
@@ -589,6 +733,21 @@ class TestPeakMemory:
                 tracemalloc.stop()
             assert code == 0
             assert peak <= limit, f"{argv[0]}: peak {peak / limit * 1.5:.2f} arrays"
+
+    @pytest.mark.parametrize("sampler", ["gaussian", "laplace", "uniform", "rademacher", "dependent"])
+    def test_simulate_streams_in_blocks(self, tmp_path, sampler):
+        # the whole draw would be 46 MiB; blocks are 1 MiB, dependent's magnitudes 1.5 MiB
+        _, _, doc = model_fit_document(tmp_path, d=self.D)
+        argv = ("simulate", "--model", doc, "--sampler", sampler, "--n", 200_000, "--seed", 3,
+                "--out", tmp_path / "sim.csv")
+        tracemalloc.start()
+        try:
+            code = quiet_main(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestEntryPoint:

@@ -6,7 +6,10 @@ Claims covered:
   - numpy's C reader, which reads plain files, returns what the
     validating parser returns, bit for bit, or leaves the file to it.
   - A byte that is not UTF-8 is an error naming the file and its offset.
-  - The block writer writes the bytes csv.writer writes.
+  - The block writer writes the bytes csv.writer writes; it checks the
+    names before opening the file and each block before writing it,
+    numbering rows from the first block, and removes a partial file.
+  - tools/generate_sample_prices.py reproduces the bundled sample CSV.
   - Standardization hits the n-1 convention exactly, is idempotent, and
     errors by column name on zero variance.
   - Differencing obeys the shape contract and chains into the standardize
@@ -22,9 +25,11 @@ Claims covered:
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +310,44 @@ class TestSaveCsv:
         )
 
 
+    def test_rows_numbered_from_the_first_block(self, tmp_path):
+        blocks = [np.ones((3, 2)), np.ones((4, 2)), np.ones((2, 2))]
+        blocks[1][2, 1] = np.nan
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=r"^non-finite value at row 6, column 'b'$"):
+            dataio._write_csv(path, ("a", "b"), iter(blocks))
+        assert not path.exists()
+
+    def test_names_checked_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        with pytest.raises(DataError, match="duplicate column names: a"):
+            dataio._write_csv(path, ("a", "b", "a"), [np.ones((1, 3))])
+        assert path.read_text() == "kept\n"
+
+    def test_failing_iterator_removes_the_file(self, tmp_path):
+        def blocks():
+            yield np.ones((2, 1))
+            raise InvalidInputError("draw failed")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidInputError, match="draw failed"):
+            dataio._write_csv(path, ("a",), blocks())
+        assert not path.exists()
+
+
+class TestBundledSample:
+    def test_generator_reproduces_the_bundled_csv(self, tmp_path, capsys):
+        script = Path(__file__).resolve().parents[1] / "tools" / "generate_sample_prices.py"
+        spec = importlib.util.spec_from_file_location("generate_sample_prices", script)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        out = tmp_path / "prices.csv"
+        tool.main(out)
+        assert out.read_bytes() == sample_prices_path().read_bytes()
+        assert capsys.readouterr().out.startswith(f"wrote 751 rows x 30 columns to {out}\n")
+
+
 class TestDatasetValidation:
     def test_duplicate_names(self):
         with pytest.raises(DataError, match="duplicate"):
@@ -349,6 +392,13 @@ class TestStandardize:
     def test_constant_column_error(self):
         ds = Dataset(values=np.array([[5.0, 1.0], [5.0, 2.0]]), names=("fixed", "ok"))
         with pytest.raises(DataError, match="'fixed'"):
+            standardize(ds)
+
+    def test_constant_column_with_inexact_mean(self):
+        # 0.1 + 0.1 + 0.1 rounds: the mean is 0.10000000000000002, not 0.1
+        ds = Dataset(values=np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]]), names=("a", "b"))
+        assert ds.values[:, 0].mean() != 0.1
+        with pytest.raises(DataError, match="column 'a' has zero variance"):
             standardize(ds)
 
     def test_needs_two_rows(self):

@@ -8,6 +8,8 @@ accumulated onto base price levels.  Seeds are fixed, so the output is
 byte-for-byte reproducible.  Run from the repository root:
 
     python tools/generate_sample_prices.py
+
+``main(out)`` writes to another path instead of the bundled file.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ MODEL_SEED = 1544199
 NOISE_SEED = 20120616
 
 
-def main() -> None:
+BUNDLED = Path(__file__).resolve().parents[1] / "src" / "treecascade" / "data" / "dow30_prices.csv"
+
+
+def main(out: Path = BUNDLED) -> None:
     tickers = sorted({h for h in GROUPS} | {m for ms in GROUPS.values() for m in ms})
     assert len(tickers) == 30
     index = {t: i for i, t in enumerate(tickers)}
@@ -63,7 +68,6 @@ def main() -> None:
     levels = np.round(bases + np.cumsum(changes * vols, axis=0), 2)
     prices = np.vstack([bases, levels])
 
-    out = Path(__file__).resolve().parents[1] / "src" / "treecascade" / "data" / "dow30_prices.csv"
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(",".join(tickers) + "\n")
         for row in prices:
