@@ -25,7 +25,6 @@ from .cascade import (
 from .chowliu import (
     CorrespondenceReport,
     GaussianSummary,
-    chow_liu_tree,
     correspondence_check,
     mutual_information_weights,
 )
@@ -48,14 +47,12 @@ from .errors import (
     DegeneracyError,
     InvalidInputError,
     SchemaError,
-    SizeLimitError,
     TreeCascadeError,
     UnsupportedModelError,
 )
 from .regression import (
     CorrelationSummary,
     FitResult,
-    brute_force_fit,
     correlation_from_covariance,
     correlation_from_dataset,
     empirical_fit,
@@ -73,8 +70,6 @@ from .trees import (
     canonical_edge,
     check_strict_triangle_condition,
     cluster_by_edge_deletion,
-    connected_components,
-    enumerate_spanning_trees,
     maximum_spanning_tree,
     mst_is_unique,
     random_tree,

@@ -162,8 +162,6 @@ def random_unit_variance_model(
     for i in rt.non_root_vertices():
         sign = 1.0 if rng.integers(2) == 1 else -1.0
         correlations[i] = sign * float(rng.uniform(lo, hi))
-    if not correlations:
-        return CascadeModel(rt, {}, {rt.root: 1.0}, unit_variance=True)
     return make_unit_variance_model(rt, correlations)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
 from .regression import CorrelationSummary, correlation_from_covariance, fit_cascade
-from .trees import MstResult, Tree, WeightedGraph, maximum_spanning_tree
+from .trees import Tree, WeightedGraph, maximum_spanning_tree
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,6 @@ def mutual_information_weights(c: CorrelationSummary) -> np.ndarray:
     mi = np.zeros((c.d, c.d))
     mi[i, j] = mi[j, i] = -0.5 * log1p
     return mi
-
-
-def chow_liu_tree(s: GaussianSummary) -> MstResult:
-    """Optimal approximator tree: maximum spanning tree of pairwise MI weights."""
-    mi = mutual_information_weights(correlation_from_covariance(s.covariance))
-    return maximum_spanning_tree(WeightedGraph.from_matrix(mi))
 
 
 @dataclass(frozen=True)

@@ -215,20 +215,16 @@ def _cmd_chow_check(args) -> int:
 def _cmd_export_dot(args) -> int:
     fit = dataio.load_fit(args.fit)
     names = fit.names if fit.names is not None else tuple(f"x{i}" for i in range(fit.tree.d))
-    lines = []
-    if fit.root_hint_source == "user":
+    rooted = fit.root_hint_source == "user"
+    lines = ["digraph cascade {" if rooted else "graph cascade {"]
+    lines += [f'  "{name}";' for name in names]
+    if rooted:
         rt = root_tree(fit.tree, fit.root)
-        lines.append("digraph cascade {")
-        for name in names:
-            lines.append(f'  "{name}";')
         for child in sorted(fit.coeffs):
             parent = rt.parent[child]
             w = fit.weights[(min(child, parent), max(child, parent))]
             lines.append(f'  "{names[parent]}" -> "{names[child]}" [label="{w:.4f}"];')
     else:
-        lines.append("graph cascade {")
-        for name in names:
-            lines.append(f'  "{name}";')
         for i, j in fit.tree.sorted_edges():
             lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{fit.weights[(i, j)]:.4f}"];')
     lines.append("}")

@@ -9,10 +9,6 @@ class InvalidInputError(TreeCascadeError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class SizeLimitError(TreeCascadeError, ValueError):
-    """A combinatorial operation was asked to exceed its size guard."""
-
-
 class DegeneracyError(TreeCascadeError, ValueError):
     """A pair of variables is perfectly correlated or otherwise singular."""
 

@@ -5,8 +5,7 @@ squared residual of predicting every standardized component from its
 parent.  The optimal coefficient on each edge is the pairwise correlation,
 and the optimal tree is a maximum spanning tree of the complete graph
 weighted by squared correlations; at the optimum the objective collapses
-to d minus the sum of the chosen squared correlations.  A brute-force
-enumerator over all labeled trees serves as the optimality oracle.
+to d minus the sum of the chosen squared correlations.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from .dataio import (
     _differenced_rows,
     _standardize_in_place,
 )
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError
 from .trees import (
     RootedTree,
     Tree,
     WeightedGraph,
     canonical_edge,
-    enumerate_spanning_trees,
     maximum_spanning_tree,
     root_tree,
 )
@@ -193,42 +191,6 @@ def fit_cascade(c: CorrelationSummary, root_hint: int | None = None) -> FitResul
         weights={e: graph.weight(*e) for e in mst.tree.sorted_edges()},
         tree_unique=mst.is_unique,
         root_hint_source="default" if root_hint is None else "user",
-    )
-
-
-def brute_force_fit(c: CorrelationSummary) -> FitResult:
-    """Global minimizer over every labeled tree; the optimality oracle.
-
-    Evaluates the optimal-coefficient objective for all d**(d-2) trees.
-    Ties on the objective resolve to the lexicographically smallest sorted
-    edge list, and ``tree_unique`` reports whether the minimum was
-    attained by exactly one tree.
-    """
-    if c.d > 8:
-        raise SizeLimitError(f"brute-force fit is limited to d <= 8, got {c.d}")
-
-    def evaluate(tree: Tree) -> tuple[float, list[tuple[int, int]], Tree, dict[int, float]]:
-        rt = root_tree(tree, 0)
-        coeffs = optimal_coefficients(rt, c)
-        return objective_value(rt, coeffs, c), tree.sorted_edges(), tree, coeffs
-
-    candidates = map(evaluate, enumerate_spanning_trees(c.d))
-    best, tied = next(candidates), False
-    for candidate in candidates:
-        if candidate[0] <= best[0]:
-            tied = candidate[0] == best[0]
-        if candidate[:2] < best[:2]:  # lower objective, then smaller edge list
-            best = candidate
-    objective, edges, tree, coeffs = best
-    weights = {e: float(c.corr[e[0], e[1]]) ** 2 for e in edges}
-    return FitResult(
-        tree=tree,
-        root=0,
-        coeffs=coeffs,
-        objective=objective,
-        weights=weights,
-        tree_unique=not tied,
-        root_hint_source="default",
     )
 
 

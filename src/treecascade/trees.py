@@ -19,14 +19,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError
 
 #: The strict total edge order under which Prim's construction compares edges;
 #: it makes the maximum spanning tree unique, ties in weight included.
 CANONICAL_EDGE_ORDER = "weight descending, then (min vertex, max vertex) ascending"
-
-#: Guard for exhaustive spanning-tree enumeration (8**6 = 262144 trees).
-MAX_ENUMERATION_VERTICES = 8
 
 
 def canonical_edge(i: int, j: int) -> tuple[int, int]:
@@ -59,7 +56,7 @@ class Tree:
         for i, j in self.edges:
             if not (0 <= i < j < self.d):
                 raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {self.d} vertices")
-        if self.d > 1 and len(self._components()) != 1:
+        if len(_breadth_first(self, 0)[0]) != self.d:
             raise InvalidInputError("edge set is not connected")
 
     @staticmethod
@@ -83,9 +80,6 @@ class Tree:
 
     def has_edge(self, i: int, j: int) -> bool:
         return canonical_edge(i, j) in self.edges
-
-    def _components(self) -> list[list[int]]:
-        return connected_components(self.d, self.edges)
 
 
 @dataclass(frozen=True)
@@ -177,44 +171,6 @@ class MstResult:
     tree: Tree
     total_weight: float
     is_unique: bool
-
-
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
-def connected_components(d: int, edges) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest member."""
-    uf = _UnionFind(d)
-    for i, j in edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in range(d):
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted(groups.values(), key=lambda g: g[0])
 
 
 def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
@@ -346,39 +302,6 @@ def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> np.ndarray:
     return (np.minimum(x[rows, hop], x[hop, cols]) - x)[hop != cols]
 
 
-def enumerate_spanning_trees(d: int) -> Iterator[Tree]:
-    """Yield every labeled tree on ``d`` vertices exactly once.
-
-    Decodes all length-``d-2`` vertex sequences (the bijection with labeled
-    trees), so the count is ``d**(d-2)`` for ``d >= 2`` and 1 for ``d <= 2``.
-    Guarded at ``d <= 8`` against combinatorial blowup; this exists as the
-    exhaustive oracle for spanning-tree optimizers.
-    """
-    if d < 1:
-        raise InvalidInputError(f"vertex count must be >= 1, got {d}")
-    if d > MAX_ENUMERATION_VERTICES:
-        raise SizeLimitError(
-            f"refusing to enumerate {d}**{d - 2} spanning trees (limit d <= "
-            f"{MAX_ENUMERATION_VERTICES})"
-        )
-    if d == 1:
-        yield Tree(1)
-        return
-    if d == 2:
-        yield Tree(2, frozenset({(0, 1)}))
-        return
-    seq = [0] * (d - 2)
-    while True:
-        yield _tree_from_pruefer(seq, d)
-        pos = d - 3
-        while pos >= 0 and seq[pos] == d - 1:
-            seq[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        seq[pos] += 1
-
-
 def _tree_from_pruefer(seq: Sequence[int], d: int) -> Tree:
     """Decode a length-``d-2`` sequence over ``0..d-1`` into its labeled tree."""
     degree = [1] * d
@@ -409,23 +332,32 @@ def random_tree(d: int, rng: np.random.Generator) -> Tree:
     return _tree_from_pruefer(seq, d)
 
 
+def _breadth_first(t: Tree, r: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first walk of ``t`` from ``r``, neighbors in ascending order.
+
+    Returns the visit order and the parent and depth maps.  ``parent`` is
+    ``-1`` at ``r``; a vertex the walk does not reach is left out of the
+    order and has depth ``-1``.
+    """
+    adj = t.adjacency()
+    parent = [-1] * t.d
+    depth = [-1] * t.d
+    depth[r] = 0
+    order = [r]
+    for v in order:
+        for w in adj[v]:
+            if depth[w] < 0:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+    return order, parent, depth
+
+
 def root_tree(t: Tree, r: int) -> RootedTree:
     """Orient every edge of ``t`` toward the root ``r`` (breadth-first)."""
     if not (0 <= r < t.d):
         raise InvalidInputError(f"root {r} out of range for {t.d} vertices")
-    adj = t.adjacency()
-    parent = [-1] * t.d
-    depth = [0] * t.d
-    seen = [False] * t.d
-    seen[r] = True
-    queue = [r]
-    for v in queue:
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                queue.append(w)
+    _, parent, depth = _breadth_first(t, r)
     return RootedTree(t, r, tuple(parent), tuple(depth))
 
 
@@ -448,5 +380,15 @@ def cluster_by_edge_deletion(
             raise InvalidInputError(f"no weight given for tree edge {e}")
         if not np.isfinite(weights[e]):
             raise InvalidInputError(f"weight of edge {e} is not finite: {weights[e]!r}")
-    by_lightness = sorted(edges, key=lambda e: weights[e])
-    return connected_components(t.d, by_lightness[k - 1 :])
+    cut = set(sorted(edges, key=lambda e: weights[e])[: k - 1])
+    order, parent, _ = _breadth_first(t, 0)
+    label = list(range(t.d))
+    for v in order[1:]:
+        if canonical_edge(v, parent[v]) not in cut:
+            label[v] = label[parent[v]]
+    # Vertices ascend, so each cluster is sorted and the first vertex seen
+    # of each, its smallest, fixes the order of the clusters.
+    clusters: dict[int, list[int]] = {}
+    for v in range(t.d):
+        clusters.setdefault(label[v], []).append(v)
+    return list(clusters.values())

@@ -1,30 +1,36 @@
 """Loop-based reference implementations, kept as test oracles.
 
-The library computes the maximum spanning tree with dense Prim, certifies
-it with a bottleneck matrix, runs the dominance and covariance-lemma
-checks as array expressions over first-hop and LCA matrices, fills the
-cascade inverse column by column, and takes mutual-information weights
-from the shared correlation matrix.  The functions here are the
-straightforward versions those replaced: Kruskal over the canonical edge
-order, one tree-path walk per vertex pair or per vertex, and per-pair
-scalar formulas.  The data pipeline differences, standardizes and
-correlates in place over one buffer; the copying formulas it replaced are
-kept here too.  ``simulate`` streams one block of rows at a time from the
-draw to the file; the one-shot draw, product and ``csv.writer`` it
-replaced are kept as well.  Tests require the fast paths to agree with
-them exactly.
+The enumeration of every labeled tree (Pruefer decoding), the brute-force
+fit over all of them and the Chow-Liu tree on mutual-information weights
+check the paper's result itself.  The library computes the maximum
+spanning tree with dense Prim, certifies it with a bottleneck matrix, runs
+the dominance and covariance-lemma checks as array expressions over
+first-hop and LCA matrices, fills the cascade inverse column by column,
+and takes mutual-information weights from the shared correlation matrix.
+The functions here are the straightforward versions those replaced:
+Kruskal over the canonical edge order, one tree-path walk per vertex pair
+or per vertex, and per-pair scalar formulas.  The data pipeline
+differences, standardizes and correlates in place over one buffer; the
+copying formulas it replaced are kept here too.  ``simulate`` streams one
+block of rows at a time from the draw to the file; the one-shot draw,
+product and ``csv.writer`` it replaced are kept as well.  Tests require
+the fast paths to agree with them exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
 
 from treecascade import (
+    CorrelationSummary,
     DegeneracyError,
+    FitResult,
+    GaussianSummary,
     InvalidInputError,
     LemmaCheck,
     LemmaReport,
@@ -34,10 +40,71 @@ from treecascade import (
     WeightedGraph,
     canonical_edge,
     cascade_inverse,
+    correlation_from_covariance,
+    maximum_spanning_tree,
+    mutual_information_weights,
+    objective_value,
+    optimal_coefficients,
     population_covariance,
     root_tree,
 )
-from treecascade.trees import _UnionFind
+from treecascade.trees import _tree_from_pruefer
+
+#: Guard for exhaustive spanning-tree enumeration (8**6 = 262144 trees).
+MAX_ENUMERATION_VERTICES = 8
+
+
+def enumerate_spanning_trees(d: int):
+    """Every labeled tree on ``d`` vertices exactly once, as an iterator.
+
+    Decodes all length-``d-2`` vertex sequences (the bijection with labeled
+    trees) in lexicographic order, so the count is ``d**(d-2)`` for
+    ``d >= 2`` and 1 for ``d = 1``.  Guarded at ``d <= 8``.
+    """
+    if d < 1:
+        raise InvalidInputError(f"vertex count must be >= 1, got {d}")
+    if d > MAX_ENUMERATION_VERTICES:
+        raise ValueError(
+            f"refusing to enumerate {d}**{d - 2} spanning trees (limit d <= "
+            f"{MAX_ENUMERATION_VERTICES})"
+        )
+    if d == 1:
+        return iter([Tree(1)])
+    return (_tree_from_pruefer(seq, d) for seq in itertools.product(range(d), repeat=d - 2))
+
+
+def brute_force_fit(c: CorrelationSummary) -> FitResult:
+    """Global minimizer over every labeled tree; the optimality oracle.
+
+    Evaluates the optimal-coefficient objective for all d**(d-2) trees.
+    Ties on the objective resolve to the lexicographically smallest sorted
+    edge list, and ``tree_unique`` reports whether the minimum was
+    attained by exactly one tree.
+    """
+    if c.d > 8:
+        raise ValueError(f"brute-force fit is limited to d <= 8, got {c.d}")
+
+    def evaluate(tree: Tree) -> tuple[float, list[tuple[int, int]], Tree, dict[int, float]]:
+        rt = root_tree(tree, 0)
+        coeffs = optimal_coefficients(rt, c)
+        return objective_value(rt, coeffs, c), tree.sorted_edges(), tree, coeffs
+
+    candidates = map(evaluate, enumerate_spanning_trees(c.d))
+    best, tied = next(candidates), False
+    for candidate in candidates:
+        if candidate[0] <= best[0]:
+            tied = candidate[0] == best[0]
+        if candidate[:2] < best[:2]:  # lower objective, then smaller edge list
+            best = candidate
+    objective, edges, tree, coeffs = best
+    weights = {e: float(c.corr[e]) ** 2 for e in edges}
+    return FitResult(tree, 0, coeffs, objective, weights, tree_unique=not tied)
+
+
+def chow_liu_tree(s: GaussianSummary) -> MstResult:
+    """Optimal approximator tree: maximum spanning tree of pairwise MI weights."""
+    mi = mutual_information_weights(correlation_from_covariance(s.covariance))
+    return maximum_spanning_tree(WeightedGraph.from_matrix(mi))
 
 
 def ancestors(rt, i: int) -> list[int]:
@@ -114,11 +181,13 @@ def kruskal_mst(g: WeightedGraph) -> MstResult:
         ((g.weight(i, j), i, j) for i in range(g.d) for j in range(i + 1, g.d)),
         key=lambda t: (-t[0], t[1], t[2]),
     )
-    uf = _UnionFind(g.d)
+    component = list(range(g.d))
     chosen: list[tuple[int, int]] = []
     total = 0.0
     for w, i, j in edges:
-        if uf.union(i, j):
+        if component[i] != component[j]:
+            joined = component[j]
+            component = [component[i] if c == joined else c for c in component]
             chosen.append((i, j))
             total += w
             if len(chosen) == g.d - 1:

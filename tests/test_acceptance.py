@@ -35,11 +35,9 @@ import numpy as np
 import pytest
 
 from conftest import random_spd_covariance
-from oracles import graph_from_weights
+from oracles import brute_force_fit, chow_liu_tree, graph_from_weights
 from treecascade import (
-    brute_force_fit,
     cascade_inverse,
-    chow_liu_tree,
     coefficient_matrix,
     correlation_from_covariance,
     empirical_fit,

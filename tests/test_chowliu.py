@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd_covariance
-from oracles import scalar_mi_weight
+from oracles import chow_liu_tree, enumerate_spanning_trees, scalar_mi_weight
 from treecascade import (
     CascadeModel,
     CorrelationSummary,
@@ -26,10 +26,8 @@ from treecascade import (
     GaussianSummary,
     InvalidInputError,
     Tree,
-    chow_liu_tree,
     correlation_from_covariance,
     correspondence_check,
-    enumerate_spanning_trees,
     fit_cascade,
     mutual_information_weights,
     population_covariance,

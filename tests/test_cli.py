@@ -32,6 +32,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -785,6 +786,30 @@ class TestEntryPoint:
             tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
             asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not asserts, f"{source.name}: assert at lines {asserts}"
+
+    def test_public_names(self):
+        # the package exports the library only; test oracles live in tests/
+        names = sorted(
+            name
+            for name, value in vars(treecascade).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        )
+        assert names == [
+            "BUILTIN_SAMPLERS", "CANONICAL_EDGE_ORDER", "CascadeModel", "CorrelationSummary",
+            "CorrespondenceReport", "DataError", "Dataset", "DegeneracyError", "FitResult",
+            "GaussianSummary", "InvalidInputError", "LemmaCheck", "LemmaReport", "MstResult",
+            "RootedTree", "SchemaError", "Tree", "TreeCascadeError", "UnsupportedModelError",
+            "WeightedGraph", "canonical_edge", "cascade_inverse",
+            "check_strict_triangle_condition", "cluster_by_edge_deletion", "coefficient_matrix",
+            "correlation_from_covariance", "correlation_from_dataset", "correspondence_check",
+            "document_to_fit", "empirical_fit", "fit_cascade", "fit_to_document", "get_sampler",
+            "load_csv", "load_document", "load_fit", "make_unit_variance_model",
+            "maximum_spanning_tree", "model_from_document", "mst_is_unique",
+            "mutual_information_weights", "objective_value", "optimal_coefficients",
+            "population_covariance", "price_changes", "random_tree", "random_unit_variance_model",
+            "reroot", "root_tree", "sample_prices_path", "save_csv", "save_fit", "simulate",
+            "squared_correlation_graph", "standardize", "verify_covariance_lemmas",
+        ]
 
     def test_import_loads_no_more_of_numpy(self):
         # numpy loads numpy.random lazily; the CLI import must not pull it in

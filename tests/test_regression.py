@@ -20,15 +20,14 @@ import numpy as np
 import pytest
 
 from conftest import random_correlation, random_spd_covariance
+from oracles import brute_force_fit
 from treecascade import (
     CorrelationSummary,
     DataError,
     Dataset,
     GaussianSummary,
     InvalidInputError,
-    SizeLimitError,
     Tree,
-    brute_force_fit,
     correlation_from_covariance,
     correlation_from_dataset,
     empirical_fit,
@@ -243,7 +242,7 @@ class TestBruteForce:
                 assert fit.tree.edges == oracle.tree.edges
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValueError, match="limited to d <= 8, got 9"):
             brute_force_fit(random_correlation(9, np.random.default_rng(1)))
 
     def test_tie_reporting_on_equicorrelated_input(self):

@@ -1,17 +1,20 @@
 """Tests for trees, rooted trees, and the deterministic maximum spanning tree.
 
 Claims covered:
-  - Tree/RootedTree/WeightedGraph validation rejects malformed inputs.
+  - Tree/RootedTree/WeightedGraph validation rejects malformed inputs, and
+    Tree accepts exactly the labeled trees among all (d - 1)-edge sets.
   - The MST matches brute-force enumeration over all labeled trees.
   - Uniqueness certification is exact: strict cycle property, no tolerance.
   - The strict path-dominance condition implies a unique maximum.
   - The first-hop and common-ancestor matrices match the path-walk oracles.
   - Monotone re-weighting never changes the selected edge set.
-  - Edge-deletion clustering removes exactly the lightest tree edges.
+  - Edge-deletion clustering removes exactly the lightest tree edges: for
+    every k, vertices share a cluster iff no cut edge lies between them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,16 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ancestors, graph_from_weights, lca, path_edges, path_vertices
+from oracles import (
+    ancestors,
+    enumerate_spanning_trees,
+    graph_from_weights,
+    lca,
+    path_edges,
+    path_vertices,
+)
 from treecascade import (
     InvalidInputError,
-    SizeLimitError,
     Tree,
     WeightedGraph,
     check_strict_triangle_condition,
     cluster_by_edge_deletion,
     correlation_from_covariance,
-    enumerate_spanning_trees,
     maximum_spanning_tree,
     mst_is_unique,
     population_covariance,
@@ -65,6 +73,21 @@ class TestTreeType:
         # right edge count, but a 3-cycle plus an isolated vertex
         with pytest.raises(InvalidInputError, match="not connected"):
             Tree.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_connectivity_exhaustive(self, d):
+        # of all (d - 1)-subsets of the vertex pairs, exactly the labeled
+        # trees are accepted; every other subset holds a cycle and leaves
+        # some vertex unreached
+        trees = {t.edges for t in enumerate_spanning_trees(d)}
+        pairs = list(itertools.combinations(range(d), 2))
+        for subset in itertools.combinations(pairs, d - 1):
+            edges = frozenset(subset)
+            if edges in trees:
+                assert Tree(d, edges).edges == edges
+            else:
+                with pytest.raises(InvalidInputError, match="not connected"):
+                    Tree(d, edges)
 
     def test_from_edges_canonicalizes(self):
         t = Tree.from_edges(3, [(1, 0), (2, 1)])
@@ -309,7 +332,7 @@ class TestEnumeration:
         assert len({t.edges for t in trees}) == count  # pairwise distinct
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValueError, match=r"refusing to enumerate 9\*\*7 spanning trees"):
             list(enumerate_spanning_trees(9))
 
     def test_every_yield_is_a_valid_tree(self):
@@ -403,3 +426,24 @@ class TestClustering:
 
     def test_single_vertex(self):
         assert cluster_by_edge_deletion(Tree(1), {}, 1) == [[0]]
+
+    def test_every_k_matches_path_oracle(self):
+        # quarter-grid weights tie often; the k - 1 cut edges are the
+        # lightest in canonical order, and two vertices share a cluster
+        # exactly when no cut edge lies on the tree path between them
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            d = int(rng.integers(1, 13))
+            t = random_tree(d, rng)
+            rt = root_tree(t, 0)
+            weights = {e: int(rng.integers(0, 5)) / 4.0 for e in t.sorted_edges()}
+            by_lightness = sorted(t.sorted_edges(), key=lambda e: (weights[e], e))
+            for k in range(1, d + 1):
+                cut = set(by_lightness[: k - 1])
+                expected = []
+                for i in range(d):
+                    if not any(i in cluster for cluster in expected):
+                        expected.append(
+                            [j for j in range(d) if not cut.intersection(path_edges(rt, i, j))]
+                        )
+                assert cluster_by_edge_deletion(t, weights, k) == expected
