@@ -110,9 +110,13 @@ def population_covariance(m: CascadeModel) -> np.ndarray:
 
     Entries that overflow come out infinite or NaN, without a warning.
     """
-    inv = cascade_inverse(m)
+    return _covariance(cascade_inverse(m), m.error_variance_vector())
+
+
+def _covariance(inv: np.ndarray, error_vars: np.ndarray) -> np.ndarray:
+    """``population_covariance`` from the model's inverse and error variances."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = (inv * m.error_variance_vector()) @ inv.T
+        cov = (inv * error_vars) @ inv.T
         return (cov + cov.T) / 2.0
 
 
@@ -199,8 +203,13 @@ def _draw_rademacher(rng, sizes, variances):
 def _draw_dependent(rng, sizes, variances):
     # One shared magnitude per draw, independent signs per coordinate:
     # pairwise correlations vanish, yet the components share |magnitude|.
-    # Every magnitude is drawn before any sign, as in a single block.
-    magnitude = rng.standard_normal((sum(sizes), 1))
+    # Every magnitude is drawn before any sign, as in a single block, so
+    # this sampler holds 8 bytes per row.
+    rows = sizes.rows if isinstance(sizes, _BlockSizes) else sum(sizes)
+    try:
+        magnitude = rng.standard_normal((rows, 1))
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise InvalidInputError(f"the dependent sampler cannot hold {rows} magnitudes") from None
     np.abs(magnitude, out=magnitude)
     scale = np.sqrt(variances)
     start = 0
@@ -275,11 +284,23 @@ def _simulated_blocks(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> I
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
-    step = _block_rows(m.d)
-    full = max(1, n // step)
-    sizes = [step] * (full - 1) + [n - step * (full - 1)]
+    sizes = _BlockSizes(n, _block_rows(m.d))
     draws = sampler(np.random.default_rng(seed), sizes, m.error_variance_vector())
     return _transformed(draws, cascade_inverse(m).T)
+
+
+class _BlockSizes(Sequence):
+    """Row counts of ``rows`` rows in blocks of ``step``, the last taking the remainder, lazily."""
+
+    def __init__(self, rows: int, step: int) -> None:
+        self.rows, self.step = rows, step
+
+    def __len__(self) -> int:
+        return max(1, self.rows // self.step)
+
+    def __getitem__(self, k: int) -> int:
+        k = range(len(self))[k]  # negative indices; IndexError past the end
+        return self.step if k < len(self) - 1 else self.rows - self.step * k
 
 
 def _transformed(draws: Iterator[np.ndarray], inv_t: np.ndarray) -> Iterator[np.ndarray]:
@@ -353,10 +374,14 @@ def verify_covariance_lemmas(m: CascadeModel) -> LemmaReport:
     if not m.unit_variance:
         raise UnsupportedModelError("verify_covariance_lemmas requires a unit-variance model")
     inv = cascade_inverse(m)
-    cov = population_covariance(m)
-    hop, meet = _hop_and_meet_matrices(m.rt)
-    rows = np.arange(m.d)[:, None]
-    cols = np.arange(m.d)[None, :]
+    cov = _covariance(inv, m.error_variance_vector())
+    return _lemma_report(inv, cov, *_hop_and_meet_matrices(m.rt))
+
+
+def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.ndarray) -> LemmaReport:
+    """``verify_covariance_lemmas`` from the model's inverse, covariance and hop/meet pair."""
+    rows = np.arange(len(inv))[:, None]
+    cols = np.arange(len(inv))[None, :]
 
     ancestor_devs = np.abs(cov - inv.T)[(meet == rows) & (rows != cols)]
     i, j = np.nonzero((rows < cols) & (meet != rows) & (meet != cols))

@@ -17,13 +17,14 @@ import numpy as np
 
 from . import dataio
 from .cascade import (
+    _covariance,
+    _lemma_report,
     _simulated_blocks,
     cascade_inverse,
     coefficient_matrix,
     get_sampler,
     population_covariance,
     random_unit_variance_model,
-    verify_covariance_lemmas,
 )
 from .chowliu import GaussianSummary, correspondence_check
 from .errors import InvalidInputError, TreeCascadeError
@@ -34,7 +35,7 @@ from .regression import (
     fit_cascade,
     squared_correlation_graph,
 )
-from .trees import check_strict_triangle_condition, cluster_by_edge_deletion, root_tree
+from .trees import _hop_and_meet_matrices, _path_neighbor_gaps, cluster_by_edge_deletion, root_tree
 
 
 def main(argv=None) -> int:
@@ -149,17 +150,21 @@ def _cmd_verify(args) -> int:
     if not model.unit_variance:
         raise InvalidInputError("verify requires a unit-variance model document")
 
+    # the model's algebra, built once; the hop matrix does not depend on the root
+    inv = cascade_inverse(model)
+    cov = _covariance(inv, model.error_variance_vector())
+    hop, meet = _hop_and_meet_matrices(model.rt)
+
     rows: list[tuple[str, bool, str]] = []
-    inv_gap = float(
-        np.max(np.abs(cascade_inverse(model) - np.linalg.inv(np.eye(model.d) - coefficient_matrix(model))))
-    )
+    inv_gap = float(np.max(np.abs(inv - np.linalg.inv(np.eye(model.d) - coefficient_matrix(model)))))
     rows.append(("closed-form-inverse", inv_gap <= 1e-12, f"max gap {inv_gap:.3e}"))
 
-    for check in verify_covariance_lemmas(model).checks:
+    for check in _lemma_report(inv, cov, hop, meet).checks:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
 
-    summary = correlation_from_covariance(population_covariance(model))
-    triangle = check_strict_triangle_condition(squared_correlation_graph(summary), model.rt.tree)
+    summary = correlation_from_covariance(cov)
+    gaps = _path_neighbor_gaps(squared_correlation_graph(summary).matrix, hop)
+    triangle = bool((gaps > 0.0).all())
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
 
     fit = fit_cascade(summary)
@@ -215,6 +220,7 @@ def _cmd_chow_check(args) -> int:
 def _cmd_export_dot(args) -> int:
     fit = dataio.load_fit(args.fit)
     names = fit.names if fit.names is not None else tuple(f"x{i}" for i in range(fit.tree.d))
+    names = [name.replace('"', '\\"') for name in names]  # a DOT ID's one escape
     rooted = fit.root_hint_source == "user"
     lines = ["digraph cascade {" if rooted else "graph cascade {"]
     lines += [f'  "{name}";' for name in names]

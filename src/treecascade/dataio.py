@@ -464,6 +464,11 @@ def document_to_fit(doc: Mapping):
 
     Raises a schema error naming the offending field path.
     """
+    return _document_to_rooted_fit(doc)[0]
+
+
+def _document_to_rooted_fit(doc: Mapping):
+    """``document_to_fit``, with the tree rooted as the document orients it."""
     from .regression import FitResult
 
     _check_version(doc)
@@ -535,7 +540,7 @@ def document_to_fit(doc: Mapping):
         tree_unique=_require(doc, "tree_unique", bool),
         root_hint_source=source,
         names=tuple(names_field) if names_field is not None else None,
-    )
+    ), rt
 
 
 def model_from_document(doc: Mapping):
@@ -547,8 +552,7 @@ def model_from_document(doc: Mapping):
     """
     from .cascade import CascadeModel, make_unit_variance_model
 
-    fit = document_to_fit(doc)
-    rt = root_tree(fit.tree, fit.root)
+    fit, rt = _document_to_rooted_fit(doc)
     error_vars = {i: float(v) for i, v in enumerate(doc["error_vars"])}
     if doc["unit_variance"]:
         try:

@@ -192,10 +192,13 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     best_u = np.zeros(g.d, dtype=np.intp)
     edges: list[tuple[int, int]] = []
     for _ in range(g.d - 1):
-        ties = np.flatnonzero(best_w == best_w.max())
-        lo = np.minimum(best_u[ties], ties)
-        hi = np.maximum(best_u[ties], ties)
-        v = int(ties[np.lexsort((hi, lo))[0]])
+        v = int(best_w.argmax())
+        if np.count_nonzero(best_w == best_w[v]) > 1:
+            # a tie for the top weight: the smallest (min, max) pair wins
+            ties = np.flatnonzero(best_w == best_w[v])
+            lo = np.minimum(best_u[ties], ties)
+            hi = np.maximum(best_u[ties], ties)
+            v = int(ties[np.lexsort((hi, lo))[0]])
         edges.append(canonical_edge(int(best_u[v]), v))
         outside[v] = False
         best_w[v] = -np.inf
@@ -203,8 +206,8 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
         # weights the canonical order prefers the smaller other endpoint.
         row = w[v]
         better = outside & ((row > best_w) | ((row == best_w) & (v < best_u)))
-        best_w[better] = row[better]
-        best_u[better] = v
+        np.putmask(best_w, better, row)
+        np.putmask(best_u, better, v)
     total = 0.0
     for e in sorted(edges, key=lambda e: (-w[e], e)):
         total += float(w[e])

@@ -19,6 +19,12 @@ Claims covered:
     overflowing model gives one error line naming the global row, and no
     partial regular file is left behind.
   - A constant column is rejected even when its mean rounds.
+  - verify builds the inverse, the covariance and the hop/meet pair once,
+    and chow-check --fit the covariance once; verify's report equals the
+    one built from the public functions called one by one.
+  - simulate takes its blocks lazily, so a huge n starts writing at
+    once; the dependent sampler names its failed allocation, exit 2.
+  - export-dot escapes '"' in column names.
 """
 
 from __future__ import annotations
@@ -42,14 +48,23 @@ from hypothesis import strategies as st
 
 import treecascade
 from treecascade import (
+    cascade_inverse,
+    check_strict_triangle_condition,
+    coefficient_matrix,
     correlation_from_covariance,
     fit_cascade,
+    get_sampler,
     load_fit,
     population_covariance,
     random_unit_variance_model,
     sample_prices_path,
     save_fit,
+    squared_correlation_graph,
+    verify_covariance_lemmas,
 )
+from treecascade import cascade as cascade_module
+from treecascade import trees as trees_module
+from treecascade.cascade import _simulated_blocks
 from treecascade.cli import main
 from treecascade.dataio import _block_rows, fit_to_document, load_document, model_from_document
 
@@ -311,6 +326,34 @@ class TestSimulateCommand:
         assert stderr == f"error: non-finite value at row {row}, column 'x1'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [10**18, 10**19])
+    def test_dependent_magnitudes_past_memory_named(self, capsys, tmp_path, n):
+        # dependent holds 8 bytes per row: 10**18 rows fail to allocate, 10**19 exceed numpy's limit
+        _, _, doc = model_fit_document(tmp_path, d=3)
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--sampler", "dependent",
+            "--n", str(n), "--seed", "1", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: the dependent sampler cannot hold {n} magnitudes\n"
+        assert not out.exists()
+
+    def test_huge_n_starts_with_the_first_block(self, tmp_path):
+        # a list of the block sizes of 10**18 rows would not fit in memory
+        _, _, doc = model_fit_document(tmp_path, d=30)
+        model = model_from_document(load_document(doc))
+        b = _block_rows(30)
+        tracemalloc.start()
+        try:
+            first = next(_simulated_blocks(model, get_sampler("gaussian"), 10**18, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        expected = one_shot_simulate(model, "gaussian", b, 5)
+        assert np.array_equal(first.view(np.int64), expected.view(np.int64))
+
     def test_non_regular_out_is_not_unlinked(self, capsys, tmp_path):
         # a pipe stands in for /dev/stdout: it is written to, then left in place
         doc = overflowing_document(tmp_path)
@@ -356,6 +399,82 @@ class TestVerifyCommand:
         doc.write_text(json.dumps(raw))
         code, _, stderr = run(capsys, "verify", "--model", str(doc))
         assert code != 0 and "rejected" in stderr
+
+
+def verify_table(model, label: str) -> str:
+    """The ``verify`` report built from the public functions, each called on its own."""
+    rows = []
+    inv_gap = float(
+        np.max(np.abs(cascade_inverse(model) - np.linalg.inv(np.eye(model.d) - coefficient_matrix(model))))
+    )
+    rows.append(("closed-form-inverse", inv_gap <= 1e-12, f"max gap {inv_gap:.3e}"))
+    for check in verify_covariance_lemmas(model).checks:
+        rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
+    summary = correlation_from_covariance(population_covariance(model))
+    triangle = check_strict_triangle_condition(squared_correlation_graph(summary), model.rt.tree)
+    rows.append(("strict-triangle", triangle, "squared-correlation weights"))
+    fit = fit_cascade(summary)
+    recovered = fit.tree.edges == model.rt.tree.edges
+    rows.append(("mst-recovery", recovered and fit.tree_unique, f"unique={fit.tree_unique}"))
+    gap = abs(fit.objective - (fit.tree.d - sum(fit.weights.values())))
+    rows.append(("objective-identity", gap <= 1e-12, f"gap {gap:.3e}"))
+    width = max(len(name) for name, _, _ in rows)
+    lines = [f"verification of {label}"]
+    lines += [f"  {name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}" for name, ok, detail in rows]
+    lines.append(f"result: {'pass' if all(ok for _, ok, _ in rows) else 'FAIL'}")
+    return "\n".join(lines) + "\n"
+
+
+def rooted_model_document(tmp_path, d: int, seed: int):
+    """A random unit-variance model's fit document, rooted where the model is."""
+    model = random_unit_variance_model(d, np.random.default_rng(seed))
+    fit = fit_cascade(correlation_from_covariance(population_covariance(model)), root_hint=model.root)
+    path = tmp_path / f"model-{d}-{seed}.json"
+    save_fit(fit, path)
+    return model, path
+
+
+class TestVerifyAlgebra:
+    """``verify`` builds each piece of a model's algebra once, with the same report."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 40])
+    def test_report_equals_the_public_functions(self, capsys, tmp_path, d):
+        for seed in range(4):
+            model, path = rooted_model_document(tmp_path, d, seed)
+            loaded = model_from_document(load_document(path))
+            assert loaded.root == model.root
+            code, stdout, _ = run(capsys, "verify", "--model", str(path))
+            assert code == 0
+            assert stdout == verify_table(loaded, str(path))
+
+    def test_each_builder_runs_once(self, monkeypatch, tmp_path):
+        builders = {
+            "inverse": cascade_module.cascade_inverse,
+            "covariance": cascade_module._covariance,
+            "hop/meet": trees_module._hop_and_meet_matrices,
+        }
+        calls = dict.fromkeys(builders, 0)
+        _, path = rooted_model_document(tmp_path, 30, 3)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # rebind the wrapper under every name a treecascade module holds the builder by
+        for key, module in list(sys.modules.items()):
+            if key == "treecascade" or key.startswith("treecascade."):
+                for attr, value in list(vars(module).items()):
+                    for name, fn in builders.items():
+                        if value is fn:
+                            monkeypatch.setitem(vars(module), attr, counted(name, fn))
+        assert quiet_main("verify", "--model", path) == 0
+        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1}
+        calls.update(dict.fromkeys(builders, 0))
+        assert quiet_main("chow-check", "--fit", path) == 0
+        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 0}
 
 
 class TestClusterCommand:
@@ -428,6 +547,18 @@ class TestExportDotCommand:
         code, _, stderr = run(capsys, "export-dot", "--fit", str(doc), "--out", str(out))
         assert code == 2 and "weights[0]: value is not finite: nan" in stderr
         assert not out.exists()
+
+    def test_quote_in_name_escaped(self, capsys, tmp_path):
+        data = tmp_path / "quote.csv"
+        data.write_text('"a""b",c,d\n1,2,4\n2,3,3\n4,1,5\n3,5,2\n', encoding="utf-8")
+        fit_path, out = tmp_path / "fit.json", tmp_path / "fit.dot"
+        assert run(capsys, "fit", "--data", str(data), "--out", str(fit_path))[0] == 0
+        code, _, _ = run(capsys, "export-dot", "--fit", str(fit_path), "--out", str(out))
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == (
+            'graph cascade {\n  "a\\"b";\n  "c";\n  "d";\n'
+            '  "a\\"b" -- "d" [label="0.0400"];\n  "c" -- "d" [label="0.9657"];\n}\n'
+        )
 
     def test_round_trip_from_fit_command(self, capsys, tmp_path):
         fit_path = tmp_path / "fit.json"

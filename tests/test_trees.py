@@ -3,7 +3,8 @@
 Claims covered:
   - Tree/RootedTree/WeightedGraph validation rejects malformed inputs, and
     Tree accepts exactly the labeled trees among all (d - 1)-edge sets.
-  - The MST matches brute-force enumeration over all labeled trees.
+  - The MST matches brute-force enumeration over all labeled trees, and
+    Kruskal's tree on tie-heavy weights up to d = 40.
   - Uniqueness certification is exact: strict cycle property, no tolerance.
   - The strict path-dominance condition implies a unique maximum.
   - The first-hop and common-ancestor matrices match the path-walk oracles.
@@ -26,6 +27,7 @@ from oracles import (
     ancestors,
     enumerate_spanning_trees,
     graph_from_weights,
+    kruskal_mst,
     lca,
     path_edges,
     path_vertices,
@@ -253,6 +255,18 @@ class TestMaximumSpanningTree:
             if res.is_unique:
                 argmax = [edges for edges, w in totals.items() if w == best_weight]
                 assert len(argmax) == 1 and argmax[0] == res.tree.edges
+
+    def test_tie_heavy_grid_weights_match_kruskal(self):
+        # one to three weight levels, so most steps of Prim take the tie path
+        rng = np.random.default_rng(2022)
+        for d in range(9, 41):
+            for levels in (1, 2, 3):
+                k = rng.integers(0, levels, (d, d))
+                g = WeightedGraph.from_matrix((np.triu(k, 1) + np.triu(k, 1).T) / 4.0)
+                fast, slow = maximum_spanning_tree(g), kruskal_mst(g)
+                assert fast.tree == slow.tree, (d, levels)
+                assert fast.is_unique == slow.is_unique, (d, levels)
+                assert fast.total_weight.hex() == slow.total_weight.hex(), (d, levels)
 
     def test_determinism(self):
         g1 = complete_graph(5, FROZEN_D5_WEIGHTS)
