@@ -5,7 +5,7 @@ Every command is deterministic given its flags (randomness always flows
 through an explicit seed into numpy's PCG64 generator).  Diagnostics go
 to standard error; data goes to files or standard output.  Exit codes:
 0 success, 1 a verification or correspondence check failed, 2 invalid
-input, bad data, or file problems.
+input, bad data, file problems, or an allocation that fails.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TreeCascadeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TreeCascadeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -220,7 +217,8 @@ def _cmd_chow_check(args) -> int:
 def _cmd_export_dot(args) -> int:
     fit = dataio.load_fit(args.fit)
     names = fit.names if fit.names is not None else tuple(f"x{i}" for i in range(fit.tree.d))
-    names = [name.replace('"', '\\"') for name in names]  # a DOT ID's one escape
+    # a quoted DOT ID escapes its backslashes, then its quotes
+    names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in names]
     rooted = fit.root_hint_source == "user"
     lines = ["digraph cascade {" if rooted else "graph cascade {"]
     lines += [f'  "{name}";' for name in names]

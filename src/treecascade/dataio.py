@@ -267,9 +267,10 @@ def _utf8_error_offset(path) -> int:
             offset += len(block)
 
 
-# Rows per write: a chunk's Python floats and text stay about 1 MiB at
-# d=30, where 4096-row chunks cost 15 MiB of peak memory.
-_ROWS_PER_CHUNK = 256
+# Values per write: a chunk's Python floats and text stay about 1 MiB at
+# any width (256 rows at d=30, where 4096-row chunks cost 15 MiB of peak
+# memory).
+_VALUES_PER_CHUNK = 7680
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -288,19 +289,18 @@ def _write_csv(path, names, blocks: Iterable[np.ndarray]) -> None:
     """
     names = tuple(names)
     _check_unique(names)
+    rows = max(1, _VALUES_PER_CHUNK // max(1, len(names)))
+    # float repr is the shortest round-trip form, which csv.writer writes
+    row = ",".join(["%r"] * len(names)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         try:
             csv.writer(handle).writerow(names)
             written = 0
             for block in blocks:
                 _check_finite(block, names, written)
-                # Finite floats' repr (the shortest round-trip form csv
-                # writes) holds only digits, '.', 'e', '+' and '-'.  So the
-                # repr of a chunk of rows, with its brackets and separators
-                # swapped, is exactly the rows csv.writer would write.
-                for start in range(0, len(block), _ROWS_PER_CHUNK):
-                    text = repr(block[start : start + _ROWS_PER_CHUNK].tolist())
-                    handle.write(text[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
+                for start in range(0, len(block), rows):
+                    chunk = block[start : start + rows]
+                    handle.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
                 written += len(block)
         except BaseException:
             handle.close()

@@ -24,7 +24,9 @@ Claims covered:
     one built from the public functions called one by one.
   - simulate takes its blocks lazily, so a huge n starts writing at
     once; the dependent sampler names its failed allocation, exit 2.
-  - export-dot escapes '"' in column names.
+  - An allocation numpy refuses in fit, chow-check --data, verify or
+    simulate exits 2 with one error line and leaves no output file.
+  - export-dot escapes '\\' and '"' in column names.
 """
 
 from __future__ import annotations
@@ -549,16 +551,18 @@ class TestExportDotCommand:
         assert not out.exists()
 
     def test_quote_in_name_escaped(self, capsys, tmp_path):
-        data = tmp_path / "quote.csv"
-        data.write_text('"a""b",c,d\n1,2,4\n2,3,3\n4,1,5\n3,5,2\n', encoding="utf-8")
-        fit_path, out = tmp_path / "fit.json", tmp_path / "fit.dot"
-        assert run(capsys, "fit", "--data", str(data), "--out", str(fit_path))[0] == 0
-        code, _, _ = run(capsys, "export-dot", "--fit", str(fit_path), "--out", str(out))
-        assert code == 0
-        assert out.read_text(encoding="utf-8") == (
-            'graph cascade {\n  "a\\"b";\n  "c";\n  "d";\n'
-            '  "a\\"b" -- "d" [label="0.0400"];\n  "c" -- "d" [label="0.9657"];\n}\n'
-        )
+        # the names a"b and a\ (a trailing backslash would escape the closing quote)
+        for header, node in [('"a""b"', 'a\\"b'), ("a\\", "a\\\\")]:
+            data = tmp_path / "quote.csv"
+            data.write_text(f"{header},c,d\n1,2,4\n2,3,3\n4,1,5\n3,5,2\n", encoding="utf-8")
+            fit_path, out = tmp_path / "fit.json", tmp_path / "fit.dot"
+            assert run(capsys, "fit", "--data", str(data), "--out", str(fit_path))[0] == 0
+            code, _, _ = run(capsys, "export-dot", "--fit", str(fit_path), "--out", str(out))
+            assert code == 0
+            assert out.read_text(encoding="utf-8") == (
+                f'graph cascade {{\n  "{node}";\n  "c";\n  "d";\n'
+                f'  "{node}" -- "d" [label="0.0400"];\n  "c" -- "d" [label="0.9657"];\n}}\n'
+            )
 
     def test_round_trip_from_fit_command(self, capsys, tmp_path):
         fit_path = tmp_path / "fit.json"
@@ -618,6 +622,62 @@ class TestChowCheckCommand:
         path.write_text("{}")
         code, _, stderr = run(capsys, "chow-check", "--fit", str(path))
         assert code != 0 and "missing field" in stderr
+
+
+# numpy's message when it cannot allocate the d-by-d matrix of d = 200000
+NUMPY_OUT_OF_MEMORY = (
+    "Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"
+)
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+
+class TestOutOfMemory:
+    """An allocation numpy refuses is bad input: one error line, exit 2, no output file.
+
+    One stage is made to raise, because a real d-by-d request at d = 200000
+    may be granted, and then run for hours, on a host that overcommits memory.
+    """
+
+    def assert_one_error_line(self, capsys, *argv):
+        assert run(capsys, *argv) == (2, "", f"error: {NUMPY_OUT_OF_MEMORY}\n")
+
+    def test_fit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("treecascade.regression.correlation_from_dataset", out_of_memory)
+        out = tmp_path / "fit.json"
+        self.assert_one_error_line(
+            capsys, "fit", "--data", str(sample_prices_path()), "--out", str(out)
+        )
+        assert not out.exists()
+
+    def test_chow_check_data(self, capsys, monkeypatch):
+        monkeypatch.setattr("treecascade.cli.correlation_from_dataset", out_of_memory)
+        self.assert_one_error_line(capsys, "chow-check", "--data", str(sample_prices_path()))
+
+    def test_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr("treecascade.cli.cascade_inverse", out_of_memory)
+        self.assert_one_error_line(capsys, "verify", "--random", "5", "1")
+
+    def test_simulate_past_the_first_block(self, capsys, monkeypatch, tmp_path):
+        _, _, doc = model_fit_document(tmp_path, d=3)
+        out = tmp_path / "x.csv"
+        opened = []
+
+        def first_block_then_out_of_memory(rng, sizes, variances):
+            yield np.ones((sizes[0], len(variances)))
+            opened.append(out.exists())
+            out_of_memory()
+
+        samplers = cascade_module.BUILTIN_SAMPLERS
+        monkeypatch.setitem(samplers, "laplace", first_block_then_out_of_memory)
+        self.assert_one_error_line(
+            capsys, "simulate", "--model", str(doc), "--sampler", "laplace",
+            "--n", str(3 * _block_rows(3)), "--seed", "1", "--out", str(out),
+        )
+        assert opened == [True]
+        assert not out.exists()
 
 
 class TestNonUtf8Input:

@@ -6,9 +6,10 @@ Claims covered:
   - numpy's C reader, which reads plain files, returns what the
     validating parser returns, bit for bit, or leaves the file to it.
   - A byte that is not UTF-8 is an error naming the file and its offset.
-  - The block writer writes the bytes csv.writer writes; it checks the
-    names before opening the file and each block before writing it,
-    numbering rows from the first block, and removes a partial file.
+  - The chunk writer writes the bytes csv.writer writes, for any finite
+    double and at any width; it checks the names before opening the file
+    and each block before writing it, numbering rows from the first
+    block, and removes a partial file.
   - tools/generate_sample_prices.py reproduces the bundled sample CSV.
   - Standardization hits the n-1 convention exactly, is idempotent, and
     errors by column name on zero variance.
@@ -64,7 +65,7 @@ from treecascade import dataio
 from treecascade.dataio import dumps_document, read_csv_header
 
 from conftest import csv_texts
-from oracles import copying_correlation, copying_standardize
+from oracles import copying_correlation, copying_standardize, csv_writer_bytes
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -334,6 +335,34 @@ class TestSaveCsv:
         with pytest.raises(InvalidInputError, match="draw failed"):
             dataio._write_csv(path, ("a",), blocks())
         assert not path.exists()
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 7)),
+            elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+        )
+    )
+    @example(values=np.array([[-0.0, 5e-324, 2.2250738585072014e-308],
+                              [1.7976931348623157e308, -1.7976931348623157e308, 1e-310]]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_double_written_as_csv_writer_does(self, values, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "any.csv"
+        names = tuple(f"c{k}" for k in range(values.shape[1]))
+        save_csv(Dataset(values=values, names=names), path)
+        assert path.read_bytes() == csv_writer_bytes(names, values)
+
+    @pytest.mark.parametrize("d", [1, 7, 31])
+    def test_three_chunks_of_any_width(self, d, tmp_path):
+        # two full chunks and a short last one
+        rows = dataio._VALUES_PER_CHUNK // d
+        rng = np.random.default_rng(d)
+        n = 2 * rows + rows // 2 + 1
+        values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-320, 308, (n, d))
+        names = tuple(f"c{k}" for k in range(d))
+        path = tmp_path / "chunks.csv"
+        save_csv(Dataset(values=values, names=names), path)
+        assert path.read_bytes() == csv_writer_bytes(names, values)
 
 
 class TestBundledSample:
