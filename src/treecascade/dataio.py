@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataError, InvalidInputError, SchemaError
-from .trees import Tree, canonical_edge, root_tree
+from .trees import Tree, _unchecked, canonical_edge, root_tree
 
 FORMAT_VERSION = 1
 
@@ -47,6 +47,8 @@ class Dataset:
     def _freeze(self, values: np.ndarray) -> None:
         if values.ndim != 2:
             raise InvalidInputError(f"values must be a 2-D matrix, got ndim={values.ndim}")
+        if not values.shape[1]:
+            raise InvalidInputError("values must have at least one column, got 0")
         if len(self.names) != values.shape[1]:
             raise InvalidInputError(
                 f"{len(self.names)} column names for {values.shape[1]} columns"
@@ -86,8 +88,7 @@ def _adopt(values: np.ndarray, names) -> Dataset:
     package's readers and transforms hand theirs over this way, and skip
     the constructor's copy.
     """
-    ds = object.__new__(Dataset)
-    object.__setattr__(ds, "names", tuple(names))
+    ds = _unchecked(Dataset, names=tuple(names))
     ds._freeze(values)
     return ds
 

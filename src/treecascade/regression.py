@@ -177,11 +177,9 @@ def fit_cascade(c: CorrelationSummary, root_hint: int | None = None) -> FitResul
     recorded for orientation only), and fills in optimal coefficients.
     """
     root = 0 if root_hint is None else root_hint
-    if not (0 <= root < c.d):
-        raise InvalidInputError(f"root {root} out of range for {c.d} vertices")
     graph = squared_correlation_graph(c)
     mst = maximum_spanning_tree(graph)
-    rt = root_tree(mst.tree, root)
+    rt = mst.rooted if root == 0 else root_tree(mst.tree, root)
     coeffs = optimal_coefficients(rt, c)
     return FitResult(
         tree=mst.tree,

@@ -8,7 +8,9 @@ vertex pair ascending -- so equal inputs yield identical trees on every
 platform, ties included.  Uniqueness of the maximum is certified exactly
 (no tolerance) through the strict cycle property: every non-tree weight
 must fall strictly below the bottleneck matrix entry, the lightest edge on
-the tree path between its endpoints.
+the tree path between its endpoints.  Prim's tree comes rooted at vertex
+0, and path matrices such as the bottleneck fill in a parent-first walk,
+where the vertices before each one form a prefix.
 """
 
 from __future__ import annotations
@@ -145,14 +147,14 @@ class WeightedGraph:
             raise InvalidInputError(f"weight matrix must be square, got shape {m.shape}")
         if not m.size:
             raise InvalidInputError("vertex count must be >= 1, got 0")
-        # Finiteness first: NaN compares unequal to itself.
-        non_finite = np.argwhere(np.triu(~np.isfinite(m), 1))
-        if non_finite.size:
-            i, j = non_finite[0]
-            raise InvalidInputError(f"weight of edge ({i}, {j}) is not finite: {float(m[i, j])!r}")
-        asymmetric = np.argwhere(np.triu(m != m.T, 1))
-        if asymmetric.size:
-            i, j = asymmetric[0]
+        np.fill_diagonal(m, 0.0)
+        if not (np.isfinite(m).all() and np.array_equal(m, m.T)):
+            # name the first bad entry, finiteness first: NaN compares unequal to itself
+            non_finite = np.argwhere(np.triu(~np.isfinite(m), 1))
+            if non_finite.size:
+                i, j = non_finite[0]
+                raise InvalidInputError(f"weight of edge ({i}, {j}) is not finite: {float(m[i, j])!r}")
+            i, j = np.argwhere(np.triu(m != m.T, 1))[0]
             raise InvalidInputError(f"weight matrix not symmetric at ({i}, {j})")
         np.fill_diagonal(m, np.nan)
         return WeightedGraph(m)
@@ -166,11 +168,20 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class MstResult:
-    """A maximum spanning tree with its weight and an exact uniqueness flag."""
+    """A maximum spanning tree, its weight, an exact uniqueness flag, and Prim's rooting at 0."""
 
     tree: Tree
     total_weight: float
     is_unique: bool
+    rooted: RootedTree
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` instance built without its checks, for values correct by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
@@ -182,15 +193,16 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     maximum spanning tree is unique, so the result (including tie
     resolution) is identical across runs and platforms, and equals
     Kruskal's greedy tree over that order.  ``total_weight`` sums the tree
-    edges in that order.  ``is_unique`` certifies via :func:`mst_is_unique`
-    that no other spanning tree attains the same total weight.
+    edges in that order.  Prim grows the tree from vertex 0, so the parent
+    each vertex joined through roots it there: :func:`mst_is_unique`
+    certifies that rooting, which ``rooted`` keeps.
     """
     w = g.matrix
     outside = np.ones(g.d, dtype=bool)
     outside[0] = False
     best_w = np.where(outside, w[0], -np.inf)
     best_u = np.zeros(g.d, dtype=np.intp)
-    edges: list[tuple[int, int]] = []
+    parent, depth = [-1] * g.d, [0] * g.d
     for _ in range(g.d - 1):
         v = int(best_w.argmax())
         if np.count_nonzero(best_w == best_w[v]) > 1:
@@ -199,7 +211,8 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
             lo = np.minimum(best_u[ties], ties)
             hi = np.maximum(best_u[ties], ties)
             v = int(ties[np.lexsort((hi, lo))[0]])
-        edges.append(canonical_edge(int(best_u[v]), v))
+        parent[v] = u = int(best_u[v])
+        depth[v] = depth[u] + 1
         outside[v] = False
         best_w[v] = -np.inf
         # Candidate edges into one outside vertex share it, so among equal
@@ -208,11 +221,13 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
         better = outside & ((row > best_w) | ((row == best_w) & (v < best_u)))
         np.putmask(best_w, better, row)
         np.putmask(best_u, better, v)
+    edges = [canonical_edge(u, v) for v, u in enumerate(parent) if v]
     total = 0.0
     for e in sorted(edges, key=lambda e: (-w[e], e)):
         total += float(w[e])
-    tree = Tree(g.d, frozenset(edges))
-    return MstResult(tree, total, mst_is_unique(g, tree))
+    tree = _unchecked(Tree, d=g.d, edges=frozenset(edges))
+    rooted = _unchecked(RootedTree, tree=tree, root=0, parent=tuple(parent), depth=tuple(depth))
+    return MstResult(tree, total, mst_is_unique(g, rooted), rooted)
 
 
 def _parent_first_order(rt: RootedTree) -> np.ndarray:
@@ -220,18 +235,20 @@ def _parent_first_order(rt: RootedTree) -> np.ndarray:
     return np.argsort(rt.depth, kind="stable")
 
 
-def _bfs_joins(rt: RootedTree) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Walk ``rt`` level by level from its root, one join per non-root vertex.
+def _walk(rt: RootedTree) -> tuple[np.ndarray, Iterator[tuple[int, int, int, int]], tuple]:
+    """A parent-first walk of ``rt``: its order, its joins, and the gather back to vertex order.
 
-    Each join is ``(v, u, seen)``: vertex ``v``, its parent ``u``, and the
-    indices of every vertex visited before ``v``, ``u`` among them.  None
-    of those lies in the subtree of ``v``, so the tree path from ``v`` to
-    each of them starts with the edge to ``u``: a matrix of path quantities
-    gains row and column ``v`` from row ``u`` in one vectorized step.
+    The order is :func:`_parent_first_order`.  Join ``(k, v, u, pu)`` puts
+    ``v`` at position ``k`` and its parent ``u`` at ``pu < k``.  The tree
+    path from ``v`` to any vertex before it starts with the edge to ``u``,
+    so a matrix of path quantities kept in walk order gains row and column
+    ``k`` over the prefix ``[:k]`` from row ``pu``.
     """
     order = _parent_first_order(rt)
-    for k, v in enumerate(order.tolist()[1:], start=1):
-        yield v, rt.parent[v], order[:k]
+    pos = np.argsort(order)
+    at = pos.tolist()
+    joins = ((k, v, rt.parent[v], at[rt.parent[v]]) for k, v in enumerate(order.tolist()) if k)
+    return order, joins, np.ix_(pos, pos)
 
 
 def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
@@ -242,37 +259,44 @@ def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
     ``meet[i, j]`` is the deepest common ancestor of ``i`` and ``j``, a
     vertex being its own ancestor.  Both diagonals hold the vertex itself.
     """
+    order, joins, back = _walk(rt)
     hop = np.empty((rt.d, rt.d), dtype=np.intp)
     meet = np.empty((rt.d, rt.d), dtype=np.intp)
-    np.fill_diagonal(hop, np.arange(rt.d))
-    np.fill_diagonal(meet, np.arange(rt.d))
-    for v, u, seen in _bfs_joins(rt):
-        hop[v, seen] = u
-        hop[seen, v] = hop[seen, u]
-        hop[u, v] = v
-        meet[v, seen] = meet[seen, v] = meet[u, seen]
-    return hop, meet
+    np.fill_diagonal(hop, order)
+    np.fill_diagonal(meet, order)
+    for k, v, u, pu in joins:
+        hop[k, :k] = u
+        hop[:k, k] = hop[:k, pu]
+        hop[pu, k] = v
+        meet[k, :k] = meet[:k, k] = meet[pu, :k]
+    hop = hop[back]  # frees the walk-order hop before the second gather
+    return hop, meet[back]
 
 
-def mst_is_unique(g: WeightedGraph, t: Tree) -> bool:
+def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     """Exact uniqueness certificate for a maximum spanning tree.
 
     ``t`` is the unique maximum iff every non-tree edge ``{i, j}`` weighs
     strictly less than its bottleneck, the lightest edge on the tree path
     between ``i`` and ``j``.  Equality anywhere yields an equal-weight
-    exchange, hence a tie.  The bottleneck matrix fills in one
-    breadth-first pass.  Raises if ``t`` does not span ``g`` or is not
-    maximal (some non-tree edge outweighs a path edge).
+    exchange, hence a tie.  The bottleneck matrix fills over the prefixes
+    of a parent-first walk, of ``t`` rooted at 0, or from its own root
+    when ``t`` comes rooted.  Raises if ``t`` does not span ``g`` or is not
+    maximal, naming the first non-tree edge in row-major upper-triangle
+    order that outweighs an edge on its path.
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
     w = g.matrix
+    _, joins, back = _walk(t if isinstance(t, RootedTree) else root_tree(t, 0))
+    # a path minimum is exact, so the walk cannot change a bit
     bottleneck = np.full((g.d, g.d), np.inf)
-    for v, u, seen in _bfs_joins(root_tree(t, 0)):
-        bottleneck[v, seen] = bottleneck[seen, v] = np.minimum(bottleneck[u, seen], w[u, v])
-    heavier = np.argwhere(np.triu(w > bottleneck, 1))
-    if heavier.size:
-        i, j = heavier[0]
+    for k, v, u, pu in joins:
+        bottleneck[k, :k] = bottleneck[:k, k] = np.minimum(bottleneck[pu, :k], w[u, v])
+    bottleneck = bottleneck[back]
+    heavier = w > bottleneck
+    if heavier.any():
+        i, j = np.argwhere(np.triu(heavier, 1))[0]
         raise InvalidInputError(
             f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
             f"outweighs a tree edge on its path"

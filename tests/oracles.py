@@ -193,7 +193,7 @@ def kruskal_mst(g: WeightedGraph) -> MstResult:
             if len(chosen) == g.d - 1:
                 break
     tree = Tree(g.d, frozenset(chosen))
-    return MstResult(tree, total, path_walk_is_unique(g, tree))
+    return MstResult(tree, total, path_walk_is_unique(g, tree), root_tree(tree, 0))
 
 
 def path_walk_is_unique(g: WeightedGraph, t: Tree) -> bool:

@@ -449,14 +449,10 @@ class TestVerifyAlgebra:
             assert code == 0
             assert stdout == verify_table(loaded, str(path))
 
-    def test_each_builder_runs_once(self, monkeypatch, tmp_path):
-        builders = {
-            "inverse": cascade_module.cascade_inverse,
-            "covariance": cascade_module._covariance,
-            "hop/meet": trees_module._hop_and_meet_matrices,
-        }
+    @staticmethod
+    def count_calls(monkeypatch, builders):
+        """Count the calls of each named function, under every name a treecascade module holds it by."""
         calls = dict.fromkeys(builders, 0)
-        _, path = rooted_model_document(tmp_path, 30, 3)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -465,18 +461,37 @@ class TestVerifyAlgebra:
 
             return wrapper
 
-        # rebind the wrapper under every name a treecascade module holds the builder by
         for key, module in list(sys.modules.items()):
             if key == "treecascade" or key.startswith("treecascade."):
                 for attr, value in list(vars(module).items()):
                     for name, fn in builders.items():
                         if value is fn:
                             monkeypatch.setitem(vars(module), attr, counted(name, fn))
+        return calls
+
+    def test_each_builder_runs_once(self, monkeypatch, tmp_path):
+        builders = {
+            "inverse": cascade_module.cascade_inverse,
+            "covariance": cascade_module._covariance,
+            "hop/meet": trees_module._hop_and_meet_matrices,
+        }
+        _, path = rooted_model_document(tmp_path, 30, 3)
+        calls = self.count_calls(monkeypatch, builders)
         assert quiet_main("verify", "--model", path) == 0
         assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1}
         calls.update(dict.fromkeys(builders, 0))
         assert quiet_main("chow-check", "--fit", path) == 0
         assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 0}
+
+    def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
+        # the certificates and the fits take the tree as Prim rooted it at 0
+        _, path = rooted_model_document(tmp_path, 30, 3)
+        calls = self.count_calls(monkeypatch, {"root_tree": trees_module.root_tree})
+        assert quiet_main("verify", "--model", path) == 0
+        assert calls == {"root_tree": 1}
+        calls["root_tree"] = 0
+        assert quiet_main("chow-check", "--fit", path) == 0
+        assert calls == {"root_tree": 1}
 
 
 class TestClusterCommand:

@@ -387,6 +387,13 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="row 2, column 'b'"):
             Dataset(values=values, names=("a", "b"))
 
+    def test_zero_columns_rejected(self):
+        # an n-by-0 dataset would save as blank lines that load_csv rejects
+        with pytest.raises(InvalidInputError, match="at least one column, got 0"):
+            Dataset(values=np.empty((3, 0)), names=())
+        with pytest.raises(InvalidInputError, match="at least one column, got 0"):
+            dataio._adopt(np.empty((3, 0)), ())
+
     def test_values_frozen(self):
         ds = Dataset(values=np.zeros((1, 1)), names=("a",))
         with pytest.raises(ValueError):

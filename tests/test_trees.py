@@ -31,6 +31,7 @@ from oracles import (
     lca,
     path_edges,
     path_vertices,
+    path_walk_is_unique,
 )
 from treecascade import (
     InvalidInputError,
@@ -196,6 +197,15 @@ class TestWeightedGraph:
         g = WeightedGraph.from_matrix(np.array([[7.0, 1.0], [1.0, math.nan]]))
         assert g.weight(1, 0) == 1.0
 
+    def test_from_matrix_ignores_the_diagonal(self):
+        g = WeightedGraph.from_matrix(np.array([[math.inf, 1.0], [1.0, -math.inf]]))
+        assert g.weight(0, 1) == 1.0
+
+    def test_from_matrix_names_non_finite_before_asymmetry(self):
+        m = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, math.nan], [2.0, math.nan, 0.0]])
+        with pytest.raises(InvalidInputError, match=r"\(1, 2\) is not finite: nan"):
+            WeightedGraph.from_matrix(m)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidInputError, match="vertex count must be >= 1, got 0"):
             WeightedGraph.from_matrix(np.zeros((0, 0)))
@@ -267,6 +277,11 @@ class TestMaximumSpanningTree:
                 assert fast.tree == slow.tree, (d, levels)
                 assert fast.is_unique == slow.is_unique, (d, levels)
                 assert fast.total_weight.hex() == slow.total_weight.hex(), (d, levels)
+                # the rooting and the certificate Prim fills in its join order
+                rt = root_tree(fast.tree, 0)
+                assert fast.rooted.parent == rt.parent, (d, levels)
+                assert fast.rooted.depth == rt.depth, (d, levels)
+                assert fast.is_unique == path_walk_is_unique(g, fast.tree), (d, levels)
 
     def test_determinism(self):
         g1 = complete_graph(5, FROZEN_D5_WEIGHTS)
@@ -304,6 +319,38 @@ class TestMstUniqueness:
         g = complete_graph(3, {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.1})
         with pytest.raises(InvalidInputError):
             mst_is_unique(g, Tree.from_edges(2, [(0, 1)]))
+
+    def test_every_maximum_tree_matches_path_walks(self):
+        # trees Prim did not grow: every maximum of tie-heavy grid weights
+        rng = np.random.default_rng(6)
+        checked = 0
+        for d in range(2, 7):
+            for levels in (1, 2, 3):
+                k = rng.integers(0, levels, (d, d))
+                g = WeightedGraph.from_matrix((np.triu(k, 1) + np.triu(k, 1).T) / 4.0)
+                best = maximum_spanning_tree(g).total_weight
+                for t in enumerate_spanning_trees(d):
+                    if sum(g.weight(*e) for e in t.sorted_edges()) == best:
+                        expected = path_walk_is_unique(g, t)
+                        assert mst_is_unique(g, t) == expected, (d, levels, t)
+                        # a rooted tree is walked from its own root
+                        assert mst_is_unique(g, root_tree(t, d - 1)) == expected, (d, levels, t)
+                        checked += 1
+        assert checked > 100
+
+    def test_first_violating_pair_named(self):
+        # the path 0-3-2-4-1 leaves out the heavier (1, 2) and (3, 4); a walk
+        # from 0 meets 3 and 4 before 1, but (1, 2) comes first in row-major
+        # upper-triangle order
+        weights = dict.fromkeys(itertools.combinations(range(5), 2), 0.1)
+        weights.update({(0, 3): 0.5, (2, 3): 0.5, (2, 4): 0.5, (1, 4): 0.5})
+        weights.update({(1, 2): 0.7, (3, 4): 0.8})
+        g = complete_graph(5, weights)
+        t = Tree.from_edges(5, [(0, 3), (3, 2), (2, 4), (4, 1)])
+        with pytest.raises(InvalidInputError, match=r"non-tree edge \(1, 2\) outweighs"):
+            mst_is_unique(g, t)
+        with pytest.raises(InvalidInputError, match=r"non-tree edge \(1, 2\) outweighs"):
+            path_walk_is_unique(g, t)
 
 
 class TestStrictTriangleCondition:
