@@ -5,15 +5,12 @@ a rooted tree and whose error components are merely uncorrelated.  The
 undirected tree is recoverable as the maximum spanning tree of the
 complete graph weighted by squared pairwise correlations, and the same
 tree solves the Gaussian pairwise-MI approximation problem.
+
+The names below are the public API; internals live in the submodules.
 """
 
 from .cascade import (
-    BUILTIN_SAMPLERS,
     CascadeModel,
-    LemmaCheck,
-    LemmaReport,
-    cascade_inverse,
-    coefficient_matrix,
     get_sampler,
     make_unit_variance_model,
     population_covariance,
@@ -22,26 +19,8 @@ from .cascade import (
     simulate,
     verify_covariance_lemmas,
 )
-from .chowliu import (
-    CorrespondenceReport,
-    GaussianSummary,
-    correspondence_check,
-    mutual_information_weights,
-)
-from .dataio import (
-    Dataset,
-    document_to_fit,
-    fit_to_document,
-    load_csv,
-    load_document,
-    load_fit,
-    model_from_document,
-    price_changes,
-    sample_prices_path,
-    save_csv,
-    save_fit,
-    standardize,
-)
+from .chowliu import correspondence_check
+from .dataio import Dataset, load_csv, load_fit, sample_prices_path, save_csv, save_fit
 from .errors import (
     DataError,
     DegeneracyError,
@@ -57,22 +36,14 @@ from .regression import (
     correlation_from_dataset,
     empirical_fit,
     fit_cascade,
-    objective_value,
-    optimal_coefficients,
-    squared_correlation_graph,
 )
 from .trees import (
-    CANONICAL_EDGE_ORDER,
-    MstResult,
     RootedTree,
     Tree,
     WeightedGraph,
-    canonical_edge,
-    check_strict_triangle_condition,
     cluster_by_edge_deletion,
     maximum_spanning_tree,
     mst_is_unique,
-    random_tree,
     root_tree,
 )
 

@@ -17,39 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
-from .regression import CorrelationSummary, correlation_from_covariance, fit_cascade
+from .regression import CorrelationSummary, squared_correlation_graph
 from .trees import Tree, WeightedGraph, maximum_spanning_tree
-
-
-@dataclass(frozen=True)
-class GaussianSummary:
-    """Zero-mean Gaussian described by its positive-definite covariance.
-
-    Input is symmetrized (averaging tiny numerical asymmetry) and positive
-    definiteness is checked by attempting a Cholesky factorization.
-    """
-
-    covariance: np.ndarray
-
-    def __post_init__(self) -> None:
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
-            raise InvalidInputError(f"covariance must be square and non-empty, got shape {cov.shape}")
-        if not np.isfinite(cov).all():
-            raise InvalidInputError("covariance contains non-finite entries")
-        cov = (cov + cov.T) / 2.0
-        if not (np.diag(cov) > 0.0).all():
-            raise InvalidInputError("covariance diagonal must be strictly positive")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise InvalidInputError("covariance is not positive definite") from None
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def d(self) -> int:
-        return self.covariance.shape[0]
 
 
 def mutual_information_weights(c: CorrelationSummary) -> np.ndarray:
@@ -96,25 +65,30 @@ class CorrespondenceReport:
         return not (self.approximator_unique and self.cascade_unique)
 
 
-def correspondence_check(s: GaussianSummary) -> CorrespondenceReport:
-    """Run both tree selections and report whether they coincide.
+def correspondence_check(c: CorrelationSummary) -> CorrespondenceReport:
+    """Run both tree selections on a Gaussian's correlations and report whether they coincide.
 
-    Inequality is reported, not raised.  Non-unique maxima on either side
-    are surfaced so callers can flag ties.
+    Both trees depend on the correlations alone.  The Gaussian must be
+    nondegenerate: a correlation matrix that is not positive definite is
+    an error.  Inequality is reported, not raised.  Non-unique maxima on
+    either side are surfaced so callers can flag ties.
     """
-    corr = correlation_from_covariance(s.covariance)
-    mi = mutual_information_weights(corr)
+    try:
+        np.linalg.cholesky(c.corr)
+    except np.linalg.LinAlgError:
+        raise InvalidInputError("covariance is not positive definite") from None
+    mi = mutual_information_weights(c)
     approx = maximum_spanning_tree(WeightedGraph.from_matrix(mi))
-    fit = fit_cascade(corr)
+    cascade = maximum_spanning_tree(squared_correlation_graph(c))
     pairs = []
     for i, j in approx.tree.sorted_edges():
-        rho = float(corr.corr[i, j])
+        rho = float(c.corr[i, j])
         pairs.append(((i, j), rho * rho, float(mi[i, j])))
     return CorrespondenceReport(
         approximator_tree=approx.tree,
-        cascade_tree=fit.tree,
-        trees_equal=approx.tree.edges == fit.tree.edges,
+        cascade_tree=cascade.tree,
+        trees_equal=approx.tree.edges == cascade.tree.edges,
         approximator_unique=approx.is_unique,
-        cascade_unique=fit.tree_unique,
+        cascade_unique=cascade.is_unique,
         edge_pairs=tuple(pairs),
     )

@@ -26,16 +26,15 @@ from .cascade import (
     population_covariance,
     random_unit_variance_model,
 )
-from .chowliu import GaussianSummary, correspondence_check
+from .chowliu import correspondence_check
 from .errors import InvalidInputError, TreeCascadeError
 from .regression import (
     correlation_from_covariance,
     correlation_from_dataset,
     empirical_fit,
     fit_cascade,
-    squared_correlation_graph,
 )
-from .trees import _hop_and_meet_matrices, _path_neighbor_gaps, cluster_by_edge_deletion, root_tree
+from .trees import _hop_and_meet_matrices, _path_neighbor_gaps, cluster_by_edge_deletion
 
 
 def main(argv=None) -> int:
@@ -160,7 +159,8 @@ def _cmd_verify(args) -> int:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
 
     summary = correlation_from_covariance(cov)
-    gaps = _path_neighbor_gaps(squared_correlation_graph(summary).matrix, hop)
+    # the diagonal, which the graph would blank, is never read
+    gaps = _path_neighbor_gaps(summary.corr * summary.corr, hop)
     triangle = bool((gaps > 0.0).all())
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
 
@@ -199,13 +199,13 @@ def _cmd_cluster(args) -> int:
 def _cmd_chow_check(args) -> int:
     if args.data is not None:
         ds = dataio.load_csv(args.data)
-        cov = correlation_from_dataset(ds, overwrite=True).corr
+        corr = correlation_from_dataset(ds, overwrite=True)
         names = ds.names
     else:
         model = dataio.model_from_document(dataio.load_document(args.fit))
-        cov = population_covariance(model)
+        corr = correlation_from_covariance(population_covariance(model))
         names = tuple(f"x{i}" for i in range(model.d))
-    report = correspondence_check(GaussianSummary(cov))
+    report = correspondence_check(corr)
     for (i, j), rho_sq, mi in report.edge_pairs:
         print(f"edge {names[i]} -- {names[j]}: squared_correlation={rho_sq:.6f} mi_weight={mi:.6f}")
     print(f"trees_equal: {str(report.trees_equal).lower()}")
@@ -223,9 +223,8 @@ def _cmd_export_dot(args) -> int:
     lines = ["digraph cascade {" if rooted else "graph cascade {"]
     lines += [f'  "{name}";' for name in names]
     if rooted:
-        rt = root_tree(fit.tree, fit.root)
         for child in sorted(fit.coeffs):
-            parent = rt.parent[child]
+            parent = fit.rt.parent[child]
             w = fit.weights[(min(child, parent), max(child, parent))]
             lines.append(f'  "{names[parent]}" -> "{names[child]}" [label="{w:.4f}"];')
     else:

@@ -310,28 +310,6 @@ def _write_csv(path, names, blocks: Iterable[np.ndarray]) -> None:
             raise
 
 
-def standardize(ds: Dataset) -> Dataset:
-    """Center each column and scale to unit sample standard deviation.
-
-    The divisor is n - 1.  Already-standardized input passes through
-    numerically unchanged.  A column with zero spread is an error naming
-    the column; the structure of any downstream fit is invariant to the
-    n vs n - 1 convention because correlations are scale-free.  The values
-    are copied once and standardized in that copy; ``ds`` is unchanged.
-    """
-    return _adopt(_standardize_in_place(ds.values.copy(), ds.names), ds.names)
-
-
-def price_changes(ds: Dataset) -> Dataset:
-    """First differences of time-ordered rows (one fewer row).
-
-    Downstream fitting treats the differences as exchangeable draws; any
-    serial dependence is deliberately ignored.  The values are copied once
-    and differenced in that copy; ``ds`` is unchanged.
-    """
-    return _adopt(_difference_in_place(ds.values.copy()), ds.names)
-
-
 def _difference_in_place(v: np.ndarray) -> np.ndarray:
     """First differences of the rows of ``v``, written over its leading rows.
 
@@ -434,14 +412,13 @@ def fit_to_document(fit) -> dict:
     flag; fit metadata adds objective, per-edge weights aligned with the
     edges array, the uniqueness flag, and how the root was chosen.
     """
-    rt = root_tree(fit.tree, fit.root)
     error_vars = [0.0] * fit.tree.d
     error_vars[fit.root] = 1.0
     edges = []
     weights = []
     for child in sorted(fit.coeffs):
         coeff = fit.coeffs[child]
-        parent = rt.parent[child]
+        parent = fit.rt.parent[child]
         edges.append({"child": child, "parent": parent, "coeff": float(coeff)})
         weights.append(float(fit.weights[canonical_edge(child, parent)]))
         error_vars[child] = 1.0 - coeff * coeff
@@ -463,13 +440,9 @@ def fit_to_document(fit) -> dict:
 def document_to_fit(doc: Mapping):
     """Validate a fit document and rebuild the fit result.
 
-    Raises a schema error naming the offending field path.
+    The result keeps the tree rooted as the document orients it.  Raises a
+    schema error naming the offending field path.
     """
-    return _document_to_rooted_fit(doc)[0]
-
-
-def _document_to_rooted_fit(doc: Mapping):
-    """``document_to_fit``, with the tree rooted as the document orients it."""
     from .regression import FitResult
 
     _check_version(doc)
@@ -533,15 +506,14 @@ def _document_to_rooted_fit(doc: Mapping):
         if len(names_field) != d:
             raise SchemaError(f"names: expected {d} entries, got {len(names_field)}")
     return FitResult(
-        tree=tree,
-        root=root,
+        rt=rt,
         coeffs=coeffs,
         objective=_require_number(doc, "objective"),
         weights=weights,
         tree_unique=_require(doc, "tree_unique", bool),
         root_hint_source=source,
         names=tuple(names_field) if names_field is not None else None,
-    ), rt
+    )
 
 
 def model_from_document(doc: Mapping):
@@ -553,11 +525,11 @@ def model_from_document(doc: Mapping):
     """
     from .cascade import CascadeModel, make_unit_variance_model
 
-    fit, rt = _document_to_rooted_fit(doc)
+    fit = document_to_fit(doc)
     error_vars = {i: float(v) for i, v in enumerate(doc["error_vars"])}
     if doc["unit_variance"]:
         try:
-            model = make_unit_variance_model(rt, fit.coeffs)
+            model = make_unit_variance_model(fit.rt, fit.coeffs)
         except InvalidInputError as exc:
             raise SchemaError(f"edges: unit-variance model rejected: {exc}") from None
         for i in range(fit.tree.d):
@@ -567,7 +539,7 @@ def model_from_document(doc: Mapping):
                     "unit-variance coefficients"
                 )
         return model
-    return CascadeModel(rt, fit.coeffs, error_vars, unit_variance=False)
+    return CascadeModel(fit.rt, fit.coeffs, error_vars, unit_variance=False)
 
 
 def save_fit(fit, path) -> None:

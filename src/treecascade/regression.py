@@ -76,6 +76,8 @@ def correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
         raise InvalidInputError(f"covariance must be square and non-empty, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise InvalidInputError("covariance contains non-finite entries")
     diag = np.diag(cov)
     nonpositive = np.flatnonzero(~(diag > 0.0))
     if nonpositive.size:
@@ -94,11 +96,12 @@ def correlation_from_dataset(
 ) -> CorrelationSummary:
     """Empirical correlations of a dataset, standardized here (n - 1 divisor).
 
-    With ``diff`` the rows are first differenced, as ``price_changes``
-    does.  The values are copied once, and the differences and the
-    standardized values overwrite that copy.  With ``overwrite`` they
-    overwrite ``ds``'s own values instead, which are then unspecified: for
-    a caller that holds the only reference and wants no copy.
+    With ``diff`` the time-ordered rows are first replaced by their first
+    differences (one fewer row), treated as exchangeable draws.  The
+    values are copied once, and the differences and the standardized
+    values overwrite that copy.  With ``overwrite`` they overwrite
+    ``ds``'s own values instead, which are then unspecified: for a caller
+    that holds the only reference and wants no copy.
     """
     v = _buffer(ds, overwrite)
     if diff:
@@ -113,23 +116,31 @@ def correlation_from_dataset(
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted cascade: tree, root, coefficients, and diagnostics.
+    """A fitted cascade: rooted tree, coefficients, and diagnostics.
 
-    ``coeffs[i]`` is the correlation between non-root vertex ``i`` and its
-    parent; ``weights`` maps each tree edge to its squared correlation;
+    ``rt`` is the tree rooted as the fit orients it; ``coeffs[i]`` is the
+    correlation between non-root vertex ``i`` and its parent ``rt.parent[i]``;
+    ``weights`` maps each tree edge to its squared correlation;
     ``objective`` is the expected squared residual, which at the optimum
     equals d minus the sum of the weights; ``tree_unique`` certifies that
     no other tree attains the optimum.
     """
 
-    tree: Tree
-    root: int
+    rt: RootedTree
     coeffs: dict[int, float]
     objective: float
     weights: dict[tuple[int, int], float]
     tree_unique: bool
     root_hint_source: str = "default"
     names: tuple[str, ...] | None = None
+
+    @property
+    def tree(self) -> Tree:
+        return self.rt.tree
+
+    @property
+    def root(self) -> int:
+        return self.rt.root
 
 
 def optimal_coefficients(rt: RootedTree, c: CorrelationSummary) -> dict[int, float]:
@@ -176,14 +187,13 @@ def fit_cascade(c: CorrelationSummary, root_hint: int | None = None) -> FitResul
     roots it (the objective does not depend on the root; the root is
     recorded for orientation only), and fills in optimal coefficients.
     """
-    root = 0 if root_hint is None else root_hint
     graph = squared_correlation_graph(c)
     mst = maximum_spanning_tree(graph)
-    rt = mst.rooted if root == 0 else root_tree(mst.tree, root)
+    # Prim's tree comes rooted at 0
+    rt = mst.rooted if not root_hint else root_tree(mst.tree, root_hint)
     coeffs = optimal_coefficients(rt, c)
     return FitResult(
-        tree=mst.tree,
-        root=root,
+        rt=rt,
         coeffs=coeffs,
         objective=objective_value(rt, coeffs, c),
         weights={e: graph.weight(*e) for e in mst.tree.sorted_edges()},

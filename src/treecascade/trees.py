@@ -305,20 +305,6 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     return int(np.count_nonzero(w == bottleneck)) == 2 * (g.d - 1)
 
 
-def check_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
-    """Strict path-neighbor dominance check, sufficient for a unique maximum.
-
-    For every ordered pair of distinct nonadjacent vertices ``i, j`` with
-    ``k`` the first vertex on the tree path from ``i`` to ``j``, requires
-    ``W_ij < min(W_ik, W_kj)`` strictly.  When true, ``t`` is certified to
-    be the unique maximum spanning tree of ``g``.
-    """
-    if t.d != g.d:
-        raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
-    hop, _ = _hop_and_meet_matrices(root_tree(t, 0))
-    return bool((_path_neighbor_gaps(g.matrix, hop) > 0.0).all())
-
-
 def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> np.ndarray:
     """``min(x[i, k], x[k, j]) - x[i, j]`` over nonadjacent ordered pairs, ``k = hop[i, j]``.
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from treecascade import CorrelationSummary, correlation_from_covariance
+from treecascade import CorrelationSummary, Tree, WeightedGraph, correlation_from_covariance, root_tree
+from treecascade.trees import _hop_and_meet_matrices, _path_neighbor_gaps
 
 
 def random_spd_covariance(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -18,6 +19,16 @@ def random_spd_covariance(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_correlation(d: int, rng: np.random.Generator) -> CorrelationSummary:
     """Random valid correlation matrix (normalized SPD covariance)."""
     return correlation_from_covariance(random_spd_covariance(d, rng))
+
+
+def strict_triangle(g: WeightedGraph, t: Tree) -> bool:
+    """Strict path-neighbor dominance of ``g`` over ``t``, as ``verify`` checks it.
+
+    Every nonadjacent ordered pair ``i, j``, with ``k`` the first vertex on
+    the tree path from ``i`` to ``j``, needs ``W_ij < min(W_ik, W_kj)``.
+    """
+    hop, _ = _hop_and_meet_matrices(root_tree(t, 0))
+    return bool((_path_neighbor_gaps(g.matrix, hop) > 0.0).all())
 
 
 # Cells the validating parser and numpy's C reader could read differently:

@@ -30,24 +30,18 @@ from treecascade import (
     CorrelationSummary,
     DegeneracyError,
     FitResult,
-    GaussianSummary,
     InvalidInputError,
-    LemmaCheck,
-    LemmaReport,
-    MstResult,
     Tree,
     UnsupportedModelError,
     WeightedGraph,
-    canonical_edge,
-    cascade_inverse,
-    correlation_from_covariance,
     maximum_spanning_tree,
-    mutual_information_weights,
-    objective_value,
-    optimal_coefficients,
     population_covariance,
     root_tree,
 )
+from treecascade.cascade import LemmaCheck, LemmaReport, cascade_inverse
+from treecascade.chowliu import mutual_information_weights
+from treecascade.regression import objective_value, optimal_coefficients
+from treecascade.trees import MstResult, canonical_edge
 from treecascade.trees import _tree_from_pruefer
 
 #: Guard for exhaustive spanning-tree enumeration (8**6 = 262144 trees).
@@ -98,13 +92,12 @@ def brute_force_fit(c: CorrelationSummary) -> FitResult:
             best = candidate
     objective, edges, tree, coeffs = best
     weights = {e: float(c.corr[e]) ** 2 for e in edges}
-    return FitResult(tree, 0, coeffs, objective, weights, tree_unique=not tied)
+    return FitResult(root_tree(tree, 0), coeffs, objective, weights, tree_unique=not tied)
 
 
-def chow_liu_tree(s: GaussianSummary) -> MstResult:
+def chow_liu_tree(c: CorrelationSummary) -> MstResult:
     """Optimal approximator tree: maximum spanning tree of pairwise MI weights."""
-    mi = mutual_information_weights(correlation_from_covariance(s.covariance))
-    return maximum_spanning_tree(WeightedGraph.from_matrix(mi))
+    return maximum_spanning_tree(WeightedGraph.from_matrix(mutual_information_weights(c)))
 
 
 def ancestors(rt, i: int) -> list[int]:
@@ -297,13 +290,13 @@ def loop_covariance_lemmas(m, tol: float = 1e-12) -> LemmaReport:
     )
 
 
-def scalar_mi_weight(s, i: int, j: int) -> float:
-    """Mutual information -1/2 log(1 - rho^2) of one pair of a Gaussian summary."""
+def scalar_mi_weight(cov: np.ndarray, i: int, j: int) -> float:
+    """Mutual information -1/2 log(1 - rho^2) of one pair of a Gaussian's covariance."""
     if i == j:
         raise InvalidInputError(f"pairwise weight needs two distinct vertices, got {i}")
-    cov = s.covariance
-    if not (0 <= i < s.d and 0 <= j < s.d):
-        raise InvalidInputError(f"vertex pair ({i}, {j}) out of range for d={s.d}")
+    d = len(cov)
+    if not (0 <= i < d and 0 <= j < d):
+        raise InvalidInputError(f"vertex pair ({i}, {j}) out of range for d={d}")
     rho = float(cov[i, j]) / math.sqrt(float(cov[i, i]) * float(cov[j, j]))
     if abs(rho) >= 1.0:
         raise DegeneracyError(f"components {i} and {j} are perfectly correlated")

@@ -37,8 +37,6 @@ import pytest
 from conftest import random_spd_covariance
 from oracles import brute_force_fit, chow_liu_tree, graph_from_weights
 from treecascade import (
-    cascade_inverse,
-    coefficient_matrix,
     correlation_from_covariance,
     empirical_fit,
     fit_cascade,
@@ -52,7 +50,7 @@ from treecascade import (
     simulate,
     verify_covariance_lemmas,
 )
-from treecascade.chowliu import GaussianSummary
+from treecascade.cascade import cascade_inverse, coefficient_matrix
 from treecascade.cli import main as cli_main
 
 
@@ -200,15 +198,17 @@ def test_criterion_6_chow_liu_correspondence():
     total = 0
     for _ in range(100):
         cov = random_spd_covariance(5, rng)
-        mi_tree = chow_liu_tree(GaussianSummary(cov)).tree
-        reg_tree = fit_cascade(correlation_from_covariance(cov)).tree
+        c = correlation_from_covariance(cov)
+        mi_tree = chow_liu_tree(c).tree
+        reg_tree = fit_cascade(c).tree
         agree += mi_tree.edges == reg_tree.edges
         total += 1
     for _ in range(20):
         d = int(rng.integers(3, 9))
         cov = population_covariance(random_unit_variance_model(d, rng))
-        mi_tree = chow_liu_tree(GaussianSummary(cov)).tree
-        reg_tree = fit_cascade(correlation_from_covariance(cov)).tree
+        c = correlation_from_covariance(cov)
+        mi_tree = chow_liu_tree(c).tree
+        reg_tree = fit_cascade(c).tree
         agree += mi_tree.edges == reg_tree.edges
         total += 1
     elapsed = time.perf_counter() - start

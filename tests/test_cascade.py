@@ -22,13 +22,10 @@ import pytest
 
 from oracles import ancestors, path_vertices, path_walk_inverse
 from treecascade import (
-    BUILTIN_SAMPLERS,
     CascadeModel,
     InvalidInputError,
     Tree,
     UnsupportedModelError,
-    cascade_inverse,
-    coefficient_matrix,
     get_sampler,
     make_unit_variance_model,
     population_covariance,
@@ -38,6 +35,7 @@ from treecascade import (
     simulate,
     verify_covariance_lemmas,
 )
+from treecascade.cascade import BUILTIN_SAMPLERS, cascade_inverse, coefficient_matrix
 
 
 def chain_model(*coeffs, error_vars=None):

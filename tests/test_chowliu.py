@@ -23,59 +23,36 @@ from treecascade import (
     CascadeModel,
     CorrelationSummary,
     DegeneracyError,
-    GaussianSummary,
     InvalidInputError,
     Tree,
     correlation_from_covariance,
     correspondence_check,
     fit_cascade,
-    mutual_information_weights,
     population_covariance,
     random_unit_variance_model,
     root_tree,
 )
+from treecascade.chowliu import mutual_information_weights
 
 
-def summary(cov) -> GaussianSummary:
-    return GaussianSummary(np.array(cov, dtype=float))
+def summary(cov) -> CorrelationSummary:
+    return correlation_from_covariance(np.array(cov, dtype=float))
 
 
-class TestGaussianSummary:
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidInputError):
-            summary([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(InvalidInputError):
-            summary([[0.0, 0.0], [0.0, 1.0]])
-
-    def test_symmetrizes_tiny_asymmetry(self):
-        cov = np.array([[1.0, 0.5 + 1e-16], [0.5, 1.0]])
-        s = GaussianSummary(cov)
-        assert np.array_equal(s.covariance, s.covariance.T)
-
-
-def mi_matrix(s: GaussianSummary) -> np.ndarray:
-    return mutual_information_weights(correlation_from_covariance(s.covariance))
-
-
-def bypass_summary(cov) -> GaussianSummary:
-    """A summary that skips validation, to probe singular covariances."""
-    s = GaussianSummary.__new__(GaussianSummary)
-    object.__setattr__(s, "covariance", np.array(cov, dtype=float))
-    return s
+def mi_matrix(cov) -> np.ndarray:
+    return mutual_information_weights(summary(cov))
 
 
 class TestPairwiseWeight:
     def test_zero_correlation_gives_zero(self):
-        assert mi_matrix(summary(np.eye(2)))[0, 1] == 0.0
+        assert mi_matrix(np.eye(2))[0, 1] == 0.0
 
     def test_known_value(self):
-        s = summary([[1.0, 0.6], [0.6, 1.0]])
-        assert mi_matrix(s)[0, 1] == pytest.approx(-0.5 * math.log(0.64), abs=1e-15)
+        mi = mi_matrix([[1.0, 0.6], [0.6, 1.0]])
+        assert mi[0, 1] == pytest.approx(-0.5 * math.log(0.64), abs=1e-15)
 
     def test_symmetric_in_pair(self):
-        mi = mi_matrix(summary(random_spd_covariance(4, np.random.default_rng(1))))
+        mi = mi_matrix(random_spd_covariance(4, np.random.default_rng(1)))
         assert np.array_equal(mi, mi.T)
         assert np.array_equal(np.diag(mi), np.zeros(4))
 
@@ -84,20 +61,20 @@ class TestPairwiseWeight:
         cov = random_spd_covariance(3, rng)
         scales = np.diag(rng.uniform(0.1, 10.0, size=3))
         rescaled = scales @ cov @ scales
-        assert mi_matrix(summary(cov)) == pytest.approx(mi_matrix(summary(rescaled)), rel=1e-12)
+        assert mi_matrix(cov) == pytest.approx(mi_matrix(rescaled), rel=1e-12)
 
     def test_nonnegative_and_increasing_in_rho_squared(self):
         values = [
-            mi_matrix(summary([[1.0, r], [r, 1.0]]))[0, 1]
+            mi_matrix([[1.0, r], [r, 1.0]])[0, 1]
             for r in (0.0, 0.1, -0.3, 0.5, -0.7, 0.9)
         ]
         assert all(v >= 0.0 for v in values)
         assert values == sorted(values)
 
     def test_perfect_correlation_degenerate(self):
-        near = summary(np.ones((2, 2)) + 1e-9 * np.eye(2))
         with pytest.raises(DegeneracyError, match="components 0 and 1"):
-            mi_matrix(bypass_summary(np.ones((2, 2))))
+            mutual_information_weights(CorrelationSummary(np.ones((2, 2))))
+        near = np.ones((2, 2)) + 1e-9 * np.eye(2)
         assert mi_matrix(near)[0, 1] > 9.0  # near-singular pair, huge weight
 
 
@@ -106,28 +83,27 @@ class TestMatrixMatchesScalarOracle:
         rng = np.random.default_rng(3)
         for _ in range(30):
             d = int(rng.integers(2, 12))
-            s = summary(random_spd_covariance(d, rng) * rng.uniform(0.01, 100.0))
-            mi = mi_matrix(s)
+            cov = random_spd_covariance(d, rng) * rng.uniform(0.01, 100.0)
+            mi = mi_matrix(cov)
             for i in range(d):
                 for j in range(d):
                     if i != j:
-                        assert mi[i, j] == scalar_mi_weight(s, i, j)
+                        assert mi[i, j] == scalar_mi_weight(cov, i, j)
 
     def test_bit_equal_on_near_singular_pair(self):
-        s = summary([[1.0, 1.0 - 1e-12, 0.1], [1.0 - 1e-12, 1.0, 0.1], [0.1, 0.1, 1.0]])
-        mi = mi_matrix(s)
+        cov = np.array([[1.0, 1.0 - 1e-12, 0.1], [1.0 - 1e-12, 1.0, 0.1], [0.1, 0.1, 1.0]])
+        mi = mi_matrix(cov)
         assert mi[0, 1] > 13.0
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert mi[i, j] == scalar_mi_weight(s, i, j)
+            assert mi[i, j] == scalar_mi_weight(cov, i, j)
 
     def test_same_degeneracy_error_as_oracle(self):
         # an invalid covariance can give |rho| > 1; clipping maps exactly those pairs to +-1
         cov = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 3.5], [0.2, 3.5, 9.0]])
-        s = bypass_summary(cov)
         with pytest.raises(DegeneracyError) as scalar:
-            scalar_mi_weight(s, 1, 2)
+            scalar_mi_weight(cov, 1, 2)
         with pytest.raises(DegeneracyError) as matrix:
-            mi_matrix(s)
+            mi_matrix(cov)
         assert str(matrix.value) == str(scalar.value) == "components 1 and 2 are perfectly correlated"
 
     def test_first_degenerate_pair_in_row_major_order(self):
@@ -154,11 +130,19 @@ class TestChowLiuTree:
         for _ in range(25):
             cov = random_spd_covariance(5, rng)
             mi_tree = chow_liu_tree(summary(cov)).tree
-            reg_tree = fit_cascade(correlation_from_covariance(cov)).tree
+            reg_tree = fit_cascade(summary(cov)).tree
             assert mi_tree.edges == reg_tree.edges
 
 
 class TestCorrespondenceCheck:
+    def test_rejects_indefinite(self):
+        # a valid correlation matrix, but no Gaussian has it: 1 + 2 * -0.9 < 0
+        corr = np.full((3, 3), -0.9)
+        np.fill_diagonal(corr, 1.0)
+        for c in (CorrelationSummary(corr), summary([[1.0, 2.0], [2.0, 1.0]])):
+            with pytest.raises(InvalidInputError, match="covariance is not positive definite"):
+                correspondence_check(c)
+
     def test_d3_exhaustive(self):
         # oracle: the reported tree must maximize total MI weight over the
         # three spanning trees of K3
@@ -167,7 +151,7 @@ class TestCorrespondenceCheck:
             s = summary(random_spd_covariance(3, rng))
             report = correspondence_check(s)
             assert report.trees_equal
-            mi = mi_matrix(s)
+            mi = mutual_information_weights(s)
             totals = {
                 t.edges: sum(mi[i, j] for i, j in t.sorted_edges())
                 for t in enumerate_spanning_trees(3)

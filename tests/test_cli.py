@@ -19,9 +19,13 @@ Claims covered:
     overflowing model gives one error line naming the global row, and no
     partial regular file is left behind.
   - A constant column is rejected even when its mean rounds.
-  - verify builds the inverse, the covariance and the hop/meet pair once,
-    and chow-check --fit the covariance once; verify's report equals the
-    one built from the public functions called one by one.
+  - verify builds the inverse, the covariance, the hop/meet pair and the
+    squared-correlation graph once, and chow-check --fit the covariance
+    once; verify's report equals the one built from the library's
+    functions called one by one.
+  - A fit keeps its rooting: fit, export-dot and the document loads call
+    root_tree only for a root other than Prim's 0 or to read a document.
+  - The README's library tour runs against the package's public names.
   - simulate takes its blocks lazily, so a huge n starts writing at
     once; the dependent sampler names its failed allocation, exit 2.
   - An allocation numpy refuses in fit, chow-check --data, verify or
@@ -50,9 +54,6 @@ from hypothesis import strategies as st
 
 import treecascade
 from treecascade import (
-    cascade_inverse,
-    check_strict_triangle_condition,
-    coefficient_matrix,
     correlation_from_covariance,
     fit_cascade,
     get_sampler,
@@ -61,17 +62,18 @@ from treecascade import (
     random_unit_variance_model,
     sample_prices_path,
     save_fit,
-    squared_correlation_graph,
     verify_covariance_lemmas,
 )
 from treecascade import cascade as cascade_module
+from treecascade.cascade import cascade_inverse, coefficient_matrix
+from treecascade.regression import squared_correlation_graph
 from treecascade import trees as trees_module
 from treecascade.cascade import _simulated_blocks
 from treecascade.cli import main
 from treecascade.dataio import _block_rows, fit_to_document, load_document, model_from_document
 
 from conftest import csv_texts
-from oracles import csv_writer_bytes, one_shot_simulate
+from oracles import csv_writer_bytes, loop_strict_triangle_condition, one_shot_simulate
 
 
 def run(capsys, *argv):
@@ -404,7 +406,10 @@ class TestVerifyCommand:
 
 
 def verify_table(model, label: str) -> str:
-    """The ``verify`` report built from the public functions, each called on its own."""
+    """The ``verify`` report built from the library's functions, each called on its own.
+
+    The strict-triangle row comes from the per-pair loop oracle.
+    """
     rows = []
     inv_gap = float(
         np.max(np.abs(cascade_inverse(model) - np.linalg.inv(np.eye(model.d) - coefficient_matrix(model))))
@@ -413,7 +418,7 @@ def verify_table(model, label: str) -> str:
     for check in verify_covariance_lemmas(model).checks:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
     summary = correlation_from_covariance(population_covariance(model))
-    triangle = check_strict_triangle_condition(squared_correlation_graph(summary), model.rt.tree)
+    triangle = loop_strict_triangle_condition(squared_correlation_graph(summary), model.rt.tree)
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
     fit = fit_cascade(summary)
     recovered = fit.tree.edges == model.rt.tree.edges
@@ -477,21 +482,39 @@ class TestVerifyAlgebra:
         }
         _, path = rooted_model_document(tmp_path, 30, 3)
         calls = self.count_calls(monkeypatch, builders)
+        from_matrix = trees_module.WeightedGraph.from_matrix
+
+        def counted_graph(matrix):
+            calls["graph"] += 1
+            return from_matrix(matrix)
+
+        monkeypatch.setattr(trees_module.WeightedGraph, "from_matrix", staticmethod(counted_graph))
+        calls["graph"] = 0
         assert quiet_main("verify", "--model", path) == 0
-        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1}
-        calls.update(dict.fromkeys(builders, 0))
+        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1, "graph": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        # chow-check takes one graph per tree: the MI weights and the squared correlations
         assert quiet_main("chow-check", "--fit", path) == 0
-        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 0}
+        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 0, "graph": 2}
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
-        # the certificates and the fits take the tree as Prim rooted it at 0
+        # the certificates and the fits take the tree as Prim rooted it at 0,
+        # and a fit keeps the rooting it was built or loaded with
         _, path = rooted_model_document(tmp_path, 30, 3)
+        data = str(sample_prices_path())
+        fit, rooted = tmp_path / "fit.json", tmp_path / "rooted.json"
         calls = self.count_calls(monkeypatch, {"root_tree": trees_module.root_tree})
-        assert quiet_main("verify", "--model", path) == 0
-        assert calls == {"root_tree": 1}
-        calls["root_tree"] = 0
-        assert quiet_main("chow-check", "--fit", path) == 0
-        assert calls == {"root_tree": 1}
+        for argv, expected in [
+            (("verify", "--model", path), 1),
+            (("chow-check", "--fit", path), 1),
+            (("fit", "--data", data, "--diff", "--out", fit), 0),
+            (("fit", "--data", data, "--diff", "--root", "3", "--out", rooted), 1),
+            (("export-dot", "--fit", rooted, "--out", tmp_path / "rooted.dot"), 1),
+            (("export-dot", "--fit", fit, "--out", tmp_path / "fit.dot"), 1),
+        ]:
+            calls["root_tree"] = 0
+            assert quiet_main(*argv) == 0
+            assert calls == {"root_tree": expected}, argv
 
 
 class TestClusterCommand:
@@ -994,28 +1017,30 @@ class TestEntryPoint:
             assert not asserts, f"{source.name}: assert at lines {asserts}"
 
     def test_public_names(self):
-        # the package exports the library only; test oracles live in tests/
+        # the README tour, the CLI's pipeline stages and the errors; test
+        # oracles live in tests/, internals in the submodules
         names = sorted(
             name
             for name, value in vars(treecascade).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         )
         assert names == [
-            "BUILTIN_SAMPLERS", "CANONICAL_EDGE_ORDER", "CascadeModel", "CorrelationSummary",
-            "CorrespondenceReport", "DataError", "Dataset", "DegeneracyError", "FitResult",
-            "GaussianSummary", "InvalidInputError", "LemmaCheck", "LemmaReport", "MstResult",
-            "RootedTree", "SchemaError", "Tree", "TreeCascadeError", "UnsupportedModelError",
-            "WeightedGraph", "canonical_edge", "cascade_inverse",
-            "check_strict_triangle_condition", "cluster_by_edge_deletion", "coefficient_matrix",
-            "correlation_from_covariance", "correlation_from_dataset", "correspondence_check",
-            "document_to_fit", "empirical_fit", "fit_cascade", "fit_to_document", "get_sampler",
-            "load_csv", "load_document", "load_fit", "make_unit_variance_model",
-            "maximum_spanning_tree", "model_from_document", "mst_is_unique",
-            "mutual_information_weights", "objective_value", "optimal_coefficients",
-            "population_covariance", "price_changes", "random_tree", "random_unit_variance_model",
-            "reroot", "root_tree", "sample_prices_path", "save_csv", "save_fit", "simulate",
-            "squared_correlation_graph", "standardize", "verify_covariance_lemmas",
+            "CascadeModel", "CorrelationSummary", "DataError", "Dataset", "DegeneracyError",
+            "FitResult", "InvalidInputError", "RootedTree", "SchemaError", "Tree",
+            "TreeCascadeError", "UnsupportedModelError", "WeightedGraph",
+            "cluster_by_edge_deletion", "correlation_from_covariance", "correlation_from_dataset",
+            "correspondence_check", "empirical_fit", "fit_cascade", "get_sampler", "load_csv",
+            "load_fit", "make_unit_variance_model", "maximum_spanning_tree", "mst_is_unique",
+            "population_covariance", "random_unit_variance_model", "reroot", "root_tree",
+            "sample_prices_path", "save_csv", "save_fit", "simulate", "verify_covariance_lemmas",
         ]
+
+    def test_readme_tour_runs(self):
+        # the README's "Library quick tour" block, run against the package
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        tour = text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(tour, "README.md", "exec"), {})
 
     def test_import_loads_no_more_of_numpy(self):
         # numpy loads numpy.random lazily; the CLI import must not pull it in

@@ -11,10 +11,11 @@ Claims covered:
     and each block before writing it, numbering rows from the first
     block, and removes a partial file.
   - tools/generate_sample_prices.py reproduces the bundled sample CSV.
-  - Standardization hits the n-1 convention exactly, is idempotent, and
-    errors by column name on zero variance.
-  - Differencing obeys the shape contract and chains into the standardize
-    error for constant series.
+  - The in-place standardization hits the n-1 convention exactly and is
+    idempotent; correlation_from_dataset errors by column name on zero
+    variance.
+  - The in-place differencing obeys the shape contract, and a constant
+    series chains into the zero-variance error under diff=True.
   - The in-place kernel (differences, standardization, correlation over
     one buffer) is bit for bit the copying formulas, at and around its
     block size; the public functions leave their input unchanged, and a
@@ -47,22 +48,23 @@ from treecascade import (
     correlation_from_covariance,
     correlation_from_dataset,
     empirical_fit,
-    document_to_fit,
     fit_cascade,
-    fit_to_document,
     load_csv,
     load_fit,
-    model_from_document,
     population_covariance,
-    price_changes,
     random_unit_variance_model,
     sample_prices_path,
     save_csv,
     save_fit,
-    standardize,
 )
 from treecascade import dataio
-from treecascade.dataio import dumps_document, read_csv_header
+from treecascade.dataio import (
+    document_to_fit,
+    dumps_document,
+    fit_to_document,
+    model_from_document,
+    read_csv_header,
+)
 
 from conftest import csv_texts
 from oracles import copying_correlation, copying_standardize, csv_writer_bytes
@@ -400,71 +402,68 @@ class TestDatasetValidation:
             ds.values[0, 0] = 1.0
 
 
+def standardized(values, names=("a", "b", "c")) -> np.ndarray:
+    """``_standardize_in_place`` over a float64 copy of ``values``."""
+    return dataio._standardize_in_place(np.array(values, dtype=float), names)
+
+
 class TestStandardize:
     def test_two_point_column(self):
-        ds = Dataset(values=np.array([[1.0], [3.0]]), names=("a",))
-        z = standardize(ds)
-        assert z.values[:, 0] == pytest.approx(
-            [-0.7071067811865475, 0.7071067811865475], abs=1e-15
-        )
-        assert z.values[:, 0].mean() == 0.0
-        assert z.values[:, 0].std(ddof=1) == pytest.approx(1.0, abs=1e-15)
+        z = standardized([[1.0], [3.0]])
+        assert z[:, 0] == pytest.approx([-0.7071067811865475, 0.7071067811865475], abs=1e-15)
+        assert z[:, 0].mean() == 0.0
+        assert z[:, 0].std(ddof=1) == pytest.approx(1.0, abs=1e-15)
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
-        ds = Dataset(values=rng.standard_normal((50, 3)) * 7 + 2, names=("a", "b", "c"))
-        once = standardize(ds)
-        twice = standardize(once)
-        assert np.max(np.abs(twice.values - once.values)) < 1e-12
+        once = standardized(rng.standard_normal((50, 3)) * 7 + 2)
+        twice = standardized(once)
+        assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_standardized_moments(self):
         rng = np.random.default_rng(11)
-        ds = Dataset(values=rng.uniform(5, 9, (40, 2)), names=("a", "b"))
-        z = standardize(ds)
-        assert np.max(np.abs(z.values.mean(axis=0))) < 1e-10
-        sample_sd = np.sqrt((z.values**2).sum(axis=0) / (z.n - 1))
+        z = standardized(rng.uniform(5, 9, (40, 2)))
+        assert np.max(np.abs(z.mean(axis=0))) < 1e-10
+        sample_sd = np.sqrt((z**2).sum(axis=0) / (len(z) - 1))
         assert sample_sd == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_constant_column_error(self):
         ds = Dataset(values=np.array([[5.0, 1.0], [5.0, 2.0]]), names=("fixed", "ok"))
         with pytest.raises(DataError, match="'fixed'"):
-            standardize(ds)
+            correlation_from_dataset(ds)
 
     def test_constant_column_with_inexact_mean(self):
         # 0.1 + 0.1 + 0.1 rounds: the mean is 0.10000000000000002, not 0.1
         ds = Dataset(values=np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]]), names=("a", "b"))
         assert ds.values[:, 0].mean() != 0.1
         with pytest.raises(DataError, match="column 'a' has zero variance"):
-            standardize(ds)
+            correlation_from_dataset(ds)
 
     def test_needs_two_rows(self):
-        with pytest.raises(InvalidInputError):
-            standardize(Dataset(values=np.array([[1.0]]), names=("a",)))
+        with pytest.raises(InvalidInputError, match="standardization needs at least 2 rows"):
+            correlation_from_dataset(Dataset(values=np.array([[1.0]]), names=("a",)))
 
 
 class TestPriceChanges:
     def test_first_differences(self):
-        ds = Dataset(values=np.array([[10.0], [11.0], [13.0]]), names=("p",))
-        diff = price_changes(ds)
-        assert np.array_equal(diff.values, [[1.0], [2.0]])
-        assert diff.values.mean() == 1.5  # differenced, not standardized
+        diff = dataio._difference_in_place(np.array([[10.0], [11.0], [13.0]]))
+        assert np.array_equal(diff, [[1.0], [2.0]])
+        assert diff.mean() == 1.5  # differenced, not standardized
 
     def test_constant_series_chains_into_standardize_error(self):
         ds = Dataset(values=np.array([[4.0], [4.0], [4.0]]), names=("p",))
-        diff = price_changes(ds)
-        assert np.array_equal(diff.values, [[0.0], [0.0]])
+        assert np.array_equal(dataio._difference_in_place(ds.values.copy()), [[0.0], [0.0]])
         with pytest.raises(DataError, match="'p'"):
-            standardize(diff)
+            correlation_from_dataset(ds, diff=True)
 
     def test_needs_two_rows(self):
-        with pytest.raises(InvalidInputError):
-            price_changes(Dataset(values=np.array([[1.0]]), names=("p",)))
+        with pytest.raises(InvalidInputError, match="need at least 2 rows to difference"):
+            correlation_from_dataset(Dataset(values=np.array([[1.0]]), names=("p",)), diff=True)
 
     def test_bundled_sample_shape(self):
         ds = load_csv(sample_prices_path())
-        diff = price_changes(ds)
-        assert diff.n == ds.n - 1
-        assert diff.d == 30
+        assert dataio._difference_in_place(ds.values.copy()).shape == (ds.n - 1, 30)
+        assert correlation_from_dataset(ds, diff=True).d == 30
 
 
 def bits(values: np.ndarray) -> np.ndarray:
@@ -489,9 +488,10 @@ class TestInPlaceKernel:
         values = offsets + 10.0 ** rng.uniform(-3, 3, d) * rng.standard_normal((n, d))
         ds = Dataset(values=values, names=tuple(f"c{j}" for j in range(d)))
         base = np.diff(values, axis=0) if diff else values
-        rows = price_changes(ds) if diff else ds
-        assert np.array_equal(bits(rows.values), bits(base))
-        assert np.array_equal(bits(standardize(rows).values), bits(copying_standardize(base)))
+        rows = dataio._difference_in_place(values.copy()) if diff else values.copy()
+        assert np.array_equal(bits(rows), bits(base))
+        z = dataio._standardize_in_place(rows, ds.names)
+        assert np.array_equal(bits(z), bits(copying_standardize(base)))
         expected = bits(copying_correlation(base))
         assert np.array_equal(bits(correlation_from_dataset(ds, diff=diff).corr), expected)
         spent = Dataset(values=values, names=ds.names)
@@ -502,16 +502,14 @@ class TestInPlaceKernel:
         rng = np.random.default_rng(4)
         ds = Dataset(values=rng.standard_normal((30, 3)) + 50.0, names=("a", "b", "c"))
         before = ds.values.copy()
-        results = [standardize(ds), price_changes(ds)]
         correlation_from_dataset(ds)
         correlation_from_dataset(ds, diff=True)
         empirical_fit(ds)
         empirical_fit(ds, diff=True)
         assert np.array_equal(bits(ds.values), bits(before))
-        for values in [ds.values] + [r.values for r in results]:
-            assert not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[0, 0] = 1.0
+        assert not ds.values.flags.writeable
+        with pytest.raises(ValueError):
+            ds.values[0, 0] = 1.0
 
     def test_constructor_copies_the_callers_array(self):
         user = np.arange(6.0).reshape(3, 2)
@@ -531,7 +529,7 @@ class TestInPlaceKernel:
     def test_column_out_of_the_squares_range(self, column, scale):
         plain = Dataset(values=np.c_[column, [1.0, 2.0, 5.0]], names=("a", "b"))
         scaled = Dataset(values=np.c_[np.array(column) * scale, [1.0, 2.0, 5.0]], names=("a", "b"))
-        assert np.max(np.abs(standardize(plain).values - standardize(scaled).values)) <= 1e-15
+        assert np.max(np.abs(standardized(plain.values) - standardized(scaled.values))) <= 1e-15
         corr = correlation_from_dataset(plain).corr
         assert np.max(np.abs(corr - correlation_from_dataset(scaled).corr)) <= 1e-15
 
@@ -540,7 +538,7 @@ class TestInPlaceKernel:
         # the sum overflows, or the squares are zero; rescaled the column is still constant
         ds = Dataset(values=[[value, 1.0], [value, 2.0], [value, 4.0]], names=("flat", "b"))
         with pytest.raises(DataError, match="column 'flat' has zero variance"):
-            standardize(ds)
+            correlation_from_dataset(ds)
 
 
 class TestFitDocuments:

@@ -6,7 +6,8 @@ Claims covered:
     grid weights.
   - The bottleneck certificate agrees with the path-walk certificate on
     arbitrary trees, raising the same error on non-maximal ones.
-  - The array form of the strict-triangle check agrees with the loop.
+  - The path-neighbor gaps that ``verify`` takes over a first-hop matrix
+    agree with the strict-triangle loop.
   - The array form of the covariance-lemma checks returns the loop's
     report, every field exactly equal.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_triangle
 from oracles import (
     graph_from_weights,
     kruskal_mst,
@@ -27,15 +29,14 @@ from oracles import (
 from treecascade import (
     InvalidInputError,
     WeightedGraph,
-    check_strict_triangle_condition,
     correlation_from_covariance,
     maximum_spanning_tree,
     mst_is_unique,
     population_covariance,
-    random_tree,
     random_unit_variance_model,
     verify_covariance_lemmas,
 )
+from treecascade.trees import random_tree
 
 
 def certificate_outcome(certify, g, t):
@@ -51,7 +52,7 @@ def assert_same_core(g):
     assert fast.tree == slow.tree
     assert fast.is_unique == slow.is_unique
     assert fast.total_weight.hex() == slow.total_weight.hex()
-    assert check_strict_triangle_condition(g, fast.tree) == loop_strict_triangle_condition(
+    assert strict_triangle(g, fast.tree) == loop_strict_triangle_condition(
         g, fast.tree
     )
 
@@ -75,7 +76,7 @@ def test_grid_weights_match_oracle(g, seed):
     assert certificate_outcome(mst_is_unique, g, other) == certificate_outcome(
         path_walk_is_unique, g, other
     )
-    assert check_strict_triangle_condition(g, other) == loop_strict_triangle_condition(g, other)
+    assert strict_triangle(g, other) == loop_strict_triangle_condition(g, other)
 
 
 def test_non_maximal_trees_raise_like_oracle():

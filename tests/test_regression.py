@@ -25,7 +25,6 @@ from treecascade import (
     CorrelationSummary,
     DataError,
     Dataset,
-    GaussianSummary,
     InvalidInputError,
     Tree,
     correlation_from_covariance,
@@ -34,15 +33,14 @@ from treecascade import (
     fit_cascade,
     get_sampler,
     make_unit_variance_model,
-    objective_value,
-    optimal_coefficients,
     population_covariance,
-    random_tree,
     random_unit_variance_model,
     root_tree,
     simulate,
-    standardize,
 )
+from treecascade.dataio import _standardize_in_place, document_to_fit, fit_to_document
+from treecascade.regression import objective_value, optimal_coefficients
+from treecascade.trees import random_tree
 
 
 def summary_from_matrix(corr) -> CorrelationSummary:
@@ -70,13 +68,22 @@ class TestCorrelationSummary:
 
     def test_empty_matrices_rejected(self):
         empty = np.zeros((0, 0))
-        for build in (CorrelationSummary, correlation_from_covariance, GaussianSummary):
+        for build in (CorrelationSummary, correlation_from_covariance):
             with pytest.raises(InvalidInputError, match="non-empty"):
                 build(empty)
 
     def test_from_covariance_rejects_nonpositive_diagonal(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="diagonal must be positive, got 0.0 at 0"):
             correlation_from_covariance(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInputError, match="diagonal must be positive, got -1.0 at 1"):
+            correlation_from_covariance(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_from_covariance_rejects_non_finite_entries(self):
+        # an infinite variance would otherwise make its correlations 0
+        for bad in (np.inf, np.nan):
+            cov = np.array([[bad, 1.0], [1.0, 1.0]])
+            with pytest.raises(InvalidInputError, match="covariance contains non-finite entries"):
+                correlation_from_covariance(cov)
 
     def test_from_covariance_matches_scalar_loop(self):
         # the pairwise expression, one upper-triangle pair at a time
@@ -199,6 +206,17 @@ class TestFitCascade:
             assert fit.tree.edges == baseline.tree.edges
             assert fit.objective == baseline.objective
 
+    def test_fit_keeps_the_rooting_of_its_coefficients(self):
+        # fit.rt is the tree rooted at the hint, and each coefficient sits on
+        # the edge to the parent it names; the fit document keeps both
+        c = random_correlation(7, np.random.default_rng(41))
+        for hint in (None, 0, 3, 6):
+            fit = fit_cascade(c, root_hint=hint)
+            assert fit.rt == root_tree(fit.tree, fit.root)
+            assert fit.root == (hint or 0)
+            assert fit.coeffs == {i: c.corr[i, fit.rt.parent[i]] for i in fit.coeffs}
+            assert document_to_fit(fit_to_document(fit)) == fit
+
     def test_objective_identity(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -256,8 +274,8 @@ class TestBruteForce:
 class TestEmpiricalFit:
     def test_two_point_dataset_formula(self):
         ds = Dataset(values=np.array([[0.0, 0.0], [1.0, 2.0]]), names=("a", "b"))
-        z = standardize(ds)
-        expected = float(z.values[:, 0] @ z.values[:, 1])  # divided by n - 1 = 1
+        z = _standardize_in_place(ds.values.copy(), ds.names)
+        expected = float(z[:, 0] @ z[:, 1])  # divided by n - 1 = 1
         fit = empirical_fit(ds)
         assert fit.coeffs[1] == pytest.approx(min(1.0, expected), abs=1e-15)
         assert fit.names == ("a", "b")
@@ -301,7 +319,8 @@ class TestEmpiricalFit:
         rng = np.random.default_rng(59)
         values = rng.standard_normal((200, 4)) * np.array([1.0, 10.0, 0.1, 5.0])
         ds = Dataset(values=values, names=("a", "b", "c", "d"))
-        via_package = correlation_from_dataset(standardize(ds)).corr
+        z = Dataset(values=_standardize_in_place(values.copy(), ds.names), names=ds.names)
+        via_package = correlation_from_dataset(z).corr
         raw = np.corrcoef(values.T)
         assert np.max(np.abs(via_package - raw)) < 1e-12
 

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_triangle
 from oracles import (
     ancestors,
     enumerate_spanning_trees,
@@ -37,17 +38,15 @@ from treecascade import (
     InvalidInputError,
     Tree,
     WeightedGraph,
-    check_strict_triangle_condition,
     cluster_by_edge_deletion,
     correlation_from_covariance,
     maximum_spanning_tree,
     mst_is_unique,
     population_covariance,
-    random_tree,
     random_unit_variance_model,
     root_tree,
 )
-from treecascade.trees import _hop_and_meet_matrices
+from treecascade.trees import _hop_and_meet_matrices, random_tree
 
 # Drawn once with seed 20260810 and frozen; the expected tree was computed
 # by maximizing total weight over all 125 enumerated trees.
@@ -357,19 +356,19 @@ class TestStrictTriangleCondition:
     def test_holds_on_dominated_path(self):
         g = complete_graph(3, {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.5})
         t = Tree.from_edges(3, [(0, 1), (1, 2)])
-        assert check_strict_triangle_condition(g, t) is True
+        assert strict_triangle(g, t) is True
 
     def test_fails_when_shortcut_too_heavy(self):
         g = complete_graph(3, {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.85})
         t = Tree.from_edges(3, [(0, 1), (1, 2)])
-        assert check_strict_triangle_condition(g, t) is False
+        assert strict_triangle(g, t) is False
 
     def test_cascade_weights_satisfy_condition(self):
         rng = np.random.default_rng(5)
         model = random_unit_variance_model(6, rng)
         corr = correlation_from_covariance(population_covariance(model)).corr
         g = WeightedGraph.from_matrix(corr * corr)
-        assert check_strict_triangle_condition(g, model.rt.tree) is True
+        assert strict_triangle(g, model.rt.tree) is True
 
     def test_cascade_graphs_satisfy_condition_and_are_unique(self):
         # every unit-variance cascade weight graph satisfies the dominance
@@ -381,7 +380,7 @@ class TestStrictTriangleCondition:
             model = random_unit_variance_model(d, rng)
             corr = correlation_from_covariance(population_covariance(model)).corr
             g = WeightedGraph.from_matrix(corr * corr)
-            assert check_strict_triangle_condition(g, model.rt.tree) is True
+            assert strict_triangle(g, model.rt.tree) is True
             assert mst_is_unique(g, model.rt.tree) is True
 
 
