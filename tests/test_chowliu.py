@@ -143,6 +143,12 @@ class TestCorrespondenceCheck:
             with pytest.raises(InvalidInputError, match="covariance is not positive definite"):
                 correspondence_check(c)
 
+    def test_rejects_nonpositive_diagonal(self):
+        # a zero or negative variance never reaches the check: the summary refuses it
+        for cov in ([[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
+            with pytest.raises(InvalidInputError, match="diagonal must be positive"):
+                correspondence_check(summary(cov))
+
     def test_d3_exhaustive(self):
         # oracle: the reported tree must maximize total MI weight over the
         # three spanning trees of K3
