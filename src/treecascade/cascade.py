@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataio import Dataset, _adopt, _block_rows
 from .errors import InvalidInputError, UnsupportedModelError
-from .trees import RootedTree, random_tree, root_tree
+from .trees import RootedTree, _unchecked, random_tree, root_tree
 from .trees import _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
 
 
@@ -138,6 +138,11 @@ def make_unit_variance_model(
             "edge correlations must cover exactly the non-root vertices; "
             f"got {sorted(edge_correlations)}, expected {sorted(non_root)}"
         )
+    return _unit_variance_model(rt, edge_correlations)
+
+
+def _unit_variance_model(rt: RootedTree, edge_correlations: Mapping[int, float]) -> CascadeModel:
+    """``make_unit_variance_model`` for correlations known to cover the non-root vertices."""
     coeffs = {}
     error_vars = {rt.root: 1.0}
     for i, rho in edge_correlations.items():
@@ -148,7 +153,8 @@ def make_unit_variance_model(
             raise InvalidInputError(f"edge correlation at vertex {i} must be nonzero")
         coeffs[i] = rho
         error_vars[i] = 1.0 - rho * rho
-    return CascadeModel(rt, coeffs, error_vars, unit_variance=True)
+    # each |rho| < 1 makes 1 - rho * rho positive: the constructor's checks hold
+    return _unchecked(CascadeModel, rt=rt, coeffs=coeffs, error_vars=error_vars, unit_variance=True)
 
 
 def random_unit_variance_model(

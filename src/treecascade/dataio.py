@@ -15,16 +15,16 @@ import math
 import os
 import stat
 import warnings
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DataError, InvalidInputError, SchemaError
-from .trees import Tree, _unchecked, canonical_edge, root_tree
+from .trees import _root_parent_map, _unchecked, canonical_edge
 
 FORMAT_VERSION = 1
 
@@ -440,8 +440,11 @@ def fit_to_document(fit) -> dict:
 def document_to_fit(doc: Mapping):
     """Validate a fit document and rebuild the fit result.
 
-    The result keeps the tree rooted as the document orients it.  Raises a
-    schema error naming the offending field path.
+    The result keeps the tree rooted as the document orients it.  Each
+    field is checked once: one walk down from the root checks that the
+    edges form a tree and gives the rooting, which ``Tree`` and
+    ``RootedTree`` then take unchecked.  Raises a schema error naming the
+    offending field path.
     """
     from .regression import FitResult
 
@@ -454,8 +457,7 @@ def document_to_fit(doc: Mapping):
     if len(edges_field) != d - 1:
         raise SchemaError(f"edges: expected {d - 1} entries for d={d}, got {len(edges_field)}")
     coeffs: dict[int, float] = {}
-    parents: dict[int, int] = {}
-    pairs = []
+    parents = [-1] * d
     for k, entry in enumerate(edges_field):
         if not isinstance(entry, Mapping):
             raise SchemaError(f"edges[{k}]: expected an object")
@@ -470,17 +472,11 @@ def document_to_fit(doc: Mapping):
             raise SchemaError(f"edges[{k}].child: vertex {child} appears twice")
         coeffs[child] = coeff
         parents[child] = parent
-        pairs.append((child, parent))
     try:
-        tree = Tree.from_edges(d, pairs)
+        edges = [canonical_edge(child, parents[child]) for child in coeffs]
+        rt = _root_parent_map(root, parents, edges)
     except InvalidInputError as exc:
         raise SchemaError(f"edges: {exc}") from None
-    rt = root_tree(tree, root)
-    for child, parent in parents.items():
-        if rt.parent[child] != parent:
-            raise SchemaError(
-                f"edges: edge orientation {parent} -> {child} inconsistent with root {root}"
-            )
     error_vars = _require(doc, "error_vars", list)
     if len(error_vars) != d:
         raise SchemaError(f"error_vars: expected {d} entries, got {len(error_vars)}")
@@ -495,7 +491,7 @@ def document_to_fit(doc: Mapping):
         raise SchemaError(f"weights: expected {d - 1} entries aligned with edges")
     weights = {}
     for k, w in enumerate(weights_field):
-        weights[canonical_edge(*pairs[k])] = _finite_number(w, f"weights[{k}]")
+        weights[edges[k]] = _finite_number(w, f"weights[{k}]")
     source = _require(doc, "root_hint_source", str)
     if source not in _SOURCES:
         raise SchemaError(f"root_hint_source: expected one of {_SOURCES}, got {source!r}")
@@ -519,17 +515,18 @@ def document_to_fit(doc: Mapping):
 def model_from_document(doc: Mapping):
     """Rebuild the generative model a fit document describes.
 
-    Unit-variance documents go through the checked unit-variance
-    constructor (so zero or out-of-range coefficients are rejected) and
-    the stored error variances must agree with the reconstruction.
+    Unit-variance documents go through the unit-variance checks (so zero
+    or out-of-range coefficients are rejected) and the stored error
+    variances must agree with the reconstruction.
     """
-    from .cascade import CascadeModel, make_unit_variance_model
+    from .cascade import CascadeModel, _unit_variance_model
 
     fit = document_to_fit(doc)
     error_vars = {i: float(v) for i, v in enumerate(doc["error_vars"])}
     if doc["unit_variance"]:
         try:
-            model = make_unit_variance_model(fit.rt, fit.coeffs)
+            # the load checked that the coefficients cover the non-root vertices
+            model = _unit_variance_model(fit.rt, fit.coeffs)
         except InvalidInputError as exc:
             raise SchemaError(f"edges: unit-variance model rejected: {exc}") from None
         for i in range(fit.tree.d):
@@ -632,6 +629,8 @@ def _require_number(doc: Mapping, key: str, prefix: str = "") -> float:
 
 
 def _finite_number(value, field: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     # json reads NaN and Infinity literals, and integers too large for a float
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{field}: expected a number, got {value!r}")

@@ -71,7 +71,9 @@ def correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
 
     Each upper-triangle pair is normalized independently by the same
     scalar expression, ``C_ij / sqrt(C_ii * C_jj)`` clipped to [-1, 1], and
-    mirrored below the diagonal.
+    mirrored below the diagonal.  The other entries are never computed, so
+    a variance whose square overflows or vanishes warns only where a pair
+    of variances does.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
@@ -83,11 +85,14 @@ def correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
     if nonpositive.size:
         k = nonpositive[0]
         raise InvalidInputError(f"covariance diagonal must be positive, got {cov[k, k]} at {k}")
-    i, j = np.triu_indices(cov.shape[0], 1)
-    rho = np.clip(cov[i, j] / np.sqrt(diag[i] * diag[j]), -1.0, 1.0)
-    corr = np.eye(cov.shape[0])
-    corr[i, j] = rho
-    corr[j, i] = rho
+    lower = np.tri(len(diag), dtype=bool)  # with the diagonal
+    corr = np.eye(len(diag))
+    upper = ~lower
+    np.multiply.outer(diag, diag, out=corr, where=upper)
+    np.sqrt(corr, out=corr, where=upper)
+    np.divide(cov, corr, out=corr, where=upper)
+    np.copyto(corr, corr.T, where=lower)
+    np.clip(corr, -1.0, 1.0, out=corr)
     return CorrelationSummary(corr)
 
 
@@ -151,7 +156,8 @@ def optimal_coefficients(rt: RootedTree, c: CorrelationSummary) -> dict[int, flo
     """
     if rt.d != c.d:
         raise InvalidInputError(f"tree on {rt.d} vertices vs correlations on {c.d}")
-    return {i: float(c.corr[i, rt.parent[i]]) for i in rt.non_root_vertices()}
+    children = rt.non_root_vertices()
+    return dict(zip(children, c.corr[children, [rt.parent[i] for i in children]].tolist()))
 
 
 def objective_value(rt: RootedTree, coeffs: Mapping[int, float], c: CorrelationSummary) -> float:
@@ -161,18 +167,27 @@ def objective_value(rt: RootedTree, coeffs: Mapping[int, float], c: CorrelationS
     Terms accumulate in canonical edge order, making the value independent
     of the chosen root whenever the coefficients are the optimal ones.
     """
+    total = 0.0
+    for term in _objective_terms(rt, coeffs, c):
+        total += term
+    return total
+
+
+def _objective_terms(
+    rt: RootedTree, coeffs: Mapping[int, float], c: CorrelationSummary
+) -> list[float]:
+    """The terms :func:`objective_value` adds: E(x_root^2), then each edge's in canonical order."""
     if rt.d != c.d:
         raise InvalidInputError(f"tree on {rt.d} vertices vs correlations on {c.d}")
     if set(coeffs) != set(rt.non_root_vertices()):
         raise InvalidInputError("coefficients must cover exactly the non-root vertices")
     corr = c.corr
     order = sorted(rt.non_root_vertices(), key=lambda i: canonical_edge(i, rt.parent[i]))
-    total = float(corr[rt.root, rt.root])
-    for i in order:
-        p = rt.parent[i]
-        a = float(coeffs[i])
-        total += a * a * float(corr[p, p]) - 2.0 * a * float(corr[i, p]) + float(corr[i, i])
-    return total
+    parents = [rt.parent[i] for i in order]
+    # elementwise, each operation rounds as the scalar expression's does
+    a = np.array([coeffs[i] for i in order], dtype=float)
+    terms = a * a * corr[parents, parents] - 2.0 * a * corr[order, parents] + corr[order, order]
+    return [float(corr[rt.root, rt.root]), *terms.tolist()]
 
 
 def squared_correlation_graph(c: CorrelationSummary) -> WeightedGraph:
@@ -192,11 +207,13 @@ def fit_cascade(c: CorrelationSummary, root_hint: int | None = None) -> FitResul
     # Prim's tree comes rooted at 0
     rt = mst.rooted if not root_hint else root_tree(mst.tree, root_hint)
     coeffs = optimal_coefficients(rt, c)
+    edges = mst.tree.sorted_edges()
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     return FitResult(
         rt=rt,
         coeffs=coeffs,
         objective=objective_value(rt, coeffs, c),
-        weights={e: graph.weight(*e) for e in mst.tree.sorted_edges()},
+        weights=dict(zip(edges, graph.matrix[ends[:, 0], ends[:, 1]].tolist())),
         tree_unique=mst.is_unique,
         root_hint_source="default" if root_hint is None else "user",
     )

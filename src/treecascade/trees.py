@@ -221,11 +221,15 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
         better = outside & ((row > best_w) | ((row == best_w) & (v < best_u)))
         np.putmask(best_w, better, row)
         np.putmask(best_u, better, v)
-    edges = [canonical_edge(u, v) for v, u in enumerate(parent) if v]
+    # a vertex's best_u stays fixed once it joins: it is the vertex's parent
+    v = np.arange(1, g.d)
+    u = best_u[1:]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    weights = w[v, u]
     total = 0.0
-    for e in sorted(edges, key=lambda e: (-w[e], e)):
-        total += float(w[e])
-    tree = _unchecked(Tree, d=g.d, edges=frozenset(edges))
+    for weight in weights[np.lexsort((hi, lo, -weights))].tolist():
+        total += weight
+    tree = _unchecked(Tree, d=g.d, edges=frozenset(zip(lo.tolist(), hi.tolist())))
     rooted = _unchecked(RootedTree, tree=tree, root=0, parent=tuple(parent), depth=tuple(depth))
     return MstResult(tree, total, mst_is_unique(g, rooted), rooted)
 
@@ -372,6 +376,37 @@ def root_tree(t: Tree, r: int) -> RootedTree:
         raise InvalidInputError(f"root {r} out of range for {t.d} vertices")
     _, parent, depth = _breadth_first(t, r)
     return RootedTree(t, r, tuple(parent), tuple(depth))
+
+
+def _root_parent_map(root: int, parent: list[int], edges: list[tuple[int, int]]) -> RootedTree:
+    """The tree that a parent map read from outside describes, rooted at ``root``.
+
+    ``parent`` holds ``-1`` at ``root`` and another vertex at every other
+    index; ``edges`` lists each ``canonical_edge(v, parent[v])``.  The
+    ``Tree`` checks that can still fail run here, with their messages: the
+    edges must be distinct, and one walk down from the root must reach
+    every vertex, which also orients each edge toward it and gives the
+    depths.  Neither constructor checks again.
+    """
+    d = len(parent)
+    tree = _unchecked(Tree, d=d, edges=frozenset(edges))
+    if len(tree.edges) != d - 1:
+        raise InvalidInputError(
+            f"a tree on {d} vertices needs {d - 1} edges, got {len(tree.edges)}"
+        )
+    children: list[list[int]] = [[] for _ in range(d)]
+    for v, u in enumerate(parent):
+        if v != root:
+            children[u].append(v)
+    depth = [0] * d
+    order = [root]
+    for u in order:
+        for v in children[u]:
+            depth[v] = depth[u] + 1
+            order.append(v)
+    if len(order) != d:
+        raise InvalidInputError("edge set is not connected")
+    return _unchecked(RootedTree, tree=tree, root=root, parent=tuple(parent), depth=tuple(depth))
 
 
 def cluster_by_edge_deletion(

@@ -13,7 +13,12 @@ or per vertex, and per-pair scalar formulas.  The data pipeline
 differences, standardizes and correlates in place over one buffer; the
 copying formulas it replaced are kept here too.  ``simulate`` streams one
 block of rows at a time from the draw to the file; the one-shot draw,
-product and ``csv.writer`` it replaced are kept as well.  Tests require
+product and ``csv.writer`` it replaced are kept as well.  A fit document
+loads in one walk from its root, through constructors that skip the checks
+the load already made; the loaders that built a ``Tree``, rooted it with
+``root_tree`` and ran every constructor's checks are kept, and so is the
+covariance normalization over upper-triangle index arrays, and the
+objective summed one scalar edge term at a time.  Tests require
 the fast paths to agree with them exactly.
 """
 
@@ -23,14 +28,17 @@ import csv
 import io
 import itertools
 import math
+from typing import Mapping
 
 import numpy as np
 
 from treecascade import (
+    CascadeModel,
     CorrelationSummary,
     DegeneracyError,
     FitResult,
     InvalidInputError,
+    SchemaError,
     Tree,
     UnsupportedModelError,
     WeightedGraph,
@@ -40,6 +48,7 @@ from treecascade import (
 )
 from treecascade.cascade import LemmaCheck, LemmaReport, cascade_inverse
 from treecascade.chowliu import mutual_information_weights
+from treecascade.dataio import FORMAT_VERSION
 from treecascade.regression import objective_value, optimal_coefficients
 from treecascade.trees import MstResult, canonical_edge
 from treecascade.trees import _tree_from_pruefer
@@ -387,3 +396,190 @@ def csv_writer_bytes(names, values: np.ndarray) -> bytes:
     writer.writerow(names)
     writer.writerows(values.tolist())
     return out.getvalue().encode("utf-8")
+
+
+def loop_objective_value(rt, coeffs, c: CorrelationSummary) -> float:
+    """The objective accumulated one scalar edge term at a time, in canonical edge order."""
+    corr = c.corr
+    order = sorted(rt.non_root_vertices(), key=lambda i: canonical_edge(i, rt.parent[i]))
+    total = float(corr[rt.root, rt.root])
+    for i in order:
+        p = rt.parent[i]
+        a = float(coeffs[i])
+        total += a * a * float(corr[p, p]) - 2.0 * a * float(corr[i, p]) + float(corr[i, i])
+    return total
+
+def triu_correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
+    """Each upper-triangle pair normalized through index arrays, then mirrored."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+        raise InvalidInputError(f"covariance must be square and non-empty, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise InvalidInputError("covariance contains non-finite entries")
+    diag = np.diag(cov)
+    nonpositive = np.flatnonzero(~(diag > 0.0))
+    if nonpositive.size:
+        k = nonpositive[0]
+        raise InvalidInputError(f"covariance diagonal must be positive, got {cov[k, k]} at {k}")
+    i, j = np.triu_indices(cov.shape[0], 1)
+    rho = np.clip(cov[i, j] / np.sqrt(diag[i] * diag[j]), -1.0, 1.0)
+    corr = np.eye(cov.shape[0])
+    corr[i, j] = rho
+    corr[j, i] = rho
+    return CorrelationSummary(corr)
+
+
+_ROOT_HINT_SOURCES = ("default", "user")
+
+
+def checking_document_to_fit(doc: Mapping) -> FitResult:
+    """A fit document validated field by field, then through ``Tree`` and ``root_tree``."""
+    _check_version(doc)
+    d = _require_int(doc, "d", minimum=1)
+    root = _require_int(doc, "root", minimum=0)
+    if root >= d:
+        raise SchemaError(f"root: {root} out of range for d={d}")
+    edges_field = _require(doc, "edges", list)
+    if len(edges_field) != d - 1:
+        raise SchemaError(f"edges: expected {d - 1} entries for d={d}, got {len(edges_field)}")
+    coeffs: dict[int, float] = {}
+    parents: dict[int, int] = {}
+    pairs = []
+    for k, entry in enumerate(edges_field):
+        if not isinstance(entry, Mapping):
+            raise SchemaError(f"edges[{k}]: expected an object")
+        child = _require_int(entry, "child", minimum=0, prefix=f"edges[{k}].")
+        parent = _require_int(entry, "parent", minimum=0, prefix=f"edges[{k}].")
+        coeff = _require_number(entry, "coeff", prefix=f"edges[{k}].")
+        if child >= d or parent >= d:
+            raise SchemaError(f"edges[{k}]: vertex out of range for d={d}")
+        if child == root:
+            raise SchemaError(f"edges[{k}].child: the root {root} cannot be a child")
+        if child in coeffs:
+            raise SchemaError(f"edges[{k}].child: vertex {child} appears twice")
+        coeffs[child] = coeff
+        parents[child] = parent
+        pairs.append((child, parent))
+    try:
+        tree = Tree.from_edges(d, pairs)
+    except InvalidInputError as exc:
+        raise SchemaError(f"edges: {exc}") from None
+    rt = root_tree(tree, root)
+    for child, parent in parents.items():
+        if rt.parent[child] != parent:
+            raise SchemaError(
+                f"edges: edge orientation {parent} -> {child} inconsistent with root {root}"
+            )
+    error_vars = _require(doc, "error_vars", list)
+    if len(error_vars) != d:
+        raise SchemaError(f"error_vars: expected {d} entries, got {len(error_vars)}")
+    for k, v in enumerate(error_vars):
+        if _finite_number(v, f"error_vars[{k}]") < 0:
+            raise SchemaError(f"error_vars[{k}]: expected a nonnegative number, got {v!r}")
+    _require(doc, "unit_variance", bool)
+    weights_field = _require(doc, "weights", list)
+    if len(weights_field) != d - 1:
+        raise SchemaError(f"weights: expected {d - 1} entries aligned with edges")
+    weights = {}
+    for k, w in enumerate(weights_field):
+        weights[canonical_edge(*pairs[k])] = _finite_number(w, f"weights[{k}]")
+    source = _require(doc, "root_hint_source", str)
+    if source not in _ROOT_HINT_SOURCES:
+        raise SchemaError(f"root_hint_source: expected one of {_ROOT_HINT_SOURCES}, got {source!r}")
+    names_field = doc.get("names")
+    if names_field is not None:
+        if not isinstance(names_field, list) or not all(isinstance(s, str) for s in names_field):
+            raise SchemaError("names: expected a list of strings or null")
+        if len(names_field) != d:
+            raise SchemaError(f"names: expected {d} entries, got {len(names_field)}")
+    return FitResult(
+        rt=rt,
+        coeffs=coeffs,
+        objective=_require_number(doc, "objective"),
+        weights=weights,
+        tree_unique=_require(doc, "tree_unique", bool),
+        root_hint_source=source,
+        names=tuple(names_field) if names_field is not None else None,
+    )
+
+
+def checking_model_from_document(doc: Mapping) -> CascadeModel:
+    """The generative model of a fit document, through every constructor's checks."""
+    fit = checking_document_to_fit(doc)
+    error_vars = {i: float(v) for i, v in enumerate(doc["error_vars"])}
+    if doc["unit_variance"]:
+        try:
+            model = _checking_unit_variance_model(fit.rt, fit.coeffs)
+        except InvalidInputError as exc:
+            raise SchemaError(f"edges: unit-variance model rejected: {exc}") from None
+        for i in range(fit.tree.d):
+            if abs(model.error_vars[i] - error_vars[i]) > 1e-12:
+                raise SchemaError(
+                    f"error_vars[{i}]: {error_vars[i]!r} inconsistent with "
+                    "unit-variance coefficients"
+                )
+        return model
+    return CascadeModel(fit.rt, fit.coeffs, error_vars, unit_variance=False)
+
+
+def _checking_unit_variance_model(rt, edge_correlations) -> CascadeModel:
+    non_root = set(rt.non_root_vertices())
+    if set(edge_correlations) != non_root:
+        raise InvalidInputError(
+            "edge correlations must cover exactly the non-root vertices; "
+            f"got {sorted(edge_correlations)}, expected {sorted(non_root)}"
+        )
+    coeffs = {}
+    error_vars = {rt.root: 1.0}
+    for i, rho in edge_correlations.items():
+        rho = float(rho)
+        if not (math.isfinite(rho) and abs(rho) < 1.0):
+            raise InvalidInputError(f"edge correlation at vertex {i} must be in (-1, 1), got {rho!r}")
+        if rho == 0.0:
+            raise InvalidInputError(f"edge correlation at vertex {i} must be nonzero")
+        coeffs[i] = rho
+        error_vars[i] = 1.0 - rho * rho
+    return CascadeModel(rt, coeffs, error_vars, unit_variance=True)
+
+
+def _check_version(doc: Mapping) -> None:
+    version = _require_int(doc, "format_version", minimum=1)
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"format_version: unsupported version {version}")
+
+
+def _require(doc: Mapping, key: str, kind, prefix: str = ""):
+    if key not in doc:
+        raise SchemaError(f"missing field: {prefix}{key}")
+    value = doc[key]
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise SchemaError(f"{prefix}{key}: expected a boolean, got {value!r}")
+    elif not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"{prefix}{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _require_int(doc: Mapping, key: str, minimum: int, prefix: str = "") -> int:
+    value = _require(doc, key, int, prefix)
+    if value < minimum:
+        raise SchemaError(f"{prefix}{key}: expected an integer >= {minimum}, got {value}")
+    return value
+
+
+def _require_number(doc: Mapping, key: str, prefix: str = "") -> float:
+    if key not in doc:
+        raise SchemaError(f"missing field: {prefix}{key}")
+    return _finite_number(doc[key], f"{prefix}{key}")
+
+
+def _finite_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{field}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{field}: value is not finite: {number!r}")
+    return number

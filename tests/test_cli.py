@@ -24,7 +24,12 @@ Claims covered:
     once; verify's report equals the one built from the library's
     functions called one by one.
   - A fit keeps its rooting: fit, export-dot and the document loads call
-    root_tree only for a root other than Prim's 0 or to read a document.
+    root_tree only for a root other than Prim's 0; a document load roots
+    its tree in its own walk.
+  - Help, usage and argument errors keep their bytes, and a command
+    builds the top-level parser and its own subparser only.
+  - verify's objective-identity row holds at d = 2000 and catches a
+    weight off by 1e-10 there; at d <= 1000 its bound is within 1e-12.
   - The README's library tour runs against the package's public names.
   - simulate takes its blocks lazily, so a huge n starts writing at
     once; the dependent sampler names its failed allocation, exit 2.
@@ -35,8 +40,10 @@ Claims covered:
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -69,7 +76,7 @@ from treecascade.cascade import cascade_inverse, coefficient_matrix
 from treecascade.regression import squared_correlation_graph
 from treecascade import trees as trees_module
 from treecascade.cascade import _simulated_blocks
-from treecascade.cli import main
+from treecascade.cli import _identity_holds, main
 from treecascade.dataio import _block_rows, fit_to_document, load_document, model_from_document
 
 from conftest import csv_texts
@@ -405,6 +412,46 @@ class TestVerifyCommand:
         assert code != 0 and "rejected" in stderr
 
 
+def planted_weight_error(fit, delta: float):
+    """``fit`` with ``delta`` added to the weight of its first edge."""
+    e = min(fit.weights)
+    return dataclasses.replace(fit, weights={**fit.weights, e: fit.weights[e] + delta})
+
+
+@pytest.fixture(scope="module")
+def population_fits():
+    """The correlations and fit of ``verify --random d 1``'s model, by d."""
+    fits = {}
+    for d in (8, 30, 1000, 2000):
+        model = random_unit_variance_model(d, np.random.default_rng(1))
+        summary = correlation_from_covariance(population_covariance(model))
+        fits[d] = summary, fit_cascade(summary)
+    return fits
+
+
+class TestObjectiveIdentityRow:
+    """verify's identity row allows the rounding of its sums, which grows with d."""
+
+    def test_verify_passes_at_d2000(self, capsys):
+        # its canonical-order gap is 2.7e-12, beyond a fixed 1e-12
+        code, stdout, _ = run(capsys, "verify", "--random", "2000", "1")
+        assert code == 0
+        assert "  objective-identity    pass  gap 2.728e-12\n" in stdout
+
+    def test_planted_error_fails_at_d2000(self, population_fits):
+        summary, fit = population_fits[2000]
+        assert _identity_holds(fit, summary)
+        for delta in (1e-10, -1e-10):
+            assert not _identity_holds(planted_weight_error(fit, delta), summary)
+
+    @pytest.mark.parametrize("d", [8, 30, 1000])
+    def test_no_looser_than_1e12_up_to_d1000(self, population_fits, d):
+        summary, fit = population_fits[d]
+        assert _identity_holds(fit, summary)
+        for delta in (1e-12, -1e-12):
+            assert not _identity_holds(planted_weight_error(fit, delta), summary)
+
+
 def verify_table(model, label: str) -> str:
     """The ``verify`` report built from the library's functions, each called on its own.
 
@@ -499,18 +546,19 @@ class TestVerifyAlgebra:
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
         # the certificates and the fits take the tree as Prim rooted it at 0,
-        # and a fit keeps the rooting it was built or loaded with
+        # a fit keeps the rooting it was built or loaded with, and a document
+        # load roots its tree in its own walk: only a --root fit roots again
         _, path = rooted_model_document(tmp_path, 30, 3)
         data = str(sample_prices_path())
         fit, rooted = tmp_path / "fit.json", tmp_path / "rooted.json"
         calls = self.count_calls(monkeypatch, {"root_tree": trees_module.root_tree})
         for argv, expected in [
-            (("verify", "--model", path), 1),
-            (("chow-check", "--fit", path), 1),
+            (("verify", "--model", path), 0),
+            (("chow-check", "--fit", path), 0),
             (("fit", "--data", data, "--diff", "--out", fit), 0),
             (("fit", "--data", data, "--diff", "--root", "3", "--out", rooted), 1),
-            (("export-dot", "--fit", rooted, "--out", tmp_path / "rooted.dot"), 1),
-            (("export-dot", "--fit", fit, "--out", tmp_path / "fit.dot"), 1),
+            (("export-dot", "--fit", rooted, "--out", tmp_path / "rooted.dot"), 0),
+            (("export-dot", "--fit", fit, "--out", tmp_path / "fit.dot"), 0),
         ]:
             calls["root_tree"] = 0
             assert quiet_main(*argv) == 0
@@ -936,6 +984,154 @@ class TestGoldenStdout:
             code, stdout, _ = run(capsys, "export-dot", "--fit", str(path), "--out", str(out))
             assert code == 0 and stdout == f"wrote 11 edges to {out}\n"
             assert out.read_text() == expected
+
+
+TOP_USAGE = """\
+usage: treecascade [-h]
+                   {fit,simulate,verify,cluster,chow-check,export-dot} ...
+"""
+
+TOP_HELP = (
+    TOP_USAGE
+    + """
+Fit, simulate, verify, cluster, and export tree cascade models.
+
+positional arguments:
+  {fit,simulate,verify,cluster,chow-check,export-dot}
+    fit                 fit a cascade tree to a CSV dataset
+    simulate            draw samples from a fitted model
+    verify              check the structural identities of a model
+    cluster             cluster columns by deleting light tree edges
+    chow-check          compare the cascade tree with the Gaussian MI tree
+    export-dot          write the fitted tree as a DOT graph
+
+options:
+  -h, --help            show this help message and exit
+"""
+)
+
+FIT_USAGE = "usage: treecascade fit [-h] --data DATA [--diff] [--root ROOT] --out OUT\n"
+VERIFY_USAGE = "usage: treecascade verify [-h] (--model MODEL | --random D SEED)\n"
+
+SUBCOMMAND_HELP = {
+    "fit": FIT_USAGE
+    + """
+options:
+  -h, --help   show this help message and exit
+  --data DATA  CSV of observations (header row required)
+  --diff       first-difference rows before fitting
+  --root ROOT  root vertex for edge orientation
+  --out OUT    output fit document (JSON)
+""",
+    "simulate": """\
+usage: treecascade simulate [-h] --model MODEL [--sampler SAMPLER] --n N
+                            --seed SEED --out OUT
+
+options:
+  -h, --help         show this help message and exit
+  --model MODEL      fit document to simulate from
+  --sampler SAMPLER  error sampler name
+  --n N              number of samples
+  --seed SEED        random seed
+  --out OUT          output CSV path
+""",
+    "verify": VERIFY_USAGE
+    + """
+options:
+  -h, --help       show this help message and exit
+  --model MODEL    fit document to verify
+  --random D SEED  verify a random unit-variance model on D vertices
+""",
+    "cluster": """\
+usage: treecascade cluster [-h] --fit FIT --k K
+
+options:
+  -h, --help  show this help message and exit
+  --fit FIT   fit document
+  --k K       number of clusters
+""",
+    "chow-check": """\
+usage: treecascade chow-check [-h] (--data DATA | --fit FIT)
+
+options:
+  -h, --help   show this help message and exit
+  --data DATA  CSV of observations
+  --fit FIT    fit document describing a model
+""",
+    "export-dot": """\
+usage: treecascade export-dot [-h] --fit FIT --out OUT
+
+options:
+  -h, --help  show this help message and exit
+  --fit FIT   fit document
+  --out OUT   output DOT path
+""",
+}
+
+PARSER_OUTPUTS = [
+    (("--help",), 0, TOP_HELP, ""),
+    *(((name, "--help"), 0, text, "") for name, text in SUBCOMMAND_HELP.items()),
+    (
+        ("verify",),
+        2,
+        "",
+        VERIFY_USAGE + "treecascade verify: error: one of the arguments --model --random is required\n",
+    ),
+    (
+        ("fit", "--data", "x", "--out", "y", "--root", "z"),
+        2,
+        "",
+        FIT_USAGE + "treecascade fit: error: argument --root: invalid int value: 'z'\n",
+    ),
+    (
+        ("frobnicate",),
+        2,
+        "",
+        TOP_USAGE
+        + "treecascade: error: argument command: invalid choice: 'frobnicate' (choose from "
+        "'fit', 'simulate', 'verify', 'cluster', 'chow-check', 'export-dot')\n",
+    ),
+    ((), 2, "", TOP_USAGE + "treecascade: error: the following arguments are required: command\n"),
+    # the top-level parser names the extra argument: its usage lists every command
+    (
+        ("verify", "--random", "3", "4", "extra"),
+        2,
+        "",
+        TOP_USAGE + "treecascade: error: unrecognized arguments: extra\n",
+    ),
+]
+
+
+class TestParserBytes:
+    """Help, usage and argument errors pinned byte for byte at 80 columns."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err", PARSER_OUTPUTS, ids=[" ".join(c[0]) or "bare" for c in PARSER_OUTPUTS]
+    )
+    def test_output(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out, captured.err) == (code, out, err)
+
+    def test_one_subparser_per_command(self, monkeypatch, tmp_path):
+        # the top-level parser and the invoked command's; all seven for the top-level help
+        _, _, path = model_fit_document(tmp_path, d=4)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert quiet_main("verify", "--model", path) == 0
+        assert len(built) == 2
+        built.clear()
+        with pytest.raises(SystemExit):
+            quiet_main("--help")
+        assert len(built) == 7
 
 
 class TestPeakMemory:

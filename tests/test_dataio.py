@@ -22,10 +22,14 @@ Claims covered:
     column near the float limit standardizes instead of overflowing.
   - Fit documents round-trip losslessly with 17-significant-digit
     decimals, and schema violations name the field path.
+  - Loading a document checks each field once and roots its tree in one
+    walk, with the result, or the first error, of the loaders that ran
+    every constructor's checks, on documents with up to three faults.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import importlib.util
 import io
@@ -67,7 +71,13 @@ from treecascade.dataio import (
 )
 
 from conftest import csv_texts
-from oracles import copying_correlation, copying_standardize, csv_writer_bytes
+from oracles import (
+    checking_document_to_fit,
+    checking_model_from_document,
+    copying_correlation,
+    copying_standardize,
+    csv_writer_bytes,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -699,3 +709,145 @@ class TestModelFromDocument:
         doc["error_vars"][1] = 0.123
         with pytest.raises(SchemaError, match="error_vars"):
             model_from_document(doc)
+
+
+DOCUMENT_MUTATIONS = (
+    "swap orientation", "duplicate child", "self-loop", "child out of range", "cycle",
+    "reattach", "nan", "infinity", "huge integer", "missing field", "not a mapping",
+    "edge coefficient", "error variance", "retype", "non-unit variance", "two faults in a list",
+)
+# values that fail a number field, or a nonnegative one
+BAD_NUMBERS = (-0.5, math.nan, math.inf, 10**400, "0.5", None)
+
+
+@st.composite
+def mutated_documents(draw) -> dict:
+    """A fit document of a random unit-variance model, with up to three faults put in.
+
+    The faults are those of ``DOCUMENT_MUTATIONS``: a swapped orientation,
+    a duplicate or out-of-range child, a self-loop, a cycle of two or three
+    edges that leaves the rest disconnected, a random new parent,
+    NaN, infinities and integers too large for a float in any number
+    field, a missing field, an entry that is not a mapping, coefficients of
+    0 or +-1, an inconsistent error variance, a field of the wrong type,
+    the flag of a model that is not unit variance, and two faults in one
+    list, so that the first of them must be the one reported.
+    """
+    d = draw(st.integers(1, 7))
+    model = random_unit_variance_model(d, np.random.default_rng(draw(st.integers(0, 2**16))))
+    summary = correlation_from_covariance(population_covariance(model))
+    doc = fit_to_document(fit_cascade(summary, root_hint=draw(st.sampled_from([None, model.root]))))
+    entries = doc["edges"]
+    for mutation in draw(st.lists(st.sampled_from(DOCUMENT_MUTATIONS), max_size=3)):
+        k = draw(st.integers(0, len(entries) - 1)) if entries else None
+        entry = entries[k] if k is not None and isinstance(entries[k], dict) else None
+        if mutation == "swap orientation" and entry is not None:
+            entry["child"], entry["parent"] = entry.get("parent"), entry.get("child")
+        elif mutation == "duplicate child" and entry is not None:
+            other = entries[draw(st.integers(0, len(entries) - 1))]
+            if isinstance(other, dict):
+                entry["child"] = other.get("child")
+        elif mutation == "self-loop" and entry is not None:
+            entry["parent"] = entry.get("child")
+        elif mutation == "child out of range" and entry is not None:
+            entry[draw(st.sampled_from(["child", "parent"]))] = d + draw(st.integers(0, 2))
+        elif mutation == "cycle" and len(entries) >= 2:
+            ring = draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=3, unique=True))
+            ring = [entries[i] for i in ring if isinstance(entries[i], dict)]
+            children = [e.get("child") for e in ring]
+            for e, child in zip(ring, children[1:] + children[:1]):
+                e["parent"] = child
+        elif mutation == "reattach" and entry is not None:
+            entry["parent"] = draw(st.integers(0, d - 1))
+        elif mutation in ("nan", "infinity", "huge integer"):
+            value = {"nan": math.nan, "infinity": draw(st.sampled_from([math.inf, -math.inf])),
+                     "huge integer": draw(st.sampled_from([10**400, -(10**400)]))}[mutation]
+            target = draw(st.sampled_from(["coeff", "error_vars", "weights", "objective"]))
+            if target == "coeff" and entry is not None:
+                entry["coeff"] = value
+            elif target == "objective":
+                doc["objective"] = value
+            elif isinstance(doc.get(target), list) and doc[target]:
+                doc[target][draw(st.integers(0, len(doc[target]) - 1))] = value
+        elif mutation == "missing field":
+            keys = list(doc) + ([f"edges.{key}" for key in entry] if entry is not None else [])
+            key = draw(st.sampled_from(keys))
+            if key.startswith("edges."):
+                del entry[key[len("edges."):]]
+            else:
+                del doc[key]
+        elif mutation == "not a mapping" and entries:
+            entries[k] = draw(st.sampled_from([None, "edge", [1, 0, 0.5], 3]))
+        elif mutation == "edge coefficient" and entry is not None:
+            entry["coeff"] = draw(st.sampled_from([0.0, 0, 1.0, -1.0, 1, True]))
+        elif mutation == "error variance" and isinstance(doc.get("error_vars"), list) and doc["error_vars"]:
+            i = draw(st.integers(0, len(doc["error_vars"]) - 1))
+            doc["error_vars"][i] = draw(st.sampled_from([0.123, 0.0, -0.5, 1, "1"]))
+        elif mutation == "retype":
+            key = draw(st.sampled_from(list(doc)))
+            doc[key] = draw(st.sampled_from([None, True, "3", 2.5, [], {}, -1, 0]))
+        elif mutation == "non-unit variance" and "unit_variance" in doc:
+            doc["unit_variance"] = False
+        elif mutation == "two faults in a list":
+            # the first in the list must be the one reported
+            field = draw(st.sampled_from(["error_vars", "weights", "edges"]))
+            values = doc.get(field)
+            if isinstance(values, list) and len(values) >= 2:
+                for i in draw(st.lists(st.integers(0, len(values) - 1), min_size=2, max_size=2, unique=True)):
+                    bad = draw(st.sampled_from(BAD_NUMBERS))
+                    if field != "edges":
+                        values[i] = bad
+                    elif isinstance(values[i], dict):
+                        values[i][draw(st.sampled_from(["child", "parent", "coeff"]))] = bad
+    return doc
+
+
+def load_outcome(load, doc):
+    """What a loader makes of a document: its result, fields in order, or its error."""
+    try:
+        result = load(copy.deepcopy(doc))
+    except Exception as exc:  # the oracle compares failures too
+        return type(exc), str(exc)
+    maps = [value for value in vars(result).values() if isinstance(value, dict)]
+    return result, [list(m.items()) for m in maps]
+
+
+def two_fault_documents() -> list[dict]:
+    """Documents with two faults each, where the first in load order must be reported."""
+    base = fit_to_document(example_fit(d=5))
+    docs = []
+    doc = copy.deepcopy(base)
+    doc["error_vars"][1], doc["error_vars"][3] = -0.5, math.nan
+    docs.append(doc)
+    doc = copy.deepcopy(base)
+    doc["edges"][0]["parent"] = doc["edges"][0]["child"]
+    doc["edges"][2] = "edge"
+    docs.append(doc)
+    # a two-edge cycle, which repeats an edge, and a self-loop after it
+    doc = copy.deepcopy(base)
+    first, second, third = doc["edges"][:3]
+    first["parent"], second["parent"] = second["child"], first["child"]
+    third["parent"] = third["child"]
+    docs.append(doc)
+    return docs
+
+
+TWO_FAULT_DOCUMENTS = two_fault_documents()
+
+
+class TestDocumentLoaderOracle:
+    """The one-walk loaders return what the checking loaders return, or raise as they raise."""
+
+    @given(doc=mutated_documents())
+    @settings(max_examples=400, deadline=None)
+    @example(doc=TWO_FAULT_DOCUMENTS[0])
+    @example(doc=TWO_FAULT_DOCUMENTS[1])
+    @example(doc=TWO_FAULT_DOCUMENTS[2])
+    def test_document_to_fit(self, doc):
+        assert load_outcome(document_to_fit, doc) == load_outcome(checking_document_to_fit, doc)
+
+    @given(doc=mutated_documents())
+    @settings(max_examples=400, deadline=None)
+    @example(doc=TWO_FAULT_DOCUMENTS[0])
+    def test_model_from_document(self, doc):
+        assert load_outcome(model_from_document, doc) == load_outcome(checking_model_from_document, doc)

@@ -10,17 +10,23 @@ Claims covered:
     generating tree uniquely.
   - The fitted tree and objective are invariant to the root hint, to
     column rescaling, and weakly improve when tree-edge correlations grow.
+  - The objective's terms, gathered and computed as arrays, sum to the
+    bits of the scalar loop over edges.
+  - Covariances normalize densely to the bits of the upper-triangle
+    index-array form, -0.0 and clipped entries included, with the same
+    warnings where variances square past the ends of the float range.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_correlation, random_spd_covariance
-from oracles import brute_force_fit
+from oracles import brute_force_fit, loop_objective_value, triu_correlation_from_covariance
 from treecascade import (
     CorrelationSummary,
     DataError,
@@ -105,6 +111,68 @@ class TestCorrelationSummary:
         assert correlation_from_covariance(clipped).corr[0, 1] == 1.0
 
 
+def covariance_outcome(normalize, cov):
+    """The correlation bits, or the error, and the warnings that normalizing ``cov`` gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = normalize(cov).corr.view(np.int64).tobytes()
+        except InvalidInputError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def signed_zeros_and_clips(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``cov`` with a few upper entries set to -0.0 and a few pushed past the diagonal scale."""
+    cov = cov.copy()
+    i, j = np.triu_indices(len(cov), 1)
+    for k in rng.choice(len(i), size=min(len(i), 3), replace=False):
+        cov[i[k], j[k]] = -0.0 if rng.integers(2) else 2.0 * np.sqrt(cov[i[k], i[k]] * cov[j[k], j[k]])
+    return cov
+
+
+class TestDenseCovarianceNormalization:
+    """The dense normalization is the one over upper-triangle index arrays, bit for bit."""
+
+    def test_same_bits_as_the_index_array_form(self):
+        rng = np.random.default_rng(47)
+        inputs = [random_spd_covariance(int(rng.integers(1, 60)), rng) for _ in range(40)]
+        inputs += [signed_zeros_and_clips(cov, rng) for cov in inputs[:20]]
+        # the lower triangle is never read
+        inputs.append(inputs[-1] + np.tril(rng.normal(size=inputs[-1].shape), -1))
+        results = [correlation_from_covariance(cov).corr for cov in inputs]
+        for cov, dense in zip(inputs, results):
+            assert np.array_equal(dense.view(np.int64), triu_correlation_from_covariance(cov).corr.view(np.int64))
+        # the inputs reach both special cases
+        assert any((np.abs(dense) == 1.0).sum() > len(dense) for dense in results)
+        assert any(np.signbit(dense).any() for dense in results)
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_same_warnings_near_the_float_range_ends(self, seed):
+        # a variance near 1e160 squares past the largest double, one near
+        # 1e-162 squares to 0: one such variance alone may not warn, a pair may
+        rng = np.random.default_rng(seed)
+        d = 6
+        exponents = rng.choice([-20.0, 0.0, 20.0], size=d)
+        extreme = rng.choice(d, size=seed % 3 + 1, replace=False)
+        exponents[extreme] = rng.choice([-170.0, -162.0, -160.0, 155.0, 160.0, 170.0], size=extreme.size)
+        variances = 10.0**exponents
+        rho = rng.uniform(-1.0, 1.0, size=(d, d))
+        with np.errstate(all="ignore"):
+            cov = rho * np.sqrt(variances)[:, None] * np.sqrt(variances)[None, :]
+        np.fill_diagonal(cov, variances)
+        assert covariance_outcome(correlation_from_covariance, cov) == covariance_outcome(
+            triu_correlation_from_covariance, cov
+        )
+
+    def test_one_huge_and_one_tiny_variance_do_not_warn(self):
+        # the product of the two is 1: squaring either alone would warn
+        cov = np.array([[1e160, 0.5], [0.5, 1e-160]])
+        result, caught = covariance_outcome(correlation_from_covariance, cov)
+        assert caught == []
+        assert result == covariance_outcome(triu_correlation_from_covariance, cov)[0]
+
+
 class TestOptimalCoefficients:
     def test_two_vertex_chain(self):
         c = summary_from_matrix([[1.0, 0.6], [0.6, 1.0]])
@@ -156,6 +224,17 @@ class TestObjectiveValue:
         residual = x @ a.T - x
         mc = float((residual * residual).sum(axis=1).mean())
         assert objective_value(rt, coeffs, c) == pytest.approx(mc, abs=1e-2)
+
+    def test_same_bits_as_the_scalar_loop(self):
+        # optimal and arbitrary coefficients, any root: the array terms round as the scalar ones
+        rng = np.random.default_rng(23)
+        for d in [1, 2, 3, 8, 30, 200]:
+            c = random_correlation(d, rng)
+            rt = root_tree(random_tree(d, rng), int(rng.integers(d)))
+            arbitrary = {i: float(rng.uniform(-3.0, 3.0)) for i in rt.non_root_vertices()}
+            for coeffs in (optimal_coefficients(rt, c), arbitrary):
+                fast, loop = objective_value(rt, coeffs, c), loop_objective_value(rt, coeffs, c)
+                assert np.float64(fast).view(np.int64) == np.float64(loop).view(np.int64)
 
     def test_coefficients_must_match_sparsity(self):
         c = summary_from_matrix(np.eye(3))
