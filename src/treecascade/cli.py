@@ -148,9 +148,7 @@ def _cmd_simulate(args) -> int:
     doc = dataio.load_document(args.model)
     model = dataio.model_from_document(doc)
     sampler = get_sampler(args.sampler)
-    names = doc.get("names")
-    if names is None:
-        names = [f"x{i}" for i in range(model.d)]
+    names = dataio._column_names(doc.get("names"), model.d)
     # no n-by-d array: each block of rows is drawn, transformed and written in turn
     dataio._write_csv(args.out, names, _simulated_blocks(model, sampler, args.n, args.seed))
     print(f"wrote {args.n} samples x {model.d} columns to {args.out}")
@@ -231,7 +229,7 @@ def _cmd_cluster(args) -> int:
     d = fit.tree.d
     if not (1 <= args.k <= d):
         raise InvalidInputError(f"--k {args.k} out of range 1..{d}")
-    names = fit.names if fit.names is not None else tuple(f"x{i}" for i in range(d))
+    names = dataio._column_names(fit.names, d)
     for group in cluster_by_edge_deletion(fit.tree, fit.weights, args.k):
         print(", ".join(names[v] for v in group))
     return 0
@@ -245,7 +243,7 @@ def _cmd_chow_check(args) -> int:
     else:
         model = dataio.model_from_document(dataio.load_document(args.fit))
         corr = correlation_from_covariance(population_covariance(model))
-        names = tuple(f"x{i}" for i in range(model.d))
+        names = dataio._column_names(None, model.d)
     report = correspondence_check(corr)
     for (i, j), rho_sq, mi in report.edge_pairs:
         print(f"edge {names[i]} -- {names[j]}: squared_correlation={rho_sq:.6f} mi_weight={mi:.6f}")
@@ -257,7 +255,7 @@ def _cmd_chow_check(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     fit = dataio.load_fit(args.fit)
-    names = fit.names if fit.names is not None else tuple(f"x{i}" for i in range(fit.tree.d))
+    names = dataio._column_names(fit.names, fit.tree.d)
     # a quoted DOT ID escapes its backslashes, then its quotes
     names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in names]
     rooted = fit.root_hint_source == "user"

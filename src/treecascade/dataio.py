@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidInputError, SchemaError
-from .trees import _root_parent_map, _unchecked, canonical_edge
+from .trees import RootedTree, Tree, _breadth_first, _unchecked, canonical_edge
 
 FORMAT_VERSION = 1
 
@@ -65,6 +65,11 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+
+def _column_names(names, d: int) -> tuple[str, ...]:
+    """``names`` as a tuple, or the default names ``x0`` to ``x{d-1}`` when it is None."""
+    return tuple(names) if names is not None else tuple(f"x{i}" for i in range(d))
 
 
 def _check_unique(names: tuple[str, ...]) -> None:
@@ -474,9 +479,17 @@ def document_to_fit(doc: Mapping):
         parents[child] = parent
     try:
         edges = [canonical_edge(child, parents[child]) for child in coeffs]
-        rt = _root_parent_map(root, parents, edges)
     except InvalidInputError as exc:
         raise SchemaError(f"edges: {exc}") from None
+    tree = _unchecked(Tree, d=d, edges=frozenset(edges))
+    if len(tree.edges) != d - 1:
+        raise SchemaError(f"edges: a tree on {d} vertices needs {d - 1} edges, got {len(tree.edges)}")
+    # d - 1 distinct edges that one walk from the root reaches form a tree, each
+    # leading from its child toward the root, so the walk's parents are ``parents``
+    order, _, depth = _breadth_first(tree, root)
+    if len(order) != d:
+        raise SchemaError("edges: edge set is not connected")
+    rt = _unchecked(RootedTree, tree=tree, root=root, parent=tuple(parents), depth=tuple(depth))
     error_vars = _require(doc, "error_vars", list)
     if len(error_vars) != d:
         raise SchemaError(f"error_vars: expected {d} entries, got {len(error_vars)}")
@@ -519,14 +532,13 @@ def model_from_document(doc: Mapping):
     or out-of-range coefficients are rejected) and the stored error
     variances must agree with the reconstruction.
     """
-    from .cascade import CascadeModel, _unit_variance_model
+    from .cascade import CascadeModel, make_unit_variance_model
 
     fit = document_to_fit(doc)
     error_vars = {i: float(v) for i, v in enumerate(doc["error_vars"])}
     if doc["unit_variance"]:
         try:
-            # the load checked that the coefficients cover the non-root vertices
-            model = _unit_variance_model(fit.rt, fit.coeffs)
+            model = make_unit_variance_model(fit.rt, fit.coeffs)
         except InvalidInputError as exc:
             raise SchemaError(f"edges: unit-variance model rejected: {exc}") from None
         for i in range(fit.tree.d):

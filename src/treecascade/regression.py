@@ -28,6 +28,7 @@ from .trees import (
     RootedTree,
     Tree,
     WeightedGraph,
+    _unchecked,
     canonical_edge,
     maximum_spanning_tree,
     root_tree,
@@ -93,7 +94,7 @@ def correlation_from_covariance(cov: np.ndarray) -> CorrelationSummary:
     np.divide(cov, corr, out=corr, where=upper)
     np.copyto(corr, corr.T, where=lower)
     np.clip(corr, -1.0, 1.0, out=corr)
-    return CorrelationSummary(corr)
+    return _adopt_summary(corr)
 
 
 def correlation_from_dataset(
@@ -115,8 +116,16 @@ def correlation_from_dataset(
     raw = z.T @ z / (z.shape[0] - 1)
     corr = (raw + raw.T) / 2.0
     np.fill_diagonal(corr, 1.0)
-    corr = np.clip(corr, -1.0, 1.0)
-    return CorrelationSummary(corr)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    return _adopt_summary(corr)
+
+
+def _adopt_summary(corr: np.ndarray) -> CorrelationSummary:
+    """A summary over ``corr``, built symmetric, unit-diagonal and clipped; a 0/0 can leave NaN."""
+    if not np.isfinite(corr).all():
+        raise InvalidInputError("correlation matrix contains non-finite entries")
+    corr.setflags(write=False)
+    return _unchecked(CorrelationSummary, corr=corr)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-#: The strict total edge order under which Prim's construction compares edges;
-#: it makes the maximum spanning tree unique, ties in weight included.
-CANONICAL_EDGE_ORDER = "weight descending, then (min vertex, max vertex) ascending"
-
 
 def canonical_edge(i: int, j: int) -> tuple[int, int]:
     """Return the undirected edge ``{i, j}`` in canonical ``(min, max)`` form."""
@@ -189,13 +185,13 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
 
     Dense Prim from vertex 0: every vertex outside the tree keeps its best
     edge into it, and each step joins the best of those.  Edges compare by
-    the strict total order :data:`CANONICAL_EDGE_ORDER`, under which the
-    maximum spanning tree is unique, so the result (including tie
-    resolution) is identical across runs and platforms, and equals
-    Kruskal's greedy tree over that order.  ``total_weight`` sums the tree
-    edges in that order.  Prim grows the tree from vertex 0, so the parent
-    each vertex joined through roots it there: :func:`mst_is_unique`
-    certifies that rooting, which ``rooted`` keeps.
+    the module's strict total edge order, under which the maximum spanning
+    tree is unique, so the result (including tie resolution) is identical
+    across runs and platforms, and equals Kruskal's greedy tree over that
+    order.  ``total_weight`` sums the tree edges in that order.  Prim grows
+    the tree from vertex 0, so the parent each vertex joined through roots
+    it there: :func:`mst_is_unique` certifies that rooting, which
+    ``rooted`` keeps.
     """
     w = g.matrix
     outside = np.ones(g.d, dtype=bool)
@@ -376,37 +372,6 @@ def root_tree(t: Tree, r: int) -> RootedTree:
         raise InvalidInputError(f"root {r} out of range for {t.d} vertices")
     _, parent, depth = _breadth_first(t, r)
     return RootedTree(t, r, tuple(parent), tuple(depth))
-
-
-def _root_parent_map(root: int, parent: list[int], edges: list[tuple[int, int]]) -> RootedTree:
-    """The tree that a parent map read from outside describes, rooted at ``root``.
-
-    ``parent`` holds ``-1`` at ``root`` and another vertex at every other
-    index; ``edges`` lists each ``canonical_edge(v, parent[v])``.  The
-    ``Tree`` checks that can still fail run here, with their messages: the
-    edges must be distinct, and one walk down from the root must reach
-    every vertex, which also orients each edge toward it and gives the
-    depths.  Neither constructor checks again.
-    """
-    d = len(parent)
-    tree = _unchecked(Tree, d=d, edges=frozenset(edges))
-    if len(tree.edges) != d - 1:
-        raise InvalidInputError(
-            f"a tree on {d} vertices needs {d - 1} edges, got {len(tree.edges)}"
-        )
-    children: list[list[int]] = [[] for _ in range(d)]
-    for v, u in enumerate(parent):
-        if v != root:
-            children[u].append(v)
-    depth = [0] * d
-    order = [root]
-    for u in order:
-        for v in children[u]:
-            depth[v] = depth[u] + 1
-            order.append(v)
-    if len(order) != d:
-        raise InvalidInputError("edge set is not connected")
-    return _unchecked(RootedTree, tree=tree, root=root, parent=tuple(parent), depth=tuple(depth))
 
 
 def cluster_by_edge_deletion(

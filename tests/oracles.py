@@ -18,8 +18,11 @@ loads in one walk from its root, through constructors that skip the checks
 the load already made; the loaders that built a ``Tree``, rooted it with
 ``root_tree`` and ran every constructor's checks are kept, and so is the
 covariance normalization over upper-triangle index arrays, and the
-objective summed one scalar edge term at a time.  Tests require
-the fast paths to agree with them exactly.
+objective summed one scalar edge term at a time.  The covariance-lemma
+report compares the covariance with one predicted matrix, B_im * B_jm at
+the deepest common ancestor; the report that took the ancestor pairs
+against B_ji and gathered the branching pairs by index is kept.  Tests
+require the fast paths to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from treecascade.chowliu import mutual_information_weights
 from treecascade.dataio import FORMAT_VERSION
 from treecascade.regression import objective_value, optimal_coefficients
 from treecascade.trees import MstResult, canonical_edge
-from treecascade.trees import _tree_from_pruefer
+from treecascade.trees import _path_neighbor_gaps, _tree_from_pruefer
 
 #: Guard for exhaustive spanning-tree enumeration (8**6 = 262144 trees).
 MAX_ENUMERATION_VERTICES = 8
@@ -294,6 +297,52 @@ def loop_covariance_lemmas(m, tol: float = 1e-12) -> LemmaReport:
                 margin,
                 "min margin min(|C_ik|, |C_kj|) - |C_ij|",
                 bound_pairs,
+            ),
+        )
+    )
+
+
+def two_formula_lemma_report(
+    inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.ndarray
+) -> LemmaReport:
+    """The covariance-lemma report with one formula per covariance check.
+
+    Ancestor pairs compare C_ij with B_ji over the whole matrix; branching
+    pairs are gathered by index and compared with B_im * B_jm.
+    """
+    rows = np.arange(len(inv))[:, None]
+    cols = np.arange(len(inv))[None, :]
+
+    ancestor_devs = np.abs(cov - inv.T)[(meet == rows) & (rows != cols)]
+    i, j = np.nonzero((rows < cols) & (meet != rows) & (meet != cols))
+    k = meet[i, j]
+    branch_devs = np.abs(cov[i, j] - inv[i, k] * inv[j, k])
+    gaps = _path_neighbor_gaps(np.abs(cov), hop)
+
+    ancestor_dev = float(ancestor_devs.max(initial=0.0))
+    branch_dev = float(branch_devs.max(initial=0.0))
+    return LemmaReport(
+        (
+            LemmaCheck(
+                "ancestor-covariance",
+                ancestor_dev <= 1e-12,
+                ancestor_dev,
+                "max |C_ij - B_ji|",
+                ancestor_devs.size,
+            ),
+            LemmaCheck(
+                "branching-covariance",
+                branch_dev <= 1e-12,
+                branch_dev,
+                "max |C_ij - B_im B_jm|",
+                branch_devs.size,
+            ),
+            LemmaCheck(
+                "strict-dominance",
+                bool((gaps > 0.0).all()),
+                float(gaps.min(initial=math.inf)),
+                "min margin min(|C_ik|, |C_kj|) - |C_ij|",
+                gaps.size,
             ),
         )
     )

@@ -14,10 +14,11 @@ Claims covered:
   - A column near the float limit fits like the same column scaled down.
   - fit and chow-check --data hold one n-by-d array: their traced peak
     memory stays within 1.5 times the parsed values.
-  - simulate streams: its CSV is byte for byte the one-shot draw written
-    by csv.writer, its traced peak stays under 8 MiB at n = 200000, an
-    overflowing model gives one error line naming the global row, and no
-    partial regular file is left behind.
+  - simulate streams: its blocks are the one-shot draw bit for bit, its
+    CSV is that draw written by csv.writer, a child process running it at
+    n = 200000 peaks (VmHWM) less than half the 46 MiB draw above one at
+    n = 1, an overflowing model gives one error line naming the global
+    row, and no partial regular file is left behind.
   - A constant column is rejected even when its mean rounds.
   - verify builds the inverse, the covariance, the hop/meet pair and the
     squared-correlation graph once, and chow-check --fit the covariance
@@ -52,6 +53,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -283,18 +285,22 @@ class TestSimulateCommand:
         for d in (1, 2, 8, 30, 64):
             _, _, doc = model_fit_document(tmp_path, d=d, seed=d)
             model = model_from_document(load_document(doc))
-            names = [f"x{i}" for i in range(d)]
             b = _block_rows(d)
             for n in (1, 2, b - 1, b, b + 1, 2 * b, 2 * b + 1, 3 * b + 17):
-                out = tmp_path / "sim.csv"
                 seed = n + d
-                code, stdout, stderr = run(
-                    capsys, "simulate", "--model", str(doc), "--sampler", sampler,
-                    "--n", str(n), "--seed", str(seed), "--out", str(out),
-                )
-                assert (code, stdout, stderr) == (0, f"wrote {n} samples x {d} columns to {out}\n", "")
-                expected = csv_writer_bytes(names, one_shot_simulate(model, sampler, n, seed))
-                assert out.read_bytes() == expected, (d, n)
+                streamed = np.concatenate(list(_simulated_blocks(model, get_sampler(sampler), n, seed)))
+                expected = one_shot_simulate(model, sampler, n, seed)
+                assert np.array_equal(streamed.view(np.int64), expected.view(np.int64)), (d, n)
+        # through the CLI, two blocks reach the file in order, as csv.writer writes them
+        out = tmp_path / "sim.csv"
+        n = 2 * b + 1
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--sampler", sampler,
+            "--n", str(n), "--seed", "7", "--out", str(out),
+        )
+        assert (code, stdout, stderr) == (0, f"wrote {n} samples x {d} columns to {out}\n", "")
+        names = [f"x{i}" for i in range(d)]
+        assert out.read_bytes() == csv_writer_bytes(names, one_shot_simulate(model, sampler, n, 7))
 
     def test_overflowing_model_gives_one_error_line(self, capsys, tmp_path):
         doc = overflowing_document(tmp_path)
@@ -1138,6 +1144,7 @@ class TestPeakMemory:
     """The parsed values are the only n-by-d array that fit and chow-check hold; simulate holds none."""
 
     N, D = 20_000, 30
+    N_SIMULATED = 200_000
 
     def test_traced_peak_within_one_and_a_half_arrays(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -1160,20 +1167,51 @@ class TestPeakMemory:
             assert code == 0
             assert peak <= limit, f"{argv[0]}: peak {peak / limit * 1.5:.2f} arrays"
 
-    @pytest.mark.parametrize("sampler", ["gaussian", "laplace", "uniform", "rademacher", "dependent"])
-    def test_simulate_streams_in_blocks(self, tmp_path, sampler):
-        # the whole draw would be 46 MiB; blocks are 1 MiB, dependent's magnitudes 1.5 MiB
+    SAMPLERS = ("gaussian", "laplace", "uniform", "rademacher", "dependent")
+    # A child prints the peak of its own memory image, VmHWM.  Its ru_maxrss
+    # would not do: Linux carries the spawning process's peak across the
+    # exec, so under pytest both children would report pytest's peak.
+    CHILD_PEAK = (
+        "import sys\n"
+        "from treecascade.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def simulate_children(self, tmp_path_factory):
+        """Each sampler's simulate child at n = 1 and n = N_SIMULATED, two running at a time."""
+        tmp_path = tmp_path_factory.mktemp("peaks")
         _, _, doc = model_fit_document(tmp_path, d=self.D)
-        argv = ("simulate", "--model", doc, "--sampler", sampler, "--n", 200_000, "--seed", 3,
-                "--out", tmp_path / "sim.csv")
-        tracemalloc.start()
-        try:
-            code = quiet_main(*argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+        def child(job):
+            sampler, n = job
+            argv = ["simulate", "--model", doc, "--sampler", sampler, "--n", n, "--seed", 3,
+                    "--out", tmp_path / f"{sampler}-{n}.csv"]
+            return subprocess.run(
+                [sys.executable, "-c", self.CHILD_PEAK, *map(str, argv)],
+                capture_output=True,
+                text=True,
+                # two children share the CPUs: more BLAS threads would spin against each other
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            )
+
+        jobs = [(sampler, n) for sampler in self.SAMPLERS for n in (1, self.N_SIMULATED)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return dict(zip(jobs, pool.map(child, jobs)))
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_simulate_streams_in_blocks(self, simulate_children, sampler):
+        # the whole draw would be 46 MiB; blocks are 1 MiB, dependent's magnitudes 1.5 MiB
+        peaks = []
+        for n in (1, self.N_SIMULATED):
+            result = simulate_children[sampler, n]
+            assert (result.returncode, result.stderr) == (0, "")
+            peaks.append(int(result.stdout.split()[-1]) * 1024)  # VmHWM is in KiB
+        gap = peaks[1] - peaks[0]
+        assert gap < self.N_SIMULATED * self.D * 8 / 2, f"peak grew {gap / 2**20:.2f} MiB"
 
 
 class TestEntryPoint:

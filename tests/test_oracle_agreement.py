@@ -10,11 +10,17 @@ Claims covered:
     agree with the strict-triangle loop.
   - The array form of the covariance-lemma checks returns the loop's
     report, every field exactly equal.
+  - The one-prediction covariance checks return the two-formula report,
+    every field equal and ``worst`` bit for bit, on random models up to
+    d = 200 and on chains whose path products underflow; an error of
+    1e-9 planted at an ancestor pair fails only the ancestor row, and at
+    a branching pair only the branching row.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,18 +31,23 @@ from oracles import (
     loop_covariance_lemmas,
     loop_strict_triangle_condition,
     path_walk_is_unique,
+    two_formula_lemma_report,
 )
 from treecascade import (
     InvalidInputError,
+    Tree,
     WeightedGraph,
     correlation_from_covariance,
+    make_unit_variance_model,
     maximum_spanning_tree,
     mst_is_unique,
     population_covariance,
     random_unit_variance_model,
+    root_tree,
     verify_covariance_lemmas,
 )
-from treecascade.trees import random_tree
+from treecascade.cascade import _covariance, _lemma_report, cascade_inverse
+from treecascade.trees import _hop_and_meet_matrices, random_tree
 
 
 def certificate_outcome(certify, g, t):
@@ -110,3 +121,51 @@ def test_random_cascades_match_oracle():
             assert a.measure == b.measure
             assert a.pairs_checked == b.pairs_checked
         assert fast == slow
+
+
+def lemma_inputs(model):
+    """The inverse, covariance, hop and meet matrices that ``_lemma_report`` takes."""
+    inv = cascade_inverse(model)
+    return (inv, _covariance(inv, model.error_variance_vector()), *_hop_and_meet_matrices(model.rt))
+
+
+def assert_same_report(fast, slow):
+    assert len(fast.checks) == len(slow.checks) == 3
+    for a, b in zip(fast.checks, slow.checks):
+        assert (a.name, a.passed, a.measure, a.pairs_checked) == (
+            b.name, b.passed, b.measure, b.pairs_checked
+        )
+        assert np.float64(a.worst).view(np.int64) == np.float64(b.worst).view(np.int64), a.name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 30, 200])
+def test_lemma_report_matches_two_formula_oracle(d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        inputs = lemma_inputs(random_unit_variance_model(d, rng))
+        assert_same_report(_lemma_report(*inputs), two_formula_lemma_report(*inputs))
+
+
+@pytest.mark.parametrize("d, rho", [(600, -0.2), (1500, 0.6)])
+def test_lemma_report_matches_oracle_where_products_underflow(d, rho):
+    # rooted a third of the way along, so both covariance rows have pairs
+    rt = root_tree(Tree.from_edges(d, [(i, i + 1) for i in range(d - 1)]), d // 3)
+    inputs = lemma_inputs(make_unit_variance_model(rt, dict.fromkeys(rt.non_root_vertices(), rho)))
+    assert (inputs[1] == 0.0).any()  # the longest paths' products underflow to zero
+    assert_same_report(_lemma_report(*inputs), two_formula_lemma_report(*inputs))
+
+
+@pytest.mark.parametrize("kind", ["ancestor", "branching"])
+def test_planted_error_fails_only_its_row(kind):
+    inv, cov, hop, meet = lemma_inputs(random_unit_variance_model(8, np.random.default_rng(5)))
+    rows, cols = np.indices(meet.shape)
+    if kind == "ancestor":
+        pairs = (meet == rows) & (rows != cols)
+    else:
+        pairs = (meet != rows) & (meet != cols)
+    i, j = np.argwhere(pairs)[0]
+    cov[i, j] += 1e-9
+    cov[j, i] = cov[i, j]
+    report = _lemma_report(inv, cov, hop, meet)
+    assert_same_report(report, two_formula_lemma_report(inv, cov, hop, meet))
+    assert [c.name for c in report.checks if not c.passed] == [f"{kind}-covariance"]
