@@ -22,8 +22,8 @@ import numpy as np
 
 from .dataio import Dataset, _adopt, _block_rows, _column_names
 from .errors import InvalidInputError, UnsupportedModelError
-from .trees import RootedTree, _unchecked, random_tree, root_tree
-from .trees import _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
+from .trees import RootedTree, _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
+from .trees import _to_vertex_order, _unchecked, _walk, random_tree, root_tree
 
 
 @dataclass(frozen=True)
@@ -106,18 +106,21 @@ def cascade_inverse(m: CascadeModel) -> np.ndarray:
 
 
 def population_covariance(m: CascadeModel) -> np.ndarray:
-    """Covariance induced by the model: (I - A)^-1 D (I - A)^-T, symmetrized.
+    """Covariance induced by the model, (I - A)^-1 D (I - A)^-T, by its structural equations.
 
+    Over a parent-first walk, C[v, w] = a_v C[u, w] for each earlier w, which e_v is
+    uncorrelated with, and C[v, v] = a_v^2 C[u, u] + sigma_v^2, u the parent of v.
     Entries that overflow come out infinite or NaN, without a warning.
     """
-    return _covariance(cascade_inverse(m), m.error_variance_vector())
-
-
-def _covariance(inv: np.ndarray, error_vars: np.ndarray) -> np.ndarray:
-    """``population_covariance`` from the model's inverse and error variances."""
+    _, joins, pos = _walk(m.rt)
+    cov = np.empty((m.d, m.d))
+    cov[0, 0] = m.error_vars[m.root]  # the walk starts at the root
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = (inv * error_vars) @ inv.T
-        return (cov + cov.T) / 2.0
+        for k, v, _, pu in joins:
+            a = m.coeffs[v]
+            cov[:k, k] = np.multiply(cov[pu, :k], a, out=cov[k, :k])
+            cov[k, k] = a * a * cov[pu, pu] + m.error_vars[v]
+    return _to_vertex_order(cov, pos)
 
 
 def make_unit_variance_model(
@@ -171,7 +174,8 @@ def random_unit_variance_model(
 
 
 # The generator type is a string so that importing this module does not load
-# numpy.random (about 6 MB and 20 ms) for commands that draw nothing.
+# numpy.random (about 6 MB and 20 ms) for commands that draw nothing.  A
+# sampler hands its blocks over: ``simulate`` transforms them in place.
 Sampler = Callable[["np.random.Generator", Sequence[int], np.ndarray], Iterator[np.ndarray]]
 
 
@@ -257,9 +261,9 @@ def get_sampler(name: str) -> Sampler:
 def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -> Dataset:
     """Draw ``n`` independent realizations of the cascade.
 
-    Each draw is the closed-form inverse applied to a fresh error draw, so
-    the output is a pure function of (model, sampler, n, seed).  Columns
-    follow vertex order.  The generator is numpy's seeded PCG64.
+    Each draw is a fresh error draw through the structural equations, so
+    the output is a pure function of (model, sampler, n, seed) on every
+    CPU.  Columns follow vertex order.  The generator is numpy's seeded PCG64.
     """
     blocks = _simulated_blocks(m, sampler, n, seed)  # checks n before the allocation
     values = np.empty((n, m.d))
@@ -275,17 +279,14 @@ def _simulated_blocks(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> I
 
     The sample count is checked at once; the draws happen as the blocks
     are taken.  A block starts every ``_block_rows(d)`` rows (1 MiB) and
-    the remainder joins the last block, so no block is shorter unless
-    ``n`` is: BLAS multiplies a block of a few rows with other kernels,
-    whose bits can differ from those of the same rows in a taller block.
-    Overflow in a model's inverse or in the product leaves infinities,
+    the remainder joins the last block.  Overflow leaves infinities,
     without a warning, for the caller's finiteness check to name.
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
     sizes = _BlockSizes(n, _block_rows(m.d))
     draws = sampler(np.random.default_rng(seed), sizes, m.error_variance_vector())
-    return _transformed(draws, cascade_inverse(m).T)
+    return _transformed(draws, m)
 
 
 class _BlockSizes(Sequence):
@@ -302,15 +303,17 @@ class _BlockSizes(Sequence):
         return self.step if k < len(self) - 1 else self.rows - self.step * k
 
 
-def _transformed(draws: Iterator[np.ndarray], inv_t: np.ndarray) -> Iterator[np.ndarray]:
-    """Each error block of ``draws`` times ``inv_t``, drawn and multiplied on demand."""
+def _transformed(draws: Iterator[np.ndarray], m: CascadeModel) -> Iterator[np.ndarray]:
+    """Error blocks of ``draws`` made rows of ``m`` in place, x_v = a_v x_parent + e_v, on demand."""
+    joins = [(v, m.rt.parent[v], m.coeffs[v]) for v in _parent_first_order(m.rt)[1:].tolist()]
     while True:
         # the scope ends before the yield, so the caller's error state is its own
         with np.errstate(over="ignore", invalid="ignore"):
             block = next(draws, None)
             if block is None:
                 return
-            block = block @ inv_t
+            for v, u, a in joins:
+                block[:, v] += a * block[:, u]
         yield block
 
 
@@ -372,9 +375,7 @@ def verify_covariance_lemmas(m: CascadeModel) -> LemmaReport:
     """
     if not m.unit_variance:
         raise UnsupportedModelError("verify_covariance_lemmas requires a unit-variance model")
-    inv = cascade_inverse(m)
-    cov = _covariance(inv, m.error_variance_vector())
-    return _lemma_report(inv, cov, *_hop_and_meet_matrices(m.rt))
+    return _lemma_report(cascade_inverse(m), population_covariance(m), *_hop_and_meet_matrices(m.rt))
 
 
 def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.ndarray) -> LemmaReport:

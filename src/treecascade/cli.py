@@ -18,7 +18,6 @@ import numpy as np
 
 from . import dataio
 from .cascade import (
-    _covariance,
     _lemma_report,
     _simulated_blocks,
     cascade_inverse,
@@ -170,7 +169,7 @@ def _cmd_verify(args) -> int:
 
     # the model's algebra, built once; the hop matrix does not depend on the root
     inv = cascade_inverse(model)
-    cov = _covariance(inv, model.error_variance_vector())
+    cov = population_covariance(model)
     hop, meet = _hop_and_meet_matrices(model.rt)
 
     rows: list[tuple[str, bool, str]] = []

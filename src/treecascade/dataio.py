@@ -315,18 +315,24 @@ def _write_csv(path, names, blocks: Iterable[np.ndarray]) -> None:
             raise
 
 
-def _difference_in_place(v: np.ndarray) -> np.ndarray:
+def _difference_in_place(v: np.ndarray, names) -> np.ndarray:
     """First differences of the rows of ``v``, written over its leading rows.
 
     Returns that n - 1 row view; row i is ``v[i + 1] - v[i]``, as
     ``np.diff`` computes it.  Blocks go forward, so each reads rows that
-    are not yet overwritten.
+    are not yet overwritten.  A difference that overflows is named by its
+    data rows and its column in ``names``.
     """
     rows = _differenced_rows(v.shape[0])
     step = _block_rows(v.shape[1])
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        np.subtract(v[start + 1 : stop + 1], v[start:stop], out=v[start:stop])
+        with np.errstate(over="ignore"):
+            block = np.subtract(v[start + 1 : stop + 1], v[start:stop], out=v[start:stop])
+        if not np.isfinite(block).all():
+            r, c = np.argwhere(~np.isfinite(block))[0]
+            r += start + 1  # data rows count from 1, as in _check_finite
+            raise DataError(f"non-finite first difference of rows {r} and {r + 1}, column {names[c]!r}")
     return v[:rows]
 
 

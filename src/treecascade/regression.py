@@ -111,7 +111,7 @@ def correlation_from_dataset(
     """
     v = _buffer(ds, overwrite)
     if diff:
-        v = _difference_in_place(v)
+        v = _difference_in_place(v, ds.names)
     z = _standardize_in_place(v, ds.names)
     raw = z.T @ z / (z.shape[0] - 1)
     corr = (raw + raw.T) / 2.0

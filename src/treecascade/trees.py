@@ -235,20 +235,30 @@ def _parent_first_order(rt: RootedTree) -> np.ndarray:
     return np.argsort(rt.depth, kind="stable")
 
 
-def _walk(rt: RootedTree) -> tuple[np.ndarray, Iterator[tuple[int, int, int, int]], tuple]:
-    """A parent-first walk of ``rt``: its order, its joins, and the gather back to vertex order.
+def _walk(rt: RootedTree) -> tuple[np.ndarray, Iterator[tuple[int, int, int, int]], np.ndarray]:
+    """A parent-first walk of ``rt``: its order, its joins, and each vertex's position in it.
 
     The order is :func:`_parent_first_order`.  Join ``(k, v, u, pu)`` puts
     ``v`` at position ``k`` and its parent ``u`` at ``pu < k``.  The tree
     path from ``v`` to any vertex before it starts with the edge to ``u``,
     so a matrix of path quantities kept in walk order gains row and column
-    ``k`` over the prefix ``[:k]`` from row ``pu``.
+    ``k`` over the prefix ``[:k]`` from row ``pu``; :func:`_to_vertex_order`
+    puts such a matrix back in vertex order.
     """
     order = _parent_first_order(rt)
     pos = np.argsort(order)
     at = pos.tolist()
     joins = ((k, v, rt.parent[v], at[rt.parent[v]]) for k, v in enumerate(order.tolist()) if k)
-    return order, joins, np.ix_(pos, pos)
+    return order, joins, pos
+
+
+def _to_vertex_order(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Walk-order matrix ``x`` gathered back to vertex order, in ``x`` itself; returns ``x``.
+
+    The row gather makes the one temporary; ``clip`` lets the column gather
+    write into ``x`` unbuffered, and every position is in range anyway.
+    """
+    return x.take(pos, 0).take(pos, 1, out=x, mode="clip")
 
 
 def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +269,7 @@ def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
     ``meet[i, j]`` is the deepest common ancestor of ``i`` and ``j``, a
     vertex being its own ancestor.  Both diagonals hold the vertex itself.
     """
-    order, joins, back = _walk(rt)
+    order, joins, pos = _walk(rt)
     hop = np.empty((rt.d, rt.d), dtype=np.intp)
     meet = np.empty((rt.d, rt.d), dtype=np.intp)
     np.fill_diagonal(hop, order)
@@ -269,8 +279,7 @@ def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
         hop[:k, k] = hop[:k, pu]
         hop[pu, k] = v
         meet[k, :k] = meet[:k, k] = meet[pu, :k]
-    hop = hop[back]  # frees the walk-order hop before the second gather
-    return hop, meet[back]
+    return _to_vertex_order(hop, pos), _to_vertex_order(meet, pos)
 
 
 def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
@@ -288,12 +297,12 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
     w = g.matrix
-    _, joins, back = _walk(t if isinstance(t, RootedTree) else root_tree(t, 0))
+    _, joins, pos = _walk(t if isinstance(t, RootedTree) else root_tree(t, 0))
     # a path minimum is exact, so the walk cannot change a bit
     bottleneck = np.full((g.d, g.d), np.inf)
     for k, v, u, pu in joins:
         bottleneck[k, :k] = bottleneck[:k, k] = np.minimum(bottleneck[pu, :k], w[u, v])
-    bottleneck = bottleneck[back]
+    _to_vertex_order(bottleneck, pos)
     heavier = w > bottleneck
     if heavier.any():
         i, j = np.argwhere(np.triu(heavier, 1))[0]

@@ -12,8 +12,11 @@ Kruskal over the canonical edge order, one tree-path walk per vertex pair
 or per vertex, and per-pair scalar formulas.  The data pipeline
 differences, standardizes and correlates in place over one buffer; the
 copying formulas it replaced are kept here too.  ``simulate`` streams one
-block of rows at a time from the draw to the file; the one-shot draw,
-product and ``csv.writer`` it replaced are kept as well.  A fit document
+block of rows at a time from the draw to the file; the one-shot draw and
+``csv.writer`` it replaced are kept as well.  The covariance and
+``simulate`` follow the structural equations x_v = a_v x_parent + e_v;
+the dense products with the closed-form inverse that they replaced are
+kept, and agree with them within a rounding bound.  A fit document
 loads in one walk from its root, through constructors that skip the checks
 the load already made; the loaders that built a ``Tree``, rooted it with
 ``root_tree`` and ran every constructor's checks are kept, and so is the
@@ -431,11 +434,30 @@ ONE_SHOT_SAMPLERS = {
 }
 
 
+def one_shot_errors(m, sampler_name: str, n: int, seed: int) -> np.ndarray:
+    """The whole (n, d) error draw of the named sampler, in one call."""
+    return ONE_SHOT_SAMPLERS[sampler_name](np.random.default_rng(seed), n, m.error_variance_vector())
+
+
 def one_shot_simulate(m, sampler_name: str, n: int, seed: int) -> np.ndarray:
-    """The whole error draw times the transposed inverse, in one product."""
-    rng = np.random.default_rng(seed)
-    errors = ONE_SHOT_SAMPLERS[sampler_name](rng, n, m.error_variance_vector())
+    """The whole error draw through the structural equations, a vertex after its parent."""
+    x = one_shot_errors(m, sampler_name, n, seed)
+    for v in sorted(m.rt.non_root_vertices(), key=lambda v: m.rt.depth[v]):
+        x[:, v] = m.coeffs[v] * x[:, m.rt.parent[v]] + x[:, v]
+    return x
+
+
+def dense_simulate(m, errors: np.ndarray) -> np.ndarray:
+    """Rows of ``errors`` times the transposed closed-form inverse, in one BLAS product."""
     return errors @ cascade_inverse(m).T
+
+
+def dense_covariance(m) -> np.ndarray:
+    """(I - A)^-1 D (I - A)^-T as one BLAS product of the closed-form inverse, symmetrized."""
+    inv = cascade_inverse(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (inv * m.error_variance_vector()) @ inv.T
+        return (cov + cov.T) / 2.0
 
 
 def csv_writer_bytes(names, values: np.ndarray) -> bytes:

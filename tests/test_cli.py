@@ -19,11 +19,12 @@ Claims covered:
     n = 200000 peaks (VmHWM) less than half the 46 MiB draw above one at
     n = 1, an overflowing model gives one error line naming the global
     row, and no partial regular file is left behind.
-  - A constant column is rejected even when its mean rounds.
+  - A constant column is rejected even when its mean rounds, and a
+    first difference that overflows is named by its rows and column.
   - verify builds the inverse, the covariance, the hop/meet pair and the
     squared-correlation graph once, and chow-check --fit the covariance
-    once; verify's report equals the one built from the library's
-    functions called one by one.
+    once and no inverse; verify's report equals the one built from the
+    library's functions called one by one.
   - A fit keeps its rooting: fit, export-dot and the document loads call
     root_tree only for a root other than Prim's 0; a document load roots
     its tree in its own walk.
@@ -214,6 +215,24 @@ class TestFitCommand:
         code, stdout, stderr = run(capsys, "fit", "--data", str(path), *flags, "--out", str(out))
         assert (code, stdout) == (2, "")
         assert stderr == "error: column 'a' has zero variance; cannot standardize\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # found by TestCliFuzz: columns a and c are constant
+            "a,b, c \n0.0,0.0,0.0\n0.0,1.3272338058405887e+294,0.0\n0.0,-1.7976931348623025e+308,0.0",
+            "a,b,c\n1.0,0.0,2.0\n0.0,1.3272338058405887e+294,1.0\n3.0,-1.7976931348623025e+308,0.5\n",
+        ],
+        ids=["constant-columns", "no-constant-column"],
+    )
+    def test_overflowing_difference_named(self, capsys, tmp_path, text):
+        path = tmp_path / "steep.csv"
+        path.write_text(text)
+        out = tmp_path / "f.json"
+        code, stdout, stderr = run(capsys, "fit", "--data", str(path), "--diff", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: non-finite first difference of rows 2 and 3, column 'b'\n"
         assert not out.exists()
 
     def test_deterministic_output(self, capsys, tmp_path):
@@ -530,7 +549,7 @@ class TestVerifyAlgebra:
     def test_each_builder_runs_once(self, monkeypatch, tmp_path):
         builders = {
             "inverse": cascade_module.cascade_inverse,
-            "covariance": cascade_module._covariance,
+            "covariance": cascade_module.population_covariance,
             "hop/meet": trees_module._hop_and_meet_matrices,
         }
         _, path = rooted_model_document(tmp_path, 30, 3)
@@ -548,7 +567,7 @@ class TestVerifyAlgebra:
         calls.update(dict.fromkeys(calls, 0))
         # chow-check takes one graph per tree: the MI weights and the squared correlations
         assert quiet_main("chow-check", "--fit", path) == 0
-        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 0, "graph": 2}
+        assert calls == {"inverse": 0, "covariance": 1, "hop/meet": 0, "graph": 2}
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
         # the certificates and the fits take the tree as Prim rooted it at 0,
@@ -889,7 +908,7 @@ class TestCliFuzz:
 VERIFY_D12_STDOUT = """\
 verification of {path}
   closed-form-inverse   pass  max gap 1.388e-17
-  ancestor-covariance   pass  max |C_ij - B_ji| = 5.551e-17
+  ancestor-covariance   pass  max |C_ij - B_ji| = 2.776e-17
   branching-covariance  pass  max |C_ij - B_im B_jm| = 2.776e-17
   strict-dominance      pass  min margin min(|C_ik|, |C_kj|) - |C_ij| = 2.284e-03
   strict-triangle       pass  squared-correlation weights

@@ -456,13 +456,13 @@ class TestStandardize:
 
 class TestPriceChanges:
     def test_first_differences(self):
-        diff = dataio._difference_in_place(np.array([[10.0], [11.0], [13.0]]))
+        diff = dataio._difference_in_place(np.array([[10.0], [11.0], [13.0]]), ("p",))
         assert np.array_equal(diff, [[1.0], [2.0]])
         assert diff.mean() == 1.5  # differenced, not standardized
 
     def test_constant_series_chains_into_standardize_error(self):
         ds = Dataset(values=np.array([[4.0], [4.0], [4.0]]), names=("p",))
-        assert np.array_equal(dataio._difference_in_place(ds.values.copy()), [[0.0], [0.0]])
+        assert np.array_equal(dataio._difference_in_place(ds.values.copy(), ds.names), [[0.0], [0.0]])
         with pytest.raises(DataError, match="'p'"):
             correlation_from_dataset(ds, diff=True)
 
@@ -472,7 +472,7 @@ class TestPriceChanges:
 
     def test_bundled_sample_shape(self):
         ds = load_csv(sample_prices_path())
-        assert dataio._difference_in_place(ds.values.copy()).shape == (ds.n - 1, 30)
+        assert dataio._difference_in_place(ds.values.copy(), ds.names).shape == (ds.n - 1, 30)
         assert correlation_from_dataset(ds, diff=True).d == 30
 
 
@@ -498,7 +498,7 @@ class TestInPlaceKernel:
         values = offsets + 10.0 ** rng.uniform(-3, 3, d) * rng.standard_normal((n, d))
         ds = Dataset(values=values, names=tuple(f"c{j}" for j in range(d)))
         base = np.diff(values, axis=0) if diff else values
-        rows = dataio._difference_in_place(values.copy()) if diff else values.copy()
+        rows = dataio._difference_in_place(values.copy(), ds.names) if diff else values.copy()
         assert np.array_equal(bits(rows), bits(base))
         z = dataio._standardize_in_place(rows, ds.names)
         assert np.array_equal(bits(z), bits(copying_standardize(base)))

@@ -12,9 +12,14 @@ Claims covered:
     report, every field exactly equal.
   - The one-prediction covariance checks return the two-formula report,
     every field equal and ``worst`` bit for bit, on random models up to
-    d = 200 and on chains whose path products underflow; an error of
-    1e-9 planted at an ancestor pair fails only the ancestor row, and at
-    a branching pair only the branching row.
+    d = 200 and on chains whose path products underflow, to zero in the
+    dense covariance and to the smallest subnormal in the walk's; an
+    error of 1e-9 planted at an ancestor pair fails only the ancestor
+    row, and at a branching pair only the branching row.
+  - The covariance and the simulated rows, which follow the structural
+    equations, agree with the dense products of the closed-form inverse
+    within a first-order rounding bound, on unit and non-unit-variance
+    models up to d = 200 and on chains of up to 999 edges.
 """
 
 from __future__ import annotations
@@ -31,22 +36,28 @@ from oracles import (
     loop_covariance_lemmas,
     loop_strict_triangle_condition,
     path_walk_is_unique,
+    dense_covariance,
+    dense_simulate,
+    one_shot_errors,
     two_formula_lemma_report,
 )
 from treecascade import (
+    CascadeModel,
     InvalidInputError,
     Tree,
     WeightedGraph,
     correlation_from_covariance,
+    get_sampler,
     make_unit_variance_model,
     maximum_spanning_tree,
     mst_is_unique,
     population_covariance,
     random_unit_variance_model,
     root_tree,
+    simulate,
     verify_covariance_lemmas,
 )
-from treecascade.cascade import _covariance, _lemma_report, cascade_inverse
+from treecascade.cascade import _lemma_report, cascade_inverse
 from treecascade.trees import _hop_and_meet_matrices, random_tree
 
 
@@ -123,10 +134,9 @@ def test_random_cascades_match_oracle():
         assert fast == slow
 
 
-def lemma_inputs(model):
+def lemma_inputs(model, covariance=population_covariance):
     """The inverse, covariance, hop and meet matrices that ``_lemma_report`` takes."""
-    inv = cascade_inverse(model)
-    return (inv, _covariance(inv, model.error_variance_vector()), *_hop_and_meet_matrices(model.rt))
+    return (cascade_inverse(model), covariance(model), *_hop_and_meet_matrices(model.rt))
 
 
 def assert_same_report(fast, slow):
@@ -146,13 +156,33 @@ def test_lemma_report_matches_two_formula_oracle(d):
         assert_same_report(_lemma_report(*inputs), two_formula_lemma_report(*inputs))
 
 
-@pytest.mark.parametrize("d, rho", [(600, -0.2), (1500, 0.6)])
-def test_lemma_report_matches_oracle_where_products_underflow(d, rho):
+def chain_model(d, rho):
     # rooted a third of the way along, so both covariance rows have pairs
     rt = root_tree(Tree.from_edges(d, [(i, i + 1) for i in range(d - 1)]), d // 3)
-    inputs = lemma_inputs(make_unit_variance_model(rt, dict.fromkeys(rt.non_root_vertices(), rho)))
+    return make_unit_variance_model(rt, dict.fromkeys(rt.non_root_vertices(), rho))
+
+
+@pytest.mark.parametrize("d, rho", [(600, -0.2), (1500, 0.6)])
+def test_lemma_report_matches_oracle_where_products_underflow(d, rho):
+    inputs = lemma_inputs(chain_model(d, rho), dense_covariance)
     assert (inputs[1] == 0.0).any()  # the longest paths' products underflow to zero
     assert_same_report(_lemma_report(*inputs), two_formula_lemma_report(*inputs))
+
+
+def test_lemma_report_matches_oracle_where_the_recursion_sticks_at_the_smallest_subnormal():
+    # 0.6 times the smallest subnormal rounds back to it: the walk's far
+    # entries stop there, where the dense products underflow to zero
+    tiny = np.nextafter(0.0, 1.0)
+    model = chain_model(1500, 0.6)
+    inputs = lemma_inputs(model)
+    cov = inputs[1]
+    assert not (cov == 0.0).any()
+    assert cov[0, -1] == cov[-1, 0] == tiny
+    assert (cov[dense_covariance(model) == 0.0] == tiny).all()
+    report = _lemma_report(*inputs)
+    assert_same_report(report, two_formula_lemma_report(*inputs))
+    # the stuck entries tie their path neighbours, so dominance fails with margin zero
+    assert report.checks[2].worst == 0.0 and not report.checks[2].passed
 
 
 @pytest.mark.parametrize("kind", ["ancestor", "branching"])
@@ -169,3 +199,61 @@ def test_planted_error_fails_only_its_row(kind):
     report = _lemma_report(inv, cov, hop, meet)
     assert_same_report(report, two_formula_lemma_report(inv, cov, hop, meet))
     assert [c.name for c in report.checks if not c.passed] == [f"{kind}-covariance"]
+
+
+def free_model(rt, rng):
+    """A cascade on ``rt`` with signed coefficients of magnitude 0.5 to 2 and variances 0.1 to 10."""
+    coeffs = {i: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for i in rt.non_root_vertices()}
+    return CascadeModel(rt, coeffs, {i: float(rng.uniform(0.1, 10.0)) for i in range(rt.d)})
+
+
+def dense_oracle_models():
+    """Unit and non-unit-variance models at d in {1, 2, 3, 8, 30, 200}, then deep chains."""
+    rng = np.random.default_rng(16)
+    for d in (1, 2, 3, 8, 30, 200):
+        for _ in range(3):
+            yield random_unit_variance_model(d, rng)
+            yield free_model(root_tree(random_tree(d, rng), int(rng.integers(d))), rng)
+    for d, root in ((1000, 0), (1000, 500), (400, 133)):
+        rt = root_tree(Tree.from_edges(d, [(i, i + 1) for i in range(d - 1)]), root)
+        yield make_unit_variance_model(rt, {i: float(rng.choice([-0.99, 0.98])) for i in rt.non_root_vertices()})
+        # magnitudes 0.99 to 1.01 keep 1000-edge products inside the normal range
+        coeffs = {i: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.99, 1.01)) for i in rt.non_root_vertices()}
+        yield CascadeModel(rt, coeffs, {i: float(rng.uniform(0.1, 10.0)) for i in range(d)})
+
+
+def rounding_bound(model):
+    """Relative bound on the gap between the walk and the dense products: 4 (h + 1) eps, h the height.
+
+    With u = eps / 2 the unit roundoff, to first order: the walk rounds three
+    times per level on the diagonal and once per edge off it, at most 5 h u;
+    the dense form rounds h times in each inverse entry, twice more in each
+    term and h times in its sum, and once in the symmetrizing mean, at most
+    (3 h + 3) u.  No sum cancels: every term of C_ij, B_ik sigma_k B_jk over
+    the common ancestors k, has the sign of the path product from i to j.
+    The simulated rows do cancel, so there the bound scales the sum of the
+    terms' magnitudes, |e| |B|^T, as for a dot product; each side again
+    rounds at most 2 h + 2 times per term.
+    """
+    return 4 * (max(model.rt.depth) + 1) * np.finfo(float).eps
+
+
+def test_covariance_matches_dense_oracle():
+    worst = 0.0
+    for model in dense_oracle_models():
+        cov, dense = population_covariance(model), dense_covariance(model)
+        assert (dense != 0.0).all()
+        gap = np.abs(cov - dense) / (rounding_bound(model) * np.abs(dense))
+        worst = max(worst, float(gap.max()))
+    assert worst <= 1.0, worst
+
+
+def test_simulate_matches_dense_oracle():
+    worst = 0.0
+    for k, model in enumerate(dense_oracle_models()):
+        errors = one_shot_errors(model, "laplace", 64, k)
+        rows = simulate(model, get_sampler("laplace"), 64, k).values
+        scale = np.abs(errors) @ np.abs(cascade_inverse(model)).T
+        gap = np.abs(rows - dense_simulate(model, errors)) / (rounding_bound(model) * scale)
+        worst = max(worst, float(gap.max()))
+    assert worst <= 1.0, worst
