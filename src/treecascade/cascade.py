@@ -265,7 +265,7 @@ def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -
     the output is a pure function of (model, sampler, n, seed) on every
     CPU.  Columns follow vertex order.  The generator is numpy's seeded PCG64.
     """
-    blocks = _simulated_blocks(m, sampler, n, seed)  # checks n before the allocation
+    blocks = _simulated_blocks(m, sampler, n, seed)  # checks n and the seed before the allocation
     values = np.empty((n, m.d))
     start = 0
     for block in blocks:
@@ -277,13 +277,16 @@ def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -
 def _simulated_blocks(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> Iterator[np.ndarray]:
     """The rows ``simulate`` draws, as C-ordered blocks, first row first.
 
-    The sample count is checked at once; the draws happen as the blocks
-    are taken.  A block starts every ``_block_rows(d)`` rows (1 MiB) and
-    the remainder joins the last block.  Overflow leaves infinities,
-    without a warning, for the caller's finiteness check to name.
+    The sample count and the seed are checked at once; the draws happen
+    as the blocks are taken.  A block starts every ``_block_rows(d)`` rows
+    (1 MiB) and the remainder joins the last block.  Overflow leaves
+    infinities, without a warning, for the caller's finiteness check to
+    name.
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     sizes = _BlockSizes(n, _block_rows(m.d))
     draws = sampler(np.random.default_rng(seed), sizes, m.error_variance_vector())
     return _transformed(draws, m)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InvalidInputError
 from .regression import CorrelationSummary, squared_correlation_graph
-from .trees import Tree, WeightedGraph, maximum_spanning_tree
+from .trees import RootedTree, Tree, WeightedGraph, maximum_spanning_tree
 
 
 def mutual_information_weights(c: CorrelationSummary) -> np.ndarray:
@@ -65,21 +65,27 @@ class CorrespondenceReport:
         return not (self.approximator_unique and self.cascade_unique)
 
 
-def correspondence_check(c: CorrelationSummary) -> CorrespondenceReport:
+def correspondence_check(
+    c: CorrelationSummary, *, candidate: RootedTree | None = None
+) -> CorrespondenceReport:
     """Run both tree selections on a Gaussian's correlations and report whether they coincide.
 
     Both trees depend on the correlations alone.  The Gaussian must be
     nondegenerate: a correlation matrix that is not positive definite is
     an error.  Inequality is reported, not raised.  Non-unique maxima on
-    either side are surfaced so callers can flag ties.
+    either side are surfaced so callers can flag ties.  The
+    squared-correlation tree comes first, from ``candidate`` when that
+    certifies as its unique maximum, and is then the candidate for the
+    mutual-information tree, so a search runs only where a certificate
+    fails; the report is the same with or without a candidate.
     """
     try:
         np.linalg.cholesky(c.corr)
     except np.linalg.LinAlgError:
         raise InvalidInputError("covariance is not positive definite") from None
     mi = mutual_information_weights(c)
-    approx = maximum_spanning_tree(WeightedGraph.from_matrix(mi))
-    cascade = maximum_spanning_tree(squared_correlation_graph(c))
+    cascade = maximum_spanning_tree(squared_correlation_graph(c), candidate=candidate)
+    approx = maximum_spanning_tree(WeightedGraph.from_matrix(mi), candidate=cascade.rooted)
     pairs = []
     for i, j in approx.tree.sorted_edges():
         rho = float(c.corr[i, j])

@@ -162,6 +162,8 @@ def _cmd_verify(args) -> int:
         d, seed = args.random
         if d < 1:
             raise InvalidInputError(f"--random D must be >= 1, got {d}")
+        if seed < 0:
+            raise InvalidInputError(f"--random SEED must be >= 0, got {seed}")
         model = random_unit_variance_model(d, np.random.default_rng(seed))
         label = f"random(d={d}, seed={seed})"
     if not model.unit_variance:
@@ -185,7 +187,7 @@ def _cmd_verify(args) -> int:
     triangle = bool((gaps > 0.0).all())
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
 
-    fit = fit_cascade(summary)
+    fit = fit_cascade(summary, candidate=model.rt)
     recovered = fit.tree.edges == model.rt.tree.edges
     rows.append(("mst-recovery", recovered and fit.tree_unique, f"unique={fit.tree_unique}"))
 
@@ -239,11 +241,13 @@ def _cmd_chow_check(args) -> int:
         ds = dataio.load_csv(args.data)
         corr = correlation_from_dataset(ds, overwrite=True)
         names = ds.names
+        known = None
     else:
         model = dataio.model_from_document(dataio.load_document(args.fit))
         corr = correlation_from_covariance(population_covariance(model))
         names = dataio._column_names(None, model.d)
-    report = correspondence_check(corr)
+        known = model.rt
+    report = correspondence_check(corr, candidate=known)
     for (i, j), rho_sq, mi in report.edge_pairs:
         print(f"edge {names[i]} -- {names[j]}: squared_correlation={rho_sq:.6f} mi_weight={mi:.6f}")
     print(f"trees_equal: {str(report.trees_equal).lower()}")

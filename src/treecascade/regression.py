@@ -204,16 +204,21 @@ def squared_correlation_graph(c: CorrelationSummary) -> WeightedGraph:
     return WeightedGraph.from_matrix(c.corr * c.corr)
 
 
-def fit_cascade(c: CorrelationSummary, root_hint: int | None = None) -> FitResult:
+def fit_cascade(
+    c: CorrelationSummary, root_hint: int | None = None, *, candidate: RootedTree | None = None
+) -> FitResult:
     """Optimal cascade for a correlation summary.
 
     Runs the deterministic maximum spanning tree on squared correlations,
     roots it (the objective does not depend on the root; the root is
     recorded for orientation only), and fills in optimal coefficients.
+    A ``candidate`` tree, such as a model's own, is certified first and
+    spares the search when it is the unique maximum; the fit is the same
+    with or without it (see :func:`maximum_spanning_tree`).
     """
     graph = squared_correlation_graph(c)
-    mst = maximum_spanning_tree(graph)
-    # Prim's tree comes rooted at 0
+    mst = maximum_spanning_tree(graph, candidate=candidate)
+    # the maximum spanning tree comes rooted at 0
     rt = mst.rooted if not root_hint else root_tree(mst.tree, root_hint)
     coeffs = optimal_coefficients(rt, c)
     edges = mst.tree.sorted_edges()

@@ -8,9 +8,11 @@ vertex pair ascending -- so equal inputs yield identical trees on every
 platform, ties included.  Uniqueness of the maximum is certified exactly
 (no tolerance) through the strict cycle property: every non-tree weight
 must fall strictly below the bottleneck matrix entry, the lightest edge on
-the tree path between its endpoints.  Prim's tree comes rooted at vertex
-0, and path matrices such as the bottleneck fill in a parent-first walk,
-where the vertices before each one form a prefix.
+the tree path between its endpoints.  That test also certifies a
+candidate tree without a search, and Prim runs only when it fails.  The
+tree comes rooted at vertex 0, and path matrices such as the bottleneck
+fill in a parent-first walk, where the vertices before each one form a
+prefix.
 """
 
 from __future__ import annotations
@@ -164,7 +166,11 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class MstResult:
-    """A maximum spanning tree, its weight, an exact uniqueness flag, and Prim's rooting at 0."""
+    """A maximum spanning tree, its weight, an exact uniqueness flag, and its rooting at 0.
+
+    The same for a graph whether or not :func:`maximum_spanning_tree` was
+    handed a candidate: a certified candidate is the tree Prim would find.
+    """
 
     tree: Tree
     total_weight: float
@@ -180,7 +186,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
+def maximum_spanning_tree(g: WeightedGraph, *, candidate: RootedTree | None = None) -> MstResult:
     """Maximum-weight spanning tree of a complete weighted graph.
 
     Dense Prim from vertex 0: every vertex outside the tree keeps its best
@@ -192,7 +198,25 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     the tree from vertex 0, so the parent each vertex joined through roots
     it there: :func:`mst_is_unique` certifies that rooting, which
     ``rooted`` keeps.
+
+    A ``candidate`` is certified first.  When every non-tree weight falls
+    strictly below its bottleneck, the candidate is the unique maximum, so
+    it is the tree Prim would find under any tie order: it is returned,
+    rooted at 0, and Prim does not run.  On a tie or a heavier non-tree
+    edge Prim runs as without one.  The result is the same either way.
     """
+    if candidate is not None:
+        if candidate.d != g.d:
+            raise InvalidInputError(f"tree on {candidate.d} vertices does not span graph on {g.d}")
+        if _bottleneck_verdict(g, candidate)[0] == "unique":
+            rooted = candidate if candidate.root == 0 else root_tree(candidate.tree, 0)
+            return MstResult(rooted.tree, _total_weight(g, rooted), True, rooted)
+    rooted = _prim(g)
+    return MstResult(rooted.tree, _total_weight(g, rooted), mst_is_unique(g, rooted), rooted)
+
+
+def _prim(g: WeightedGraph) -> RootedTree:
+    """Prim's maximum spanning tree of ``g`` under the strict total edge order, rooted at 0."""
     w = g.matrix
     outside = np.ones(g.d, dtype=bool)
     outside[0] = False
@@ -220,14 +244,22 @@ def maximum_spanning_tree(g: WeightedGraph) -> MstResult:
     # a vertex's best_u stays fixed once it joins: it is the vertex's parent
     v = np.arange(1, g.d)
     u = best_u[1:]
+    edges = frozenset(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    tree = _unchecked(Tree, d=g.d, edges=edges)
+    return _unchecked(RootedTree, tree=tree, root=0, parent=tuple(parent), depth=tuple(depth))
+
+
+def _total_weight(g: WeightedGraph, rt: RootedTree) -> float:
+    """The weights of ``rt``'s edges summed in the strict total edge order, so over any rooting."""
+    parent = np.array(rt.parent, dtype=np.intp)
+    v = np.flatnonzero(parent >= 0)
+    u = parent[v]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    weights = w[v, u]
+    weights = g.matrix[v, u]
     total = 0.0
     for weight in weights[np.lexsort((hi, lo, -weights))].tolist():
         total += weight
-    tree = _unchecked(Tree, d=g.d, edges=frozenset(zip(lo.tolist(), hi.tolist())))
-    rooted = _unchecked(RootedTree, tree=tree, root=0, parent=tuple(parent), depth=tuple(depth))
-    return MstResult(tree, total, mst_is_unique(g, rooted), rooted)
+    return total
 
 
 def _parent_first_order(rt: RootedTree) -> np.ndarray:
@@ -296,8 +328,25 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
+    verdict, heavier = _bottleneck_verdict(g, t if isinstance(t, RootedTree) else root_tree(t, 0))
+    if heavier is not None:
+        raise InvalidInputError(
+            f"tree is not a maximum spanning tree: non-tree edge {heavier} "
+            f"outweighs a tree edge on its path"
+        )
+    return verdict == "unique"
+
+
+def _bottleneck_verdict(g: WeightedGraph, rt: RootedTree) -> tuple[str, tuple[int, int] | None]:
+    """Compare each weight of ``g`` with its bottleneck on spanning tree ``rt``; raises nothing.
+
+    Returns ``("unique", None)`` when every non-tree weight falls strictly
+    below its bottleneck, ``("tied", None)`` when one equals it, and
+    ``("not maximal", (i, j))`` with the first non-tree edge in row-major
+    upper-triangle order that outweighs it.
+    """
     w = g.matrix
-    _, joins, pos = _walk(t if isinstance(t, RootedTree) else root_tree(t, 0))
+    _, joins, pos = _walk(rt)
     # a path minimum is exact, so the walk cannot change a bit
     bottleneck = np.full((g.d, g.d), np.inf)
     for k, v, u, pu in joins:
@@ -305,13 +354,11 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     _to_vertex_order(bottleneck, pos)
     heavier = w > bottleneck
     if heavier.any():
-        i, j = np.argwhere(np.triu(heavier, 1))[0]
-        raise InvalidInputError(
-            f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
-            f"outweighs a tree edge on its path"
-        )
+        return "not maximal", tuple(np.argwhere(np.triu(heavier, 1))[0].tolist())
     # A tree edge is its own bottleneck; any other equality is a tie.
-    return int(np.count_nonzero(w == bottleneck)) == 2 * (g.d - 1)
+    if int(np.count_nonzero(w == bottleneck)) == 2 * (g.d - 1):
+        return "unique", None
+    return "tied", None
 
 
 def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> np.ndarray:

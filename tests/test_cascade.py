@@ -230,6 +230,10 @@ class TestSimulate:
         with pytest.raises(InvalidInputError):
             simulate(zero_model(), get_sampler("gaussian"), 0, seed=1)
 
+    def test_negative_seed_validated(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            simulate(zero_model(), get_sampler("gaussian"), 5, seed=-1)
+
     def test_column_order_matches_vertices(self):
         m = chain_model(0.9)
         ds = simulate(m, get_sampler("gaussian"), 50_000, seed=2)

@@ -6,6 +6,8 @@ Claims covered:
     the scalar per-pair oracle bit for bit.
   - The MI tree equals the squared-correlation regression tree, including
     under exact ties.
+  - A candidate tree, the model's own or another, changes neither the
+    correspondence report nor the fit.
   - At d=3 the selected tree minimizes the actual KL divergence to the
     tree-factored Gaussian, checked against both alternatives directly.
 """
@@ -178,6 +180,21 @@ class TestCorrespondenceCheck:
         report = correspondence_check(summary(population_covariance(model)))
         assert report.trees_equal and not report.tie_detected
         assert report.cascade_tree.edges == model.rt.tree.edges
+
+    def test_candidate_changes_no_report(self):
+        # the model's own tree, a random tree, and a tree of a tied maximum
+        rng = np.random.default_rng(17)
+        model, other = (random_unit_variance_model(8, rng) for _ in range(2))
+        ties = np.full((5, 5), 0.4)
+        np.fill_diagonal(ties, 1.0)
+        for cov, candidate in [
+            (population_covariance(model), model.rt),
+            (population_covariance(other), model.rt),
+            (ties, root_tree(Tree.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4)),
+        ]:
+            s = summary(cov)
+            assert correspondence_check(s, candidate=candidate) == correspondence_check(s)
+            assert fit_cascade(s, candidate=candidate) == fit_cascade(s)
 
     def test_edge_pairs_follow_monotone_map(self):
         s = summary(random_spd_covariance(5, np.random.default_rng(13)))

@@ -26,8 +26,12 @@ Claims covered:
     once and no inverse; verify's report equals the one built from the
     library's functions called one by one.
   - A fit keeps its rooting: fit, export-dot and the document loads call
-    root_tree only for a root other than Prim's 0; a document load roots
-    its tree in its own walk.
+    root_tree only for a root other than 0; a document load roots its
+    tree in its own walk.
+  - verify and chow-check --fit certify the model's tree and run no
+    maximum-spanning-tree search; chow-check --data and fit run one.
+  - A negative seed, to simulate or to verify --random, exits 2 on one
+    error line before any output file is opened.
   - Help, usage and argument errors keep their bytes, and a command
     builds the top-level parser and its own subparser only.
   - verify's objective-identity row holds at d = 2000 and catches a
@@ -262,6 +266,15 @@ class TestSimulateCommand:
         )
         assert code != 0 and ">= 1" in stderr
 
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        _, _, doc = model_fit_document(tmp_path, d=3)
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", str(doc), "--n", "5", "--seed", "-1", "--out", str(out),
+        )
+        assert (code, stdout, stderr) == (2, "", "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
     def test_unknown_sampler_lists_available(self, capsys, tmp_path):
         _, _, doc = model_fit_document(tmp_path, d=3)
         code, _, stderr = run(
@@ -414,6 +427,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "result: pass" in stdout
         assert stdout.count("pass") >= 7
+
+    def test_negative_seed_rejected(self, capsys):
+        assert run(capsys, "verify", "--random", "5", "-1") == (
+            2, "", "error: --random SEED must be >= 0, got -1\n"
+        )
 
     def test_single_vertex_vacuous_pass(self, capsys):
         code, stdout, _ = run(capsys, "verify", "--random", "1", "5")
@@ -570,16 +588,19 @@ class TestVerifyAlgebra:
         assert calls == {"inverse": 0, "covariance": 1, "hop/meet": 0, "graph": 2}
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
-        # the certificates and the fits take the tree as Prim rooted it at 0,
         # a fit keeps the rooting it was built or loaded with, and a document
-        # load roots its tree in its own walk: only a --root fit roots again
-        _, path = rooted_model_document(tmp_path, 30, 3)
+        # load roots its tree in its own walk.  verify and chow-check --fit
+        # certify the model's tree, rooted where the document roots it, and
+        # root it once at 0, the rooting Prim would give; a --root fit roots
+        # again, and nothing else does
+        model, path = rooted_model_document(tmp_path, 30, 3)
+        assert model.root != 0
         data = str(sample_prices_path())
         fit, rooted = tmp_path / "fit.json", tmp_path / "rooted.json"
         calls = self.count_calls(monkeypatch, {"root_tree": trees_module.root_tree})
         for argv, expected in [
-            (("verify", "--model", path), 0),
-            (("chow-check", "--fit", path), 0),
+            (("verify", "--model", path), 1),
+            (("chow-check", "--fit", path), 1),
             (("fit", "--data", data, "--diff", "--out", fit), 0),
             (("fit", "--data", data, "--diff", "--root", "3", "--out", rooted), 1),
             (("export-dot", "--fit", rooted, "--out", tmp_path / "rooted.dot"), 0),
@@ -588,6 +609,23 @@ class TestVerifyAlgebra:
             calls["root_tree"] = 0
             assert quiet_main(*argv) == 0
             assert calls == {"root_tree": expected}, argv
+
+    def test_prim_runs_only_where_no_tree_certifies(self, monkeypatch, tmp_path):
+        # verify and chow-check --fit certify the model's own tree under the
+        # squared correlations, and chow-check then certifies the
+        # squared-correlation tree under the MI weights; fit has no candidate
+        _, path = rooted_model_document(tmp_path, 30, 3)
+        data = str(sample_prices_path())
+        calls = self.count_calls(monkeypatch, {"prim": trees_module._prim})
+        for argv, expected in [
+            (("verify", "--model", path), 0),
+            (("chow-check", "--fit", path), 0),
+            (("chow-check", "--data", data), 1),
+            (("fit", "--data", data, "--diff", "--out", tmp_path / "fit.json"), 1),
+        ]:
+            calls["prim"] = 0
+            assert quiet_main(*argv) == 0
+            assert calls == {"prim": expected}, argv
 
 
 class TestClusterCommand:

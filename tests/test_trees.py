@@ -6,6 +6,8 @@ Claims covered:
   - The MST matches brute-force enumeration over all labeled trees, and
     Kruskal's tree on tie-heavy weights up to d = 40.
   - Uniqueness certification is exact: strict cycle property, no tolerance.
+  - A candidate tree, maximal or not, tied or not, yields exactly the
+    result of the search without one.
   - The strict path-dominance condition implies a unique maximum.
   - The first-hop and common-ancestor matrices match the path-walk oracles.
   - Monotone re-weighting never changes the selected edge set.
@@ -286,6 +288,67 @@ class TestMaximumSpanningTree:
         g1 = complete_graph(5, FROZEN_D5_WEIGHTS)
         g2 = complete_graph(5, dict(FROZEN_D5_WEIGHTS))
         assert maximum_spanning_tree(g1) == maximum_spanning_tree(g2)
+
+
+def equal_weight_exchange(g, rt):
+    """``rt``'s tree with one path edge swapped for an equal-weight non-tree edge, or None."""
+    for i, j in itertools.combinations(range(g.d), 2):
+        if rt.tree.has_edge(i, j):
+            continue
+        for e in path_edges(rt, i, j):
+            if g.weight(*e) == g.weight(i, j):
+                return Tree(g.d, (rt.tree.edges - {e}) | {(i, j)})
+    return None
+
+
+class TestCandidateCertificate:
+    """A candidate tree changes how the maximum is found, never what it is."""
+
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.sampled_from([1, 2, 3, 63]).flatmap(
+                    lambda top: st.lists(
+                        st.integers(0, top), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2
+                    )
+                ),
+                st.integers(0, d - 1),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_gives_the_search_result(self, case):
+        d, levels, r, seed = case
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        # tenths round, so the sum's bits depend on the order the weights are added in
+        g = complete_graph(d, {e: k / 10.0 for e, k in zip(pairs, levels)})
+        expected = maximum_spanning_tree(g)
+        slow = kruskal_mst(g)
+        assert expected.tree == slow.tree
+        assert expected.total_weight.hex() == slow.total_weight.hex()
+        assert expected.is_unique == slow.is_unique
+        candidates = [
+            expected.tree,  # Prim's own tree, rooted at a drawn vertex
+            random_tree(d, np.random.default_rng(seed)),  # usually not maximal
+            equal_weight_exchange(g, expected.rooted),  # another maximum, where a tie allows
+        ]
+        for t in filter(None, candidates):
+            got = maximum_spanning_tree(g, candidate=root_tree(t, r))
+            assert got.tree == expected.tree, t
+            assert got.total_weight.hex() == expected.total_weight.hex(), t
+            assert got.is_unique == expected.is_unique, t
+            assert got.rooted.root == 0
+            assert got.rooted.parent == expected.rooted.parent, t
+            assert got.rooted.depth == expected.rooted.depth, t
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_candidate_on_another_vertex_count_rejected(self, d):
+        g = complete_graph(3, {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.1})
+        t = random_tree(d, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match=f"tree on {d} vertices does not span"):
+            maximum_spanning_tree(g, candidate=root_tree(t, 0))
 
 
 class TestMstUniqueness:
