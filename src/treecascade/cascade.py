@@ -90,7 +90,8 @@ def cascade_inverse(m: CascadeModel) -> np.ndarray:
     otherwise.  Columns fill deepest vertex first: column ``j`` times its
     coefficient becomes the parent's column over the subtree of ``j``, so
     each product accumulates in double precision from the vertex up toward
-    the root.  No numerical inversion is performed.
+    the root.  No numerical inversion is performed.  The result is a view
+    in Fortran order, the transpose of the C-ordered array filled row by row.
     """
     # Row j of inv_t is column j of the inverse; below[j] marks the subtree of j.
     # Writing only there keeps signed zeros as an exact walk leaves them.
@@ -102,7 +103,7 @@ def cascade_inverse(m: CascadeModel) -> np.ndarray:
             p = m.rt.parent[j]
             np.multiply(inv_t[j], m.coeffs[j], out=inv_t[p], where=below[j])
             below[p] |= below[j]
-    return np.ascontiguousarray(inv_t.T)
+    return inv_t.T
 
 
 def population_covariance(m: CascadeModel) -> np.ndarray:
@@ -386,12 +387,15 @@ def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.nd
 
     Both covariance checks compare C with one prediction, B_im * B_jm at the
     deepest common ancestor m; at an ancestor pair m = i, and B_ii = 1 makes
-    the product exactly B_ji.
+    the product exactly B_ji.  ``inv`` is the working space, overwritten in
+    turn by the prediction, the deviations and |C|.
     """
     rows = np.arange(len(inv))[:, None]
     cols = np.arange(len(inv))[None, :]
-    devs = np.take_along_axis(inv, meet, axis=1)  # B_im
-    devs = devs * devs.T
+    meet_inv = np.take_along_axis(inv, meet, axis=1)  # B_im
+    # B_im B_jm is symmetric: written through inv.T, C-ordered for cascade_inverse's view, it fills inv
+    devs = np.multiply(meet_inv, meet_inv.T, out=inv.T)
+    del meet_inv
     np.abs(np.subtract(cov, devs, out=devs), out=devs)
     ancestor = (meet == rows) & (rows != cols)
     branching = (rows < cols) & (meet != rows) & (meet != cols)
@@ -402,15 +406,15 @@ def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.nd
     ):
         dev = float(devs.max(initial=0.0, where=mask))
         checks.append(LemmaCheck(name, dev <= 1e-12, dev, measure, int(np.count_nonzero(mask))))
-    del devs  # before the gaps' temporaries
-    gaps = _path_neighbor_gaps(np.abs(cov), hop)
+    del ancestor, branching
+    margin, pairs = _path_neighbor_gaps(np.abs(cov, out=devs), hop)
     checks.append(
         LemmaCheck(
             "strict-dominance",
-            bool((gaps > 0.0).all()),
-            float(gaps.min(initial=math.inf)),
+            margin > 0.0,
+            margin,
             "min margin min(|C_ik|, |C_kj|) - |C_ij|",
-            gaps.size,
+            pairs,
         )
     )
     return LemmaReport(tuple(checks))

@@ -29,17 +29,20 @@ def mutual_information_weights(c: CorrelationSummary) -> np.ndarray:
     ``|rho| = 1`` has no finite weight; the first one in row-major
     upper-triangle order raises.
     """
-    degenerate = np.argwhere(np.triu(np.abs(c.corr) == 1.0, 1))
-    if degenerate.size:
-        i, j = degenerate[0]
-        raise DegeneracyError(f"components {i} and {j} are perfectly correlated")
     i, j = np.triu_indices(c.d, 1)
-    rho = c.corr[i, j]
-    # math.log1p, not np.log1p: numpy's SIMD log1p differs from the C
-    # library's in the last bit for some inputs, which could move ties.
-    log1p = np.fromiter(map(math.log1p, (-rho * rho).tolist()), float, count=rho.size)
     mi = np.zeros((c.d, c.d))
-    mi[i, j] = mi[j, i] = -0.5 * log1p
+    step = 4096  # pairs per chunk, in row-major upper-triangle order: each Python float takes 32 bytes
+    for start in range(0, i.size, step):
+        ci, cj = i[start : start + step], j[start : start + step]
+        rho = c.corr[ci, cj]
+        degenerate = np.flatnonzero(np.abs(rho) == 1.0)
+        if degenerate.size:
+            k = degenerate[0]
+            raise DegeneracyError(f"components {ci[k]} and {cj[k]} are perfectly correlated")
+        # math.log1p, not np.log1p: numpy's SIMD log1p differs from the C
+        # library's in the last bit for some inputs, which could move ties.
+        log1p = np.fromiter(map(math.log1p, (-rho * rho).tolist()), float, count=rho.size)
+        mi[ci, cj] = mi[cj, ci] = -0.5 * log1p
     return mi
 
 
@@ -83,13 +86,14 @@ def correspondence_check(
         np.linalg.cholesky(c.corr)
     except np.linalg.LinAlgError:
         raise InvalidInputError("covariance is not positive definite") from None
-    mi = mutual_information_weights(c)
+    # one weight matrix at a time: the squared correlations' graph goes before the MI weights come
     cascade = maximum_spanning_tree(squared_correlation_graph(c), candidate=candidate)
-    approx = maximum_spanning_tree(WeightedGraph.from_matrix(mi), candidate=cascade.rooted)
+    mi = WeightedGraph._adopt(mutual_information_weights(c))
+    approx = maximum_spanning_tree(mi, candidate=cascade.rooted)
     pairs = []
     for i, j in approx.tree.sorted_edges():
         rho = float(c.corr[i, j])
-        pairs.append(((i, j), rho * rho, float(mi[i, j])))
+        pairs.append(((i, j), rho * rho, mi.weight(i, j)))
     return CorrespondenceReport(
         approximator_tree=approx.tree,
         cascade_tree=cascade.tree,

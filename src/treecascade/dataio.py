@@ -16,7 +16,7 @@ import os
 import stat
 import warnings
 from collections.abc import Iterable, Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -136,7 +136,8 @@ def load_csv(path) -> Dataset:
     if one_line and len(set(names)) == len(names):
         values = _read_plain(path, len(names))
         if values is not None:
-            return _adopt(values, names)
+            with suppress(DataError):  # a non-finite value: the validating parser names its cell
+                return _adopt(values, names)
     return _parse_csv(path)
 
 
@@ -150,9 +151,9 @@ def _read_plain(path, d: int):
 
     None leaves the file to the validating parser: it has no data lines,
     a bare CR or a byte of ``_NOT_SPACE_FOR_FLOAT``, too few bytes for a
-    full row on every data line, or the C reader failed, skipped a blank
-    line (it read fewer rows than the file has data lines), or read a
-    non-finite value.
+    full row on every data line, or the C reader failed or skipped a blank
+    line (it read fewer rows than the file has data lines).  The values may
+    hold a non-finite one, which the dataset's own check finds.
     """
     lines = _data_line_count(path)
     if not lines:
@@ -175,9 +176,7 @@ def _read_plain(path, d: int):
             )
     except ValueError:
         return None
-    if values.shape != (lines, d) or not np.isfinite(values).all():
-        return None
-    return values
+    return values if values.shape == (lines, d) else None
 
 
 def _data_line_count(path) -> int | None:
@@ -188,21 +187,23 @@ def _data_line_count(path) -> int | None:
     the validating parser: one with a bare CR line break or a byte of
     ``_NOT_SPACE_FOR_FLOAT``.
     """
-    lines = trailing = 0
+    lines = seen = 0
     with open(path, "rb") as handle:
         while block := handle.read(_BLOCK_BYTES):
             if block.endswith(b"\r"):
                 block += handle.read(1)
-            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-                return None
             if any(byte in block for byte in _NOT_SPACE_FOR_FLOAT):
                 return None
-            body = block.rstrip()
+            codes = np.frombuffer(block, np.uint8)
+            newline = codes == ord("\n")
+            if b"\r" in block:
+                cr = codes == ord("\r")
+                if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & newline[1:]):
+                    return None  # a CR that is not the start of a CRLF
+            seen += np.count_nonzero(newline)
+            body = len(block.rstrip())
             if body:
-                lines += trailing + body.count(b"\n")
-                trailing = block.count(b"\n", len(body))
-            else:
-                trailing += block.count(b"\n")
+                lines = seen - np.count_nonzero(newline[body:])
     return lines
 
 

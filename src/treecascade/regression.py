@@ -201,7 +201,7 @@ def _objective_terms(
 
 def squared_correlation_graph(c: CorrelationSummary) -> WeightedGraph:
     """Complete graph weighted by squared pairwise correlations."""
-    return WeightedGraph.from_matrix(c.corr * c.corr)
+    return WeightedGraph._adopt(c.corr * c.corr)
 
 
 def fit_cascade(

@@ -126,9 +126,9 @@ class WeightedGraph:
 
     Weights live in ``matrix``, a dense symmetric ``d``-by-``d`` array
     whose diagonal is NaN.  Build one with :meth:`from_matrix`, the
-    validating constructor; every instance is therefore complete, and the
-    maximum spanning tree and the checks against it need no checks of
-    their own.
+    validating constructor, or ``_adopt`` over a fresh matrix without its
+    copy; every instance is therefore complete, and the maximum spanning
+    tree and the checks against it need no checks of their own.
     """
 
     __slots__ = ("d", "matrix")
@@ -139,8 +139,12 @@ class WeightedGraph:
 
     @staticmethod
     def from_matrix(matrix: np.ndarray) -> "WeightedGraph":
-        """Complete graph from a symmetric matrix; the diagonal is ignored."""
-        m = np.array(matrix, dtype=float)
+        """Complete graph from a symmetric matrix; the diagonal is ignored, and ``matrix`` is copied."""
+        return WeightedGraph._adopt(np.array(matrix, dtype=float))
+
+    @staticmethod
+    def _adopt(m: np.ndarray) -> "WeightedGraph":
+        """:meth:`from_matrix` over ``m`` itself, a fresh float array that its builder gives up."""
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"weight matrix must be square, got shape {m.shape}")
         if not m.size:
@@ -361,14 +365,20 @@ def _bottleneck_verdict(g: WeightedGraph, rt: RootedTree) -> tuple[str, tuple[in
     return "tied", None
 
 
-def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> np.ndarray:
-    """``min(x[i, k], x[k, j]) - x[i, j]`` over nonadjacent ordered pairs, ``k = hop[i, j]``.
+def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> tuple[float, int]:
+    """Least ``min(x[i, k], x[k, j]) - x[i, j]`` over nonadjacent ordered pairs, ``k = hop[i, j]``, and their count.
 
-    For finite doubles a gap is positive exactly when ``x[i, j]`` is smaller.
+    For finite doubles a gap is positive exactly when ``x[i, j]`` is smaller; as rounding is
+    monotone, the least is that of ``x[i, k] - x[i, j]`` and ``x[k, j] - x[i, j]`` taken in turn.
     """
-    rows = np.arange(len(x))[:, None]
-    cols = np.arange(len(x))[None, :]
-    return (np.minimum(x[rows, hop], x[hop, cols]) - x)[hop != cols]
+    nonadjacent = hop != np.arange(len(x))
+    least = np.inf
+    for axis in (1, 0):  # x[i, k], then x[k, j]
+        gaps = np.take_along_axis(x, hop, axis)
+        gaps -= x
+        least = np.minimum(least, gaps.min(initial=np.inf, where=nonadjacent))
+        del gaps  # before the next gather
+    return float(least), int(np.count_nonzero(nonadjacent))
 
 
 def _tree_from_pruefer(seq: Sequence[int], d: int) -> Tree:

@@ -28,7 +28,8 @@ def strict_triangle(g: WeightedGraph, t: Tree) -> bool:
     the tree path from ``i`` to ``j``, needs ``W_ij < min(W_ik, W_kj)``.
     """
     hop, _ = _hop_and_meet_matrices(root_tree(t, 0))
-    return bool((_path_neighbor_gaps(g.matrix, hop) > 0.0).all())
+    least, _ = _path_neighbor_gaps(g.matrix, hop)
+    return least > 0.0
 
 
 # Cells the validating parser and numpy's C reader could read differently:

@@ -57,7 +57,7 @@ from treecascade.chowliu import mutual_information_weights
 from treecascade.dataio import FORMAT_VERSION
 from treecascade.regression import objective_value, optimal_coefficients
 from treecascade.trees import MstResult, canonical_edge
-from treecascade.trees import _path_neighbor_gaps, _tree_from_pruefer
+from treecascade.trees import _tree_from_pruefer
 
 #: Guard for exhaustive spanning-tree enumeration (8**6 = 262144 trees).
 MAX_ENUMERATION_VERTICES = 8
@@ -320,7 +320,9 @@ def two_formula_lemma_report(
     i, j = np.nonzero((rows < cols) & (meet != rows) & (meet != cols))
     k = meet[i, j]
     branch_devs = np.abs(cov[i, j] - inv[i, k] * inv[j, k])
-    gaps = _path_neighbor_gaps(np.abs(cov), hop)
+    # path-neighbour gaps gathered and compressed whole, where the package reduces in place
+    x = np.abs(cov)
+    gaps = (np.minimum(x[rows, hop], x[hop, cols]) - x)[hop != cols]
 
     ancestor_dev = float(ancestor_devs.max(initial=0.0))
     branch_dev = float(branch_devs.max(initial=0.0))

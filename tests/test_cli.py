@@ -68,12 +68,15 @@ from hypothesis import strategies as st
 
 import treecascade
 from treecascade import (
+    Tree,
     correlation_from_covariance,
     fit_cascade,
     get_sampler,
     load_fit,
+    make_unit_variance_model,
     population_covariance,
     random_unit_variance_model,
+    root_tree,
     sample_prices_path,
     save_fit,
     verify_covariance_lemmas,
@@ -572,13 +575,14 @@ class TestVerifyAlgebra:
         }
         _, path = rooted_model_document(tmp_path, 30, 3)
         calls = self.count_calls(monkeypatch, builders)
-        from_matrix = trees_module.WeightedGraph.from_matrix
+        # every graph passes the validation of WeightedGraph._adopt, from_matrix's included
+        adopt = trees_module.WeightedGraph._adopt
 
         def counted_graph(matrix):
             calls["graph"] += 1
-            return from_matrix(matrix)
+            return adopt(matrix)
 
-        monkeypatch.setattr(trees_module.WeightedGraph, "from_matrix", staticmethod(counted_graph))
+        monkeypatch.setattr(trees_module.WeightedGraph, "_adopt", staticmethod(counted_graph))
         calls["graph"] = 0
         assert quiet_main("verify", "--model", path) == 0
         assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1, "graph": 1}
@@ -1223,6 +1227,31 @@ class TestPeakMemory:
                 tracemalloc.stop()
             assert code == 0
             assert peak <= limit, f"{argv[0]}: peak {peak / limit * 1.5:.2f} arrays"
+
+    def test_audit_commands_hold_a_bounded_set_of_d_by_d_arrays(self, tmp_path):
+        # verify: the inverse, covariance, hop and meet plus one working array;
+        # chow-check: the correlations, a weight matrix and its bottleneck plus one
+        d = 200
+        rng = np.random.default_rng(11)
+        rt = root_tree(Tree.from_edges(d, [(i, i + 1) for i in range(d - 1)]), d // 3)
+        signs = rng.choice([-1.0, 1.0], d - 1)
+        model = make_unit_variance_model(
+            rt, dict(zip(rt.non_root_vertices(), (signs * rng.uniform(0.5, 0.95, d - 1)).tolist()))
+        )
+        fit = fit_cascade(correlation_from_covariance(population_covariance(model)), root_hint=rt.root)
+        path = tmp_path / "chain.json"
+        save_fit(fit, path)
+        for argv, arrays in ((("verify", "--model", path), 6.5), (("chow-check", "--fit", path), 4.5)):
+            # a first call fills the caches that outlive it, argparse's and numpy's
+            assert quiet_main(*argv) == 0
+            tracemalloc.start()
+            try:
+                code = quiet_main(*argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak <= arrays * 8 * d * d, f"{argv[0]}: peak {peak / (8 * d * d):.2f} arrays"
 
     SAMPLERS = ("gaussian", "laplace", "uniform", "rademacher", "dependent")
     # A child prints the peak of its own memory image, VmHWM.  Its ru_maxrss

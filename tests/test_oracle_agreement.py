@@ -139,6 +139,12 @@ def lemma_inputs(model, covariance=population_covariance):
     return (cascade_inverse(model), covariance(model), *_hop_and_meet_matrices(model.rt))
 
 
+def both_reports(inputs):
+    """``_lemma_report``'s report and the oracle's; the oracle reads first, as the report overwrites the inverse."""
+    slow = two_formula_lemma_report(*inputs)
+    return _lemma_report(*inputs), slow
+
+
 def assert_same_report(fast, slow):
     assert len(fast.checks) == len(slow.checks) == 3
     for a, b in zip(fast.checks, slow.checks):
@@ -153,7 +159,7 @@ def test_lemma_report_matches_two_formula_oracle(d):
     rng = np.random.default_rng(d)
     for _ in range(5):
         inputs = lemma_inputs(random_unit_variance_model(d, rng))
-        assert_same_report(_lemma_report(*inputs), two_formula_lemma_report(*inputs))
+        assert_same_report(*both_reports(inputs))
 
 
 def chain_model(d, rho):
@@ -166,7 +172,7 @@ def chain_model(d, rho):
 def test_lemma_report_matches_oracle_where_products_underflow(d, rho):
     inputs = lemma_inputs(chain_model(d, rho), dense_covariance)
     assert (inputs[1] == 0.0).any()  # the longest paths' products underflow to zero
-    assert_same_report(_lemma_report(*inputs), two_formula_lemma_report(*inputs))
+    assert_same_report(*both_reports(inputs))
 
 
 def test_lemma_report_matches_oracle_where_the_recursion_sticks_at_the_smallest_subnormal():
@@ -179,8 +185,8 @@ def test_lemma_report_matches_oracle_where_the_recursion_sticks_at_the_smallest_
     assert not (cov == 0.0).any()
     assert cov[0, -1] == cov[-1, 0] == tiny
     assert (cov[dense_covariance(model) == 0.0] == tiny).all()
-    report = _lemma_report(*inputs)
-    assert_same_report(report, two_formula_lemma_report(*inputs))
+    report, slow = both_reports(inputs)
+    assert_same_report(report, slow)
     # the stuck entries tie their path neighbours, so dominance fails with margin zero
     assert report.checks[2].worst == 0.0 and not report.checks[2].passed
 
@@ -196,8 +202,8 @@ def test_planted_error_fails_only_its_row(kind):
     i, j = np.argwhere(pairs)[0]
     cov[i, j] += 1e-9
     cov[j, i] = cov[i, j]
-    report = _lemma_report(inv, cov, hop, meet)
-    assert_same_report(report, two_formula_lemma_report(inv, cov, hop, meet))
+    report, slow = both_reports((inv, cov, hop, meet))
+    assert_same_report(report, slow)
     assert [c.name for c in report.checks if not c.passed] == [f"{kind}-covariance"]
 
 

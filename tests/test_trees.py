@@ -202,6 +202,13 @@ class TestWeightedGraph:
         g = WeightedGraph.from_matrix(np.array([[math.inf, 1.0], [1.0, -math.inf]]))
         assert g.weight(0, 1) == 1.0
 
+    def test_from_matrix_leaves_the_callers_matrix_untouched(self):
+        m = np.array([[5.0, 1.0, 2.0], [1.0, 6.0, 3.0], [2.0, 3.0, 7.0]])
+        g = WeightedGraph.from_matrix(m)
+        assert np.array_equal(m, [[5.0, 1.0, 2.0], [1.0, 6.0, 3.0], [2.0, 3.0, 7.0]])  # no NaN diagonal
+        assert not np.shares_memory(g.matrix, m)
+        assert np.isnan(np.diag(g.matrix)).all() and g.weight(1, 2) == 3.0
+
     def test_from_matrix_names_non_finite_before_asymmetry(self):
         m = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, math.nan], [2.0, math.nan, 0.0]])
         with pytest.raises(InvalidInputError, match=r"\(1, 2\) is not finite: nan"):
