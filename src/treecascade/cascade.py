@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .dataio import Dataset, _adopt, _block_rows, _column_names
+from .dataio import Dataset, _adopt, _block_lengths, _column_names
 from .errors import InvalidInputError, UnsupportedModelError
 from .trees import RootedTree, _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
 from .trees import _to_vertex_order, _unchecked, _walk, random_tree, root_tree
@@ -176,50 +176,51 @@ def random_unit_variance_model(
 
 # The generator type is a string so that importing this module does not load
 # numpy.random (about 6 MB and 20 ms) for commands that draw nothing.  A
-# sampler hands its blocks over: ``simulate`` transforms them in place.
-Sampler = Callable[["np.random.Generator", Sequence[int], np.ndarray], Iterator[np.ndarray]]
+# sampler ``(rng, n, variances)`` yields the n rows of its draw in the blocks
+# of ``_block_lengths(n, d)`` and hands them over: ``simulate`` transforms
+# them in place.
+Sampler = Callable[["np.random.Generator", int, np.ndarray], Iterator[np.ndarray]]
 
 
-def _draw_gaussian(rng, sizes, variances):
+def _draw_gaussian(rng, n, variances):
     scale = np.sqrt(variances)
-    for rows in sizes:
+    for rows in _block_lengths(n, variances.size):
         yield rng.standard_normal((rows, variances.size)) * scale
 
 
-def _draw_laplace(rng, sizes, variances):
+def _draw_laplace(rng, n, variances):
     # Laplace(scale b) has variance 2 b^2.
     scale = np.sqrt(variances / 2.0)
-    for rows in sizes:
+    for rows in _block_lengths(n, variances.size):
         yield rng.laplace(0.0, 1.0, (rows, variances.size)) * scale
 
 
-def _draw_uniform(rng, sizes, variances):
+def _draw_uniform(rng, n, variances):
     # Uniform on [-a, a] has variance a^2 / 3.
     scale = np.sqrt(3.0 * variances)
-    for rows in sizes:
+    for rows in _block_lengths(n, variances.size):
         yield rng.uniform(-1.0, 1.0, (rows, variances.size)) * scale
 
 
-def _draw_rademacher(rng, sizes, variances):
+def _draw_rademacher(rng, n, variances):
     scale = np.sqrt(variances)
-    for rows in sizes:
+    for rows in _block_lengths(n, variances.size):
         yield _flip_signs(rng, np.tile(scale, (rows, 1)))
 
 
-def _draw_dependent(rng, sizes, variances):
+def _draw_dependent(rng, n, variances):
     # One shared magnitude per draw, independent signs per coordinate:
     # pairwise correlations vanish, yet the components share |magnitude|.
     # Every magnitude is drawn before any sign, as in a single block, so
     # this sampler holds 8 bytes per row.
-    rows = sizes.rows if isinstance(sizes, _BlockSizes) else sum(sizes)
     try:
-        magnitude = rng.standard_normal((rows, 1))
+        magnitude = rng.standard_normal((n, 1))
     except (MemoryError, ValueError):  # ValueError: past numpy's largest array
-        raise InvalidInputError(f"the dependent sampler cannot hold {rows} magnitudes") from None
+        raise InvalidInputError(f"the dependent sampler cannot hold {n} magnitudes") from None
     np.abs(magnitude, out=magnitude)
     scale = np.sqrt(variances)
     start = 0
-    for rows in sizes:
+    for rows in _block_lengths(n, variances.size):
         yield _flip_signs(rng, magnitude[start : start + rows] * scale)
         start += rows
 
@@ -234,14 +235,14 @@ def _flip_signs(rng, x: np.ndarray) -> np.ndarray:
     return x
 
 
-#: Error samplers by name.  Each draw function ``(rng, sizes, variances)``
-#: yields one C-ordered (rows, d) block per entry of the sequence ``sizes``,
-#: and the blocks are the rows of one draw of ``sum(sizes)`` rows bit for
-#: bit, however ``sizes`` splits it.  Columns have population mean zero, the
-#: requested variances, and zero pairwise correlation: independent normal,
-#: double-exponential, uniform and symmetric two-point errors, and
-#: "dependent", a shared magnitude with independent signs (uncorrelated but
-#: not independent).
+#: Error samplers by name.  Each draw function ``(rng, n, variances)``
+#: yields one C-ordered (rows, d) block per entry of ``_block_lengths(n, d)``,
+#: and the blocks are the rows of one draw of ``n`` rows bit for bit: numpy's
+#: generators give the same stream however a draw is split.  Columns have
+#: population mean zero, the requested variances, and zero pairwise
+#: correlation: independent normal, double-exponential, uniform and
+#: symmetric two-point errors, and "dependent", a shared magnitude with
+#: independent signs (uncorrelated but not independent).
 BUILTIN_SAMPLERS: dict[str, Sampler] = {
     "gaussian": _draw_gaussian,
     "laplace": _draw_laplace,
@@ -279,32 +280,16 @@ def _simulated_blocks(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> I
     """The rows ``simulate`` draws, as C-ordered blocks, first row first.
 
     The sample count and the seed are checked at once; the draws happen
-    as the blocks are taken.  A block starts every ``_block_rows(d)`` rows
-    (1 MiB) and the remainder joins the last block.  Overflow leaves
-    infinities, without a warning, for the caller's finiteness check to
-    name.
+    as the blocks are taken, in the row counts of ``_block_lengths(n, d)``.
+    Overflow leaves infinities, without a warning, for the caller's
+    finiteness check to name.
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    sizes = _BlockSizes(n, _block_rows(m.d))
-    draws = sampler(np.random.default_rng(seed), sizes, m.error_variance_vector())
+    draws = sampler(np.random.default_rng(seed), n, m.error_variance_vector())
     return _transformed(draws, m)
-
-
-class _BlockSizes(Sequence):
-    """Row counts of ``rows`` rows in blocks of ``step``, the last taking the remainder, lazily."""
-
-    def __init__(self, rows: int, step: int) -> None:
-        self.rows, self.step = rows, step
-
-    def __len__(self) -> int:
-        return max(1, self.rows // self.step)
-
-    def __getitem__(self, k: int) -> int:
-        k = range(len(self))[k]  # negative indices; IndexError past the end
-        return self.step if k < len(self) - 1 else self.rows - self.step * k
 
 
 def _transformed(draws: Iterator[np.ndarray], m: CascadeModel) -> Iterator[np.ndarray]:

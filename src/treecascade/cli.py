@@ -187,8 +187,9 @@ def _cmd_verify(args) -> int:
 
     summary = correlation_from_covariance(cov)
     del cov
+    # |rho| orders pairs as rho^2 does, without the square's underflow to tied zeros;
     # the diagonal, which the graph would blank, is never read; hop does not depend on the root
-    margin, _ = _path_neighbor_gaps(summary.corr * summary.corr, hop)
+    margin, _ = _path_neighbor_gaps(np.abs(summary.corr), hop)
     rows.append(("strict-triangle", margin > 0.0, "squared-correlation weights"))
 
     fit = fit_cascade(summary, candidate=model.rt)

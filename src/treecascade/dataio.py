@@ -15,7 +15,7 @@ import math
 import os
 import stat
 import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib.resources import files
@@ -340,6 +340,13 @@ def _difference_in_place(v: np.ndarray, names) -> np.ndarray:
 def _block_rows(d: int) -> int:
     """Rows of ``d`` float64 columns in one ``_BLOCK_BYTES`` block of the in-place passes."""
     return max(1, _BLOCK_BYTES // (8 * d))
+
+
+def _block_lengths(n: int, d: int) -> Iterator[int]:
+    """Row counts of ``n`` rows in full ``_block_rows(d)``-row blocks, then any remainder, lazily."""
+    step = _block_rows(d)
+    for start in range(0, n, step):
+        yield min(step, n - start)
 
 
 def _differenced_rows(n: int) -> int:

@@ -86,7 +86,7 @@ def run_child(tmp_path_factory):
     model = random_unit_variance_model(D, np.random.default_rng(29), magnitude_range=(0.3, 0.85))
     doc = tmp_path / "model.json"
     save_fit(fit_cascade(correlation_from_covariance(population_covariance(model))), doc)
-    n = 2 * _block_rows(D) + 1  # two blocks, the second one row longer
+    n = 2 * _block_rows(D) + 1  # three blocks, the last one a single row
     package_root = str(Path(treecascade.__file__).parents[1])
 
     def run(kernel):

@@ -9,7 +9,8 @@ Claims covered:
   - Sampling is seed-deterministic; every built-in error sampler hits its
     declared moments and is pairwise uncorrelated; the "dependent" one is
     demonstrably not independent; the scaled draws are the raw draws times
-    the scale bit for bit, and so is a draw split into blocks of any sizes.
+    the scale bit for bit; a draw comes in full blocks and one short last
+    block, which join to the one-shot draw bit for bit.
   - Re-rooting preserves the covariance and the undirected edge set.
   - The covariance-structure checks pass with positive slack on random
     unit-variance models.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import ancestors, path_vertices, path_walk_inverse
+from oracles import ancestors, one_shot_simulate, path_vertices, path_walk_inverse
 from treecascade import (
     CascadeModel,
     InvalidInputError,
@@ -35,7 +36,8 @@ from treecascade import (
     simulate,
     verify_covariance_lemmas,
 )
-from treecascade.cascade import BUILTIN_SAMPLERS, cascade_inverse, coefficient_matrix
+from treecascade.cascade import BUILTIN_SAMPLERS, _simulated_blocks, cascade_inverse, coefficient_matrix
+from treecascade.dataio import _block_rows
 
 
 def chain_model(*coeffs, error_vars=None):
@@ -246,9 +248,8 @@ class TestErrorSamplers:
     VARIANCES = np.array([1.0, 0.25, 2.0])
 
     def draw(self, name, seed, n):
-        """``n`` rows of the named sampler, drawn as one block."""
-        (block,) = BUILTIN_SAMPLERS[name](np.random.default_rng(seed), [n], self.VARIANCES)
-        return block
+        """``n`` rows of the named sampler, its blocks joined."""
+        return np.concatenate(list(BUILTIN_SAMPLERS[name](np.random.default_rng(seed), n, self.VARIANCES)))
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
     def test_marginal_moments(self, name):
@@ -288,15 +289,18 @@ class TestErrorSamplers:
         assert np.min(sq_corr) > 0.99
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
-    def test_any_split_gives_the_same_bits(self, name):
-        # simulate draws in blocks; the rows must not depend on where they split
-        whole = self.draw(name, 47, 1001)
-        for sizes in ([1000, 1], [1, 1000], [333, 1, 667], [7] * 143, [1] * 5 + [996]):
-            blocks = list(BUILTIN_SAMPLERS[name](np.random.default_rng(47), sizes, self.VARIANCES))
-            assert [len(b) for b in blocks] == sizes
-            assert all(b.flags.c_contiguous for b in blocks)
-            joined = np.concatenate(blocks)
-            assert np.array_equal(joined.view(np.int64), whole.view(np.int64)), sizes
+    def test_blocks_are_full_but_the_last(self, name):
+        # every n-row pass ends with a short block; none is empty, none takes the remainder
+        for d in (1, 9, 30):
+            model = random_unit_variance_model(d, np.random.default_rng(d))
+            step = _block_rows(d)
+            for n in (1, step - 1, step, step + 1, 2 * step + 7):
+                blocks = list(_simulated_blocks(model, get_sampler(name), n, 47))
+                short = [n % step] if n % step else []
+                assert [len(b) for b in blocks] == [step] * (n // step) + short, (d, n)
+                assert all(b.flags.c_contiguous for b in blocks)
+                expected = one_shot_simulate(model, name, n, 47)
+                assert np.array_equal(np.concatenate(blocks).view(np.int64), expected.view(np.int64)), (d, n)
 
     def test_unknown_sampler_lists_available(self):
         with pytest.raises(InvalidInputError, match="gaussian"):

@@ -68,7 +68,9 @@ from hypothesis import strategies as st
 
 import treecascade
 from treecascade import (
+    CorrelationSummary,
     Tree,
+    WeightedGraph,
     correlation_from_covariance,
     fit_cascade,
     get_sampler,
@@ -83,7 +85,6 @@ from treecascade import (
 )
 from treecascade import cascade as cascade_module
 from treecascade.cascade import cascade_inverse, coefficient_matrix
-from treecascade.regression import squared_correlation_graph
 from treecascade import trees as trees_module
 from treecascade.cascade import _simulated_blocks
 from treecascade.cli import _identity_holds, main
@@ -457,6 +458,37 @@ class TestVerifyCommand:
         code, _, stderr = run(capsys, "verify", "--model", str(doc))
         assert code != 0 and "rejected" in stderr
 
+    @staticmethod
+    def weak_chain_document(tmp_path, d=200):
+        """A chain rooted at 0 with every coefficient 0.1: rho^2 of pairs 162 or more apart is 0."""
+        rt = root_tree(Tree.from_edges(d, [(i, i + 1) for i in range(d - 1)]), 0)
+        model = make_unit_variance_model(rt, dict.fromkeys(rt.non_root_vertices(), 0.1))
+        path = tmp_path / "weak-chain.json"
+        save_fit(fit_cascade(correlation_from_covariance(population_covariance(model)), root_hint=0), path)
+        return path
+
+    def test_far_pairs_are_ordered_past_the_square_underflow(self, capsys, tmp_path):
+        path = self.weak_chain_document(tmp_path)
+        code, stdout, _ = run(capsys, "verify", "--model", str(path))
+        assert "  strict-triangle       pass  squared-correlation weights\n" in stdout
+        assert (code, stdout) == (0, verify_table(model_from_document(load_document(path)), str(path)))
+
+    def test_planted_tie_between_far_pairs_fails(self, capsys, monkeypatch, tmp_path):
+        # |rho| of (0, d - 1) raised to that of (1, d - 1), k = 1 its path neighbour; both squares are 0
+        path = self.weak_chain_document(tmp_path)
+        last = 199
+
+        def planted(cov):
+            corr = correlation_from_covariance(cov).corr.copy()
+            corr[0, last] = corr[last, 0] = corr[1, last]
+            return CorrelationSummary(corr)
+
+        monkeypatch.setattr("treecascade.cli.correlation_from_covariance", planted)
+        code, stdout, _ = run(capsys, "verify", "--model", str(path))
+        assert code == 1
+        assert "  strict-triangle       FAIL  squared-correlation weights\n" in stdout
+        assert stdout.endswith("result: FAIL\n")
+
 
 def planted_weight_error(fit, delta: float):
     """``fit`` with ``delta`` added to the weight of its first edge."""
@@ -511,7 +543,8 @@ def verify_table(model, label: str) -> str:
     for check in verify_covariance_lemmas(model).checks:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
     summary = correlation_from_covariance(population_covariance(model))
-    triangle = loop_strict_triangle_condition(squared_correlation_graph(summary), model.rt.tree)
+    # |rho| orders pairs as rho^2 does, without the square's underflow
+    triangle = loop_strict_triangle_condition(WeightedGraph.from_matrix(np.abs(summary.corr)), model.rt.tree)
     rows.append(("strict-triangle", triangle, "squared-correlation weights"))
     fit = fit_cascade(summary)
     recovered = fit.tree.edges == model.rt.tree.edges
@@ -818,8 +851,8 @@ class TestOutOfMemory:
         out = tmp_path / "x.csv"
         opened = []
 
-        def first_block_then_out_of_memory(rng, sizes, variances):
-            yield np.ones((sizes[0], len(variances)))
+        def first_block_then_out_of_memory(rng, n, variances):
+            yield np.ones((_block_rows(len(variances)), len(variances)))
             opened.append(out.exists())
             out_of_memory()
 
@@ -1205,7 +1238,7 @@ class TestPeakMemory:
     """The parsed values are the only n-by-d array that fit and chow-check hold; simulate holds none."""
 
     N, D = 20_000, 30
-    N_SIMULATED = 200_000
+    N_SIMULATED = 50_000
 
     def test_traced_peak_within_one_and_a_half_arrays(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -1290,7 +1323,7 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_simulate_streams_in_blocks(self, simulate_children, sampler):
-        # the whole draw would be 46 MiB; blocks are 1 MiB, dependent's magnitudes 1.5 MiB
+        # the whole draw would be 11.4 MiB; blocks are at most 1 MiB, dependent's magnitudes 0.4 MiB
         peaks = []
         for n in (1, self.N_SIMULATED):
             result = simulate_children[sampler, n]
