@@ -32,15 +32,12 @@ class CascadeModel:
 
     ``coeffs[i]`` is the coefficient multiplying the parent of the non-root
     vertex ``i``; ``error_vars[i]`` is the error variance at vertex ``i``.
-    ``unit_variance`` flags models whose induced covariance has an all-ones
-    diagonal, in which case every coefficient magnitude is strictly below 1.
     Treat instances (including the mappings) as immutable.
     """
 
     rt: RootedTree
     coeffs: Mapping[int, float]
     error_vars: Mapping[int, float]
-    unit_variance: bool = False
 
     def __post_init__(self) -> None:
         non_root = set(self.rt.non_root_vertices())
@@ -54,10 +51,6 @@ class CascadeModel:
         for i, a in self.coeffs.items():
             if not math.isfinite(a):
                 raise InvalidInputError(f"coefficient at vertex {i} is not finite: {a!r}")
-            if self.unit_variance and not abs(a) < 1.0:
-                raise InvalidInputError(
-                    f"unit-variance model requires |coefficient| < 1, got {a} at vertex {i}"
-                )
         for i, v in self.error_vars.items():
             if not (math.isfinite(v) and v > 0.0):
                 raise InvalidInputError(f"error variance at vertex {i} must be > 0, got {v!r}")
@@ -69,6 +62,12 @@ class CascadeModel:
     @property
     def root(self) -> int:
         return self.rt.root
+
+    @property
+    def unit_variance(self) -> bool:
+        """Whether ``error_vars`` are 1 at the root and ``1 - a * a`` elsewhere, bit for bit."""
+        ev = self.error_vars
+        return ev[self.root] == 1.0 and all(ev[v] == 1.0 - a * a for v, a in self.coeffs.items())
 
     def error_variance_vector(self) -> np.ndarray:
         return np.array([self.error_vars[i] for i in range(self.d)], dtype=float)
@@ -153,7 +152,7 @@ def make_unit_variance_model(
         coeffs[i] = rho
         error_vars[i] = 1.0 - rho * rho
     # each |rho| < 1 makes 1 - rho * rho positive: the constructor's checks hold
-    return _unchecked(CascadeModel, rt=rt, coeffs=coeffs, error_vars=error_vars, unit_variance=True)
+    return _unchecked(CascadeModel, rt=rt, coeffs=coeffs, error_vars=error_vars)
 
 
 def random_unit_variance_model(
@@ -260,7 +259,7 @@ def get_sampler(name: str) -> Sampler:
         raise InvalidInputError(f"unknown sampler {name!r}; available: {known}") from None
 
 
-def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -> Dataset:
+def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> Dataset:
     """Draw ``n`` independent realizations of the cascade.
 
     Each draw is a fresh error draw through the structural equations, so
@@ -273,7 +272,7 @@ def simulate(m: CascadeModel, sampler: Sampler, n: int, seed: int, names=None) -
     for block in blocks:
         values[start : start + len(block)] = block
         start += len(block)
-    return _adopt(values, _column_names(names, m.d))
+    return _adopt(values, _column_names(None, m.d))
 
 
 def _simulated_blocks(m: CascadeModel, sampler: Sampler, n: int, seed: int) -> Iterator[np.ndarray]:

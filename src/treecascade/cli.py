@@ -248,9 +248,10 @@ def _cmd_chow_check(args) -> int:
         names = ds.names
         known = None
     else:
-        model = dataio.model_from_document(dataio.load_document(args.fit))
+        doc = dataio.load_document(args.fit)
+        model = dataio.model_from_document(doc)
         corr = correlation_from_covariance(population_covariance(model))
-        names = dataio._column_names(None, model.d)
+        names = dataio._column_names(doc.get("names"), model.d)
         known = model.rt
     report = correspondence_check(corr, candidate=known)
     for (i, j), rho_sq, mi in report.edge_pairs:

@@ -528,6 +528,10 @@ def document_to_fit(doc: Mapping):
             raise SchemaError("names: expected a list of strings or null")
         if len(names_field) != d:
             raise SchemaError(f"names: expected {d} entries, got {len(names_field)}")
+        try:
+            _check_unique(tuple(names_field))
+        except DataError as exc:
+            raise SchemaError(f"names: {exc}") from None
     return FitResult(
         rt=rt,
         coeffs=coeffs,
@@ -544,7 +548,7 @@ def model_from_document(doc: Mapping):
 
     Unit-variance documents go through the unit-variance checks (so zero
     or out-of-range coefficients are rejected) and the stored error
-    variances must agree with the reconstruction.
+    variances must agree with the reconstruction; others are taken as written.
     """
     from .cascade import CascadeModel, make_unit_variance_model
 
@@ -562,7 +566,7 @@ def model_from_document(doc: Mapping):
                     "unit-variance coefficients"
                 )
         return model
-    return CascadeModel(fit.rt, fit.coeffs, error_vars, unit_variance=False)
+    return CascadeModel(fit.rt, fit.coeffs, error_vars)
 
 
 def save_fit(fit, path) -> None:

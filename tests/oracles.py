@@ -34,6 +34,7 @@ import csv
 import io
 import itertools
 import math
+from collections import Counter
 from typing import Mapping
 
 import numpy as np
@@ -565,6 +566,9 @@ def checking_document_to_fit(doc: Mapping) -> FitResult:
             raise SchemaError("names: expected a list of strings or null")
         if len(names_field) != d:
             raise SchemaError(f"names: expected {d} entries, got {len(names_field)}")
+        repeated = sorted(name for name, count in Counter(names_field).items() if count > 1)
+        if repeated:
+            raise SchemaError(f"names: duplicate column names: {', '.join(repeated)}")
     return FitResult(
         rt=rt,
         coeffs=coeffs,
@@ -592,7 +596,7 @@ def checking_model_from_document(doc: Mapping) -> CascadeModel:
                     "unit-variance coefficients"
                 )
         return model
-    return CascadeModel(fit.rt, fit.coeffs, error_vars, unit_variance=False)
+    return CascadeModel(fit.rt, fit.coeffs, error_vars)
 
 
 def _checking_unit_variance_model(rt, edge_correlations) -> CascadeModel:
@@ -612,7 +616,7 @@ def _checking_unit_variance_model(rt, edge_correlations) -> CascadeModel:
             raise InvalidInputError(f"edge correlation at vertex {i} must be nonzero")
         coeffs[i] = rho
         error_vars[i] = 1.0 - rho * rho
-    return CascadeModel(rt, coeffs, error_vars, unit_variance=True)
+    return CascadeModel(rt, coeffs, error_vars)
 
 
 def _check_version(doc: Mapping) -> None:

@@ -5,7 +5,9 @@ Claims covered:
     factors along directed paths.
   - Induced covariance matches hand computations and Monte-Carlo draws.
   - Unit-variance construction yields an exactly-unit diagonal and
-    rejects degenerate edge correlations.
+    rejects degenerate edge correlations; a model is unit variance when its
+    error variances are exactly those bits, and re-rooting and the lemma
+    checks refuse any other model.
   - Sampling is seed-deterministic; every built-in error sampler hits its
     declared moments and is pairwise uncorrelated; the "dependent" one is
     demonstrably not independent; the scaled draws are the raw draws times
@@ -181,10 +183,26 @@ class TestUnitVarianceConstruction:
         with pytest.raises(InvalidInputError):
             make_unit_variance_model(rt, {1: rho})
 
-    def test_unit_variance_flag_enforces_coefficient_bound(self):
-        rt = root_tree(Tree.from_edges(2, [(0, 1)]), 0)
-        with pytest.raises(InvalidInputError, match="< 1"):
-            CascadeModel(rt, {1: 1.0}, {0: 1.0, 1: 0.5}, unit_variance=True)
+    def test_unit_variance_is_read_from_the_numbers(self):
+        rng = np.random.default_rng(5)
+        chain = root_tree(Tree.from_edges(3, [(0, 1), (1, 2)]), 0)
+        built = [make_unit_variance_model(chain, {1: 0.5, 2: -0.3})]
+        built += [random_unit_variance_model(int(rng.integers(1, 9)), rng) for _ in range(10)]
+        built += [reroot(m, m.d - 1) for m in built]
+        built.append(CascadeModel(root_tree(Tree(1), 0), {}, {0: 1.0}))
+        for m in built:
+            assert m.unit_variance
+            # one float step from 1 at the root, or from 1 - a^2 anywhere else, is not unit variance
+            for v, s in m.error_vars.items():
+                for toward in (0.0, 2.0):
+                    nudged = {**m.error_vars, v: float(np.nextafter(s, toward))}
+                    assert not CascadeModel(m.rt, m.coeffs, nudged).unit_variance
+        # coefficients a unit-variance model could have, with other error variances
+        m = CascadeModel(chain, {1: 0.5, 2: 0.5}, {0: 1.0, 1: 0.2, 2: 3.0})
+        with pytest.raises(UnsupportedModelError):
+            reroot(m, 2)
+        with pytest.raises(UnsupportedModelError):
+            verify_covariance_lemmas(m)
 
     def test_wrong_coefficient_keys_rejected(self):
         rt = root_tree(Tree.from_edges(3, [(0, 1), (1, 2)]), 0)
@@ -384,7 +402,7 @@ class TestCovarianceLemmaChecks:
 
     def test_single_vertex_vacuous(self):
         t = Tree(1)
-        m = CascadeModel(root_tree(t, 0), {}, {0: 1.0}, unit_variance=True)
+        m = CascadeModel(root_tree(t, 0), {}, {0: 1.0})
         assert verify_covariance_lemmas(m).all_passed
 
 

@@ -42,6 +42,9 @@ Claims covered:
   - An allocation numpy refuses in fit, chow-check --data, verify or
     simulate exits 2 with one error line and leaves no output file.
   - export-dot escapes '\\' and '"' in column names.
+  - verify judges a model document by its numbers, not by its
+    unit_variance field; chow-check --fit labels edges with the
+    document's names; a document whose names repeat one exits 2.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -446,6 +450,27 @@ class TestVerifyCommand:
         code, stdout, _ = run(capsys, "verify", "--model", str(doc))
         assert code == 0 and "result: pass" in stdout
 
+    def test_document_declared_false_is_judged_by_its_numbers(self, capsys, tmp_path):
+        # a fit document's error variances are 1 - coeff^2 to the bit, whatever its flag says
+        declared = tmp_path / "declared" / "fit.json"
+        declared.parent.mkdir()
+        run(capsys, "fit", "--data", str(sample_prices_path()), "--diff", "--out", str(declared))
+        flipped = tmp_path / "fit.json"
+        flipped.write_text(declared.read_text().replace('"unit_variance": true', '"unit_variance": false'))
+        assert load_document(flipped)["unit_variance"] is False
+        code, stdout, stderr = run(capsys, "verify", "--model", str(flipped))
+        assert (code, stderr) == (0, "")
+        assert stdout.endswith("result: pass\n")
+        assert run(capsys, "verify", "--model", str(declared)) == (
+            0, stdout.replace(str(flipped), str(declared)), ""
+        )
+
+    def test_document_without_unit_variance_numbers_rejected(self, capsys, tmp_path):
+        path = chain_document(tmp_path, [0.5, 0.5], [1.0, 0.2, 3.0])
+        assert run(capsys, "verify", "--model", str(path)) == (
+            2, "", "error: verify requires a unit-variance model document\n"
+        )
+
     def test_zero_coefficient_document_rejected(self, capsys, tmp_path):
         import json
 
@@ -808,6 +833,49 @@ class TestChowCheckCommand:
         path.write_text("{}")
         code, _, stderr = run(capsys, "chow-check", "--fit", str(path))
         assert code != 0 and "missing field" in stderr
+
+    def test_fit_document_names_label_the_edges(self, capsys, tmp_path):
+        named = tmp_path / "named.json"
+        run(capsys, "fit", "--data", str(sample_prices_path()), "--diff", "--out", str(named))
+        document = load_document(named)
+        names = document["names"]
+        unnamed = tmp_path / "unnamed.json"
+        unnamed.write_text(json.dumps({**document, "names": None}))
+        code, by_index, _ = run(capsys, "chow-check", "--fit", str(unnamed))
+        assert code == 0 and by_index.startswith("edge x")
+        expected = re.sub(r"\bx(\d+)\b", lambda match: names[int(match[1])], by_index)
+        assert run(capsys, "chow-check", "--fit", str(named)) == (code, expected, "")
+        assert expected.startswith("edge AAPL -- MSFT: squared_correlation=0.204825 ")
+
+
+class TestDuplicateDocumentNames:
+    """A fit document whose names repeat one is refused by every command that reads it."""
+
+    @pytest.fixture
+    def document(self, capsys, tmp_path):
+        data = tmp_path / "three.csv"
+        data.write_text("p,q,r\n1,2,4\n2,3,3\n4,1,5\n3,5,2\n")
+        path = tmp_path / "fit.json"
+        assert run(capsys, "fit", "--data", str(data), "--out", str(path))[0] == 0
+        path.write_text(json.dumps({**load_document(path), "names": ["a", "a", "b"]}))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export-dot", "--fit", "{doc}", "--out", "{out}"],
+            ["cluster", "--fit", "{doc}", "--k", "2"],
+            ["simulate", "--model", "{doc}", "--n", "5", "--seed", "1", "--out", "{out}"],
+            ["chow-check", "--fit", "{doc}"],
+            ["verify", "--model", "{doc}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_error_line_and_no_output(self, capsys, tmp_path, document, argv):
+        out = tmp_path / "out"
+        argv = [arg.format(doc=document, out=out) for arg in argv]
+        assert run(capsys, *argv) == (2, "", "error: names: duplicate column names: a\n")
+        assert not out.exists()
 
 
 # numpy's message when it cannot allocate the d-by-d matrix of d = 200000

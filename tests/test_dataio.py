@@ -635,6 +635,10 @@ class TestFitDocuments:
         with pytest.raises(SchemaError, match="names"):
             document_to_fit(doc)
 
+        doc = {**base, "names": ["b", "a", "c", "b", "a"]}
+        with pytest.raises(SchemaError, match="^names: duplicate column names: a, b$"):
+            document_to_fit(doc)
+
     def test_edges_must_form_a_tree(self):
         base = fit_to_document(example_fit())
         doc = {**base, "edges": [dict(e) for e in base["edges"]]}
@@ -715,6 +719,7 @@ DOCUMENT_MUTATIONS = (
     "swap orientation", "duplicate child", "self-loop", "child out of range", "cycle",
     "reattach", "nan", "infinity", "huge integer", "missing field", "not a mapping",
     "edge coefficient", "error variance", "retype", "non-unit variance", "two faults in a list",
+    "duplicate names",
 )
 # values that fail a number field, or a nonnegative one
 BAD_NUMBERS = (-0.5, math.nan, math.inf, 10**400, "0.5", None)
@@ -730,8 +735,9 @@ def mutated_documents(draw) -> dict:
     NaN, infinities and integers too large for a float in any number
     field, a missing field, an entry that is not a mapping, coefficients of
     0 or +-1, an inconsistent error variance, a field of the wrong type,
-    the flag of a model that is not unit variance, and two faults in one
-    list, so that the first of them must be the one reported.
+    the flag of a model that is not unit variance, two faults in one
+    list, so that the first of them must be the one reported, and column
+    names that repeat a name.
     """
     d = draw(st.integers(1, 7))
     model = random_unit_variance_model(d, np.random.default_rng(draw(st.integers(0, 2**16))))
@@ -799,6 +805,11 @@ def mutated_documents(draw) -> dict:
                         values[i] = bad
                     elif isinstance(values[i], dict):
                         values[i][draw(st.sampled_from(["child", "parent", "coeff"]))] = bad
+        elif mutation == "duplicate names" and d >= 2:
+            names = [f"c{i}" for i in range(d)]
+            i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+            names[j] = names[i]
+            doc["names"] = names
     return doc
 
 
