@@ -5,13 +5,16 @@ Every command is deterministic given its flags (randomness always flows
 through an explicit seed into numpy's PCG64 generator).  Diagnostics go
 to standard error; data goes to files or standard output.  Exit codes:
 0 success, 1 a verification or correspondence check failed, 2 invalid
-input, bad data, file problems, or an allocation that fails.
+input, bad data, file problems, or an allocation that fails, 141 an
+output pipe closed by its reader, as ``| head`` closes it (128 + SIGPIPE,
+the status a shell gives a program that SIGPIPE stops).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,7 +52,15 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # stop quietly, with stdout on the null device: the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (TreeCascadeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -132,9 +143,12 @@ def _cmd_fit(args) -> int:
             raise InvalidInputError(
                 f"--root {args.root} out of range for {len(header)} columns"
             )
-    # the loaded values are the only n-by-d array: the fit overwrites them
-    ds = dataio.load_csv(args.data)
-    fit = empirical_fit(ds, root_hint=args.root, diff=args.diff, overwrite=True)
+    # the loaded values are the only n-by-d array: the fit overwrites them, and
+    # with no reference here they are freed once the correlations are formed
+    # (from CPython 3.11, where a call takes over its arguments)
+    fit = empirical_fit(
+        dataio.load_csv(args.data), root_hint=args.root, diff=args.diff, overwrite=True
+    )
     dataio.save_fit(fit, args.out)
     identity_gap = _identity_gap(fit)
     print(f"objective: {fit.objective!r}")
@@ -246,6 +260,7 @@ def _cmd_chow_check(args) -> int:
         ds = dataio.load_csv(args.data)
         corr = correlation_from_dataset(ds, overwrite=True)
         names = ds.names
+        del ds  # the check reads the correlations alone
         known = None
     else:
         doc = dataio.load_document(args.fit)

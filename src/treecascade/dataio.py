@@ -79,11 +79,17 @@ def _check_unique(names: tuple[str, ...]) -> None:
 
 
 def _check_finite(values: np.ndarray, names, first_row: int = 0) -> None:
-    """Name the first non-finite entry of ``values``, whose row 1 is data row ``first_row + 1``."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise DataError(f"non-finite value at row {first_row + r + 1}, column {names[c]!r}")
+    """Name the first non-finite entry of ``values``, whose row 1 is data row ``first_row + 1``.
+
+    Rows are checked one ``_block_rows`` block at a time, in order, so the
+    only mask is a block's.
+    """
+    step = _block_rows(values.shape[1])
+    for start in range(0, values.shape[0], step):
+        finite = np.isfinite(values[start : start + step])
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise DataError(f"non-finite value at row {first_row + start + r + 1}, column {names[c]!r}")
 
 
 def _adopt(values: np.ndarray, names) -> Dataset:

@@ -331,6 +331,17 @@ class TestSaveCsv:
             dataio._write_csv(path, ("a", "b"), iter(blocks))
         assert not path.exists()
 
+    def test_rows_numbered_past_a_check_block(self, tmp_path):
+        # a block longer than one finiteness-check block: its rows keep counting
+        b = dataio._block_rows(2)
+        blocks = [np.ones((5, 2)), np.ones((2 * b + 3, 2))]
+        blocks[1][b + 1, 1] = np.inf
+        blocks[1][b + 2, 0] = np.nan
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=rf"^non-finite value at row {5 + b + 2}, column 'b'$"):
+            dataio._write_csv(path, ("a", "b"), iter(blocks))
+        assert not path.exists()
+
     def test_names_checked_before_the_file_is_opened(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("kept\n")
@@ -398,6 +409,18 @@ class TestDatasetValidation:
         values = np.array([[1.0, 2.0], [3.0, np.inf]])
         with pytest.raises(DataError, match="row 2, column 'b'"):
             Dataset(values=values, names=("a", "b"))
+
+    @pytest.mark.parametrize("block, row", [(0, 0), (0, -1), (1, 0), (1, 7), (3, -1)])
+    def test_first_non_finite_past_the_first_block_named(self, block, row):
+        # the check goes block by block; the earliest entry in row-major order wins,
+        # over an earlier column in a later row and over any later block
+        b = dataio._block_rows(3)
+        values = np.ones((3 * b + 5, 3))
+        first = block * b + row if row >= 0 else min((block + 1) * b, len(values)) + row
+        values[first, 1:] = (np.inf, np.nan)
+        values[first + 1 :, 0] = -np.inf
+        with pytest.raises(DataError, match=rf"^non-finite value at row {first + 1}, column 'b'$"):
+            Dataset(values=values, names=("a", "b", "c"))
 
     def test_zero_columns_rejected(self):
         # an n-by-0 dataset would save as blank lines that load_csv rejects
