@@ -4,8 +4,8 @@ OpenBLAS picks a kernel for the CPU it runs on, unless the environment
 variable ``OPENBLAS_CORETYPE`` names one, and the kernel fixes the
 summation order of its products.  The draws of ``simulate`` and the
 covariance of ``verify`` and ``chow-check --fit`` use no BLAS product, and
-``verify`` prints the gap of its one LAPACK call, ``np.linalg.inv``, to four
-digits, so the bytes of all three must not depend on the kernel.  Each
+``verify`` checks its closed-form inverse by elementwise residuals, with no
+LAPACK call, so the bytes of all three must not depend on the kernel.  Each
 kernel runs in its own child process, and its digests must equal those of
 a child that lets OpenBLAS choose.  ``fit`` is left out: its correlation
 Gram ``z.T @ z`` is a BLAS product.

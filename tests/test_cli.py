@@ -94,7 +94,7 @@ from treecascade import (
 )
 from treecascade import cascade as cascade_module
 from treecascade import dataio
-from treecascade.cascade import cascade_inverse, coefficient_matrix
+from treecascade.cascade import cascade_inverse, coefficient_matrix, inverse_residual
 from treecascade import trees as trees_module
 from treecascade.cascade import _simulated_blocks
 from treecascade import cli as cli_module
@@ -562,16 +562,31 @@ class TestObjectiveIdentityRow:
             assert not _identity_holds(planted_weight_error(fit, delta), summary)
 
 
+def loop_inverse_residual(model, inv) -> float:
+    """``max |(I - A) inv - I|``, one row of (I - A) inv at a time: inv[i] - a_i inv[parent(i)] - e_i."""
+    worst = 0.0
+    for i in range(model.d):
+        parent = model.rt.parent[i]
+        row = inv[i].copy() if parent < 0 else inv[i] - model.coeffs[i] * inv[parent]
+        row[i] -= 1.0
+        worst = max(worst, float(np.abs(row).max()))
+    return worst
+
+
+def lapack_inverse_gap(model, inv) -> float:
+    """``max |inv - (I - A)^-1|``, with LAPACK's inverse."""
+    return float(np.max(np.abs(inv - np.linalg.inv(np.eye(model.d) - coefficient_matrix(model)))))
+
+
 def verify_table(model, label: str) -> str:
     """The ``verify`` report built from the library's functions, each called on its own.
 
-    The strict-triangle row comes from the per-pair loop oracle.
+    The closed-form-inverse row comes from the per-row loop of the
+    residual, and the strict-triangle row from the per-pair loop oracle.
     """
     rows = []
-    inv_gap = float(
-        np.max(np.abs(cascade_inverse(model) - np.linalg.inv(np.eye(model.d) - coefficient_matrix(model))))
-    )
-    rows.append(("closed-form-inverse", inv_gap <= 1e-12, f"max gap {inv_gap:.3e}"))
+    residual = loop_inverse_residual(model, cascade_inverse(model))
+    rows.append(("closed-form-inverse", residual <= 1e-12, f"max |(I - A)B - I| = {residual:.3e}"))
     for check in verify_covariance_lemmas(model).checks:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
     summary = correlation_from_covariance(population_covariance(model))
@@ -611,6 +626,51 @@ class TestVerifyAlgebra:
             code, stdout, _ = run(capsys, "verify", "--model", str(path))
             assert code == 0
             assert stdout == verify_table(loaded, str(path))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 40])
+    def test_residual_and_lapack_gap_pass(self, tmp_path, d):
+        # LAPACK's inverse stays the oracle of the closed form the residual checks
+        for seed in range(4):
+            _, path = rooted_model_document(tmp_path, d, seed)
+            model = model_from_document(load_document(path))
+            inv = cascade_inverse(model)
+            assert inverse_residual(model, inv) == loop_inverse_residual(model, inv) <= 1e-12
+            assert lapack_inverse_gap(model, inv) <= 1e-12
+
+    def test_residual_over_row_blocks_equals_the_loop(self):
+        # at d = 400 the rows of inv.T fall in two blocks; plant in each
+        d = 400
+        assert _block_rows(d) < d
+        model = random_unit_variance_model(d, np.random.default_rng(5))
+        inv = cascade_inverse(model)
+        assert inverse_residual(model, inv) == loop_inverse_residual(model, inv) <= 1e-12
+        for j in (0, d - 1):
+            planted = inv.copy()
+            planted[(j + 1) % d, j] += 1e-10
+            assert inverse_residual(model, planted) == loop_inverse_residual(model, planted) > 1e-12
+
+    @pytest.mark.parametrize("entry", ["ancestor", "zero", "diagonal"])
+    def test_planted_inverse_error_fails(self, capsys, monkeypatch, tmp_path, entry):
+        _, _, path = model_fit_document(tmp_path, d=12, seed=29)
+        rt = model_from_document(load_document(path)).rt
+        line = [max(range(rt.d), key=rt.depth.__getitem__)]  # a deepest vertex, then its ancestors
+        while rt.parent[line[-1]] >= 0:
+            line.append(rt.parent[line[-1]])
+        assert len(line) >= 3
+        # B[i, j] is a path product when j is the grandparent, 0 off the path and 1 on the diagonal
+        i = line[0]
+        j = {"ancestor": line[2], "zero": min(set(range(rt.d)) - set(line)), "diagonal": i}[entry]
+
+        def planted(model):
+            inv = cascade_inverse(model)
+            inv[i, j] += 1e-10
+            return inv
+
+        monkeypatch.setattr("treecascade.cli.cascade_inverse", planted)
+        code, stdout, _ = run(capsys, "verify", "--model", str(path))
+        assert code == 1
+        assert "  closed-form-inverse   FAIL  max |(I - A)B - I| = 1.000e-10\n" in stdout
+        assert stdout.endswith("result: FAIL\n")
 
     @staticmethod
     def count_calls(monkeypatch, builders):
@@ -1057,7 +1117,7 @@ class TestCliFuzz:
 
 VERIFY_D12_STDOUT = """\
 verification of {path}
-  closed-form-inverse   pass  max gap 1.388e-17
+  closed-form-inverse   pass  max |(I - A)B - I| = 2.776e-17
   ancestor-covariance   pass  max |C_ij - B_ji| = 2.776e-17
   branching-covariance  pass  max |C_ij - B_im B_jm| = 2.776e-17
   strict-dominance      pass  min margin min(|C_ik|, |C_kj|) - |C_ij| = 2.284e-03
@@ -1337,12 +1397,9 @@ class TestPeakMemory:
             assert peak <= limit, f"{argv[0]}: peak {peak / limit * 1.5:.2f} arrays"
 
     WIDE_N, WIDE_D = 2_000, 400
-    # fit's values go when empirical_fit drops them only from CPython 3.11,
-    # where a call takes over its arguments; before, the caller holds them
-    FIT_RELEASES = pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller holds the values")
     RELEASING = [
-        pytest.param(("fit",), id="fit", marks=FIT_RELEASES),
-        pytest.param(("fit", "--diff"), id="fit-diff", marks=FIT_RELEASES),
+        pytest.param(("fit",), id="fit"),
+        pytest.param(("fit", "--diff"), id="fit-diff"),
         pytest.param(("chow-check",), id="chow-check"),
     ]
 
