@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 import math
 import os
@@ -280,9 +281,10 @@ def _utf8_error_offset(path) -> int:
             offset += len(block)
 
 
-# Values per write: a chunk's Python floats and text stay about 1 MiB at
-# any width (256 rows at d=30, where 4096-row chunks cost 15 MiB of peak
-# memory).
+# Values per write: of 1920 to 30720, 7680 (256 rows at d=30) wrote
+# simulate's 100 000 x 30 fastest.  Smaller chunks pay numpy's per-call
+# cost more often; larger ones spill the work arrays out of cache and
+# raise the peak (the op's own growth is 11.3 MiB at 7680, 17.3 at 30720).
 _VALUES_PER_CHUNK = 7680
 
 
@@ -294,26 +296,31 @@ def save_csv(ds: Dataset, path) -> None:
 def _write_csv(path, names, blocks: Iterable[np.ndarray]) -> None:
     """Write the header ``names``, then the rows of each (rows, len(names)) block.
 
+    The bytes are those of ``csv.writer``, whose floats are their shortest
+    round-trip ``repr``; ``csv_rows`` lays out each chunk of rows at once.
     The names are checked before the file is opened and each block before
     it is written, with ``Dataset``'s messages; rows are numbered from the
     first block on.  When anything fails after the file is opened, a
     regular file at ``path`` is removed, so no partial output is left; a
     device such as /dev/stdout is never unlinked.
     """
+    # imported on the first write, not with the package: compiling its
+    # source at import raised every command's peak memory by about 0.5 MiB
+    from ._float_text import csv_rows
+
     names = tuple(names)
     _check_unique(names)
     rows = max(1, _VALUES_PER_CHUNK // max(1, len(names)))
-    # float repr is the shortest round-trip form, which csv.writer writes
-    row = ",".join(["%r"] * len(names)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open(path, "wb") as handle:
         try:
-            csv.writer(handle).writerow(names)
+            header = io.StringIO(newline="")
+            csv.writer(header).writerow(names)
+            handle.write(header.getvalue().encode("utf-8"))
             written = 0
             for block in blocks:
                 _check_finite(block, names, written)
                 for start in range(0, len(block), rows):
-                    chunk = block[start : start + rows]
-                    handle.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+                    handle.write(csv_rows(block[start : start + rows]))
                 written += len(block)
         except BaseException:
             handle.close()

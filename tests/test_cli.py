@@ -18,7 +18,7 @@ Claims covered:
     and at most 1.5 d-by-d arrays.
   - simulate streams: its blocks are the one-shot draw bit for bit, its
     CSV is that draw written by csv.writer, a child process running it at
-    n = 200000 peaks (VmHWM) less than half the 46 MiB draw above one at
+    n = 50000 peaks (VmHWM) less than half the 11.4 MiB draw above one at
     n = 1, an overflowing model gives one error line naming the global
     row, and no partial regular file is left behind.
   - A constant column is rejected even when its mean rounds, and a
@@ -39,6 +39,9 @@ Claims covered:
   - verify's objective-identity row holds at d = 2000 and catches a
     weight off by 1e-10 there; at d <= 1000 its bound is within 1e-12.
   - The README's library tour runs against the package's public names.
+  - Importing the CLI loads no numpy.random and no package module beyond
+    the seven it has; the CSV writer's kernel loads, and builds its
+    tables, on the first write.
   - simulate takes its blocks lazily, so a huge n starts writing at
     once; the dependent sampler names its failed allocation, exit 2.
   - An allocation numpy refuses in fit, chow-check --data, verify or
@@ -1630,3 +1633,19 @@ class TestEntryPoint:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "[]"
+
+    def test_import_loads_no_new_module_and_builds_no_table(self):
+        # the CSV writer's kernel loads on the first write, and builds its tables then
+        probe = (
+            "import sys, treecascade.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('treecascade'))); "
+            "from treecascade import _float_text as t; "
+            "print(t.schubfach_tables.cache_info().currsize, t.text_tables.cache_info().currsize)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        modules = ["treecascade"] + [
+            f"treecascade.{m}" for m in ("cascade", "chowliu", "cli", "dataio", "errors", "regression", "trees")
+        ]
+        assert result.stdout.splitlines() == [str(modules), "0 0"]

@@ -10,6 +10,9 @@ Claims covered:
     double and at any width; it checks the names before opening the file
     and each block before writing it, numbering rows from the first
     block, and removes a partial file.
+  - Its digit and layout kernel writes repr's text for random bit
+    patterns, subnormals, the neighbours of powers of two and ten,
+    integers near 2**53 and the notation switches, in uint64 arithmetic.
   - tools/generate_sample_prices.py reproduces the bundled sample CSV.
   - The in-place standardization hits the n-1 convention exactly and is
     idempotent; correlation_from_dataset errors by column name on zero
@@ -61,7 +64,7 @@ from treecascade import (
     save_csv,
     save_fit,
 )
-from treecascade import dataio
+from treecascade import _float_text, dataio
 from treecascade.dataio import (
     document_to_fit,
     dumps_document,
@@ -386,6 +389,68 @@ class TestSaveCsv:
         path = tmp_path / "chunks.csv"
         save_csv(Dataset(values=values, names=names), path)
         assert path.read_bytes() == csv_writer_bytes(names, values)
+
+
+class TestFloatText:
+    """The writer's digit and layout kernel gives repr's text where shortest-digit methods slip."""
+
+    WIDTH = 64
+
+    def assert_written_as_repr(self, values):
+        values = np.concatenate([values, np.zeros(-len(values) % self.WIDTH)]).reshape(-1, self.WIDTH)
+        names = tuple(f"c{k}" for k in range(self.WIDTH))
+        oracle = csv_writer_bytes(names, values).split(b"\r\n", 1)[1]
+        rows = 256
+        text = b"".join(_float_text.csv_rows(values[i : i + rows]) for i in range(0, len(values), rows))
+        if text != oracle:
+            got, want = text.replace(b"\r\n", b",").split(b","), oracle.replace(b"\r\n", b",").split(b",")
+            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+            pytest.fail(f"{values.ravel()[k]!r} written as {got[k]!r}")
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(23).integers(0, 2**64 - 1, 150_000, dtype=np.uint64, endpoint=True)
+        values = bits.view(np.float64)
+        self.assert_written_as_repr(values[np.isfinite(values)])
+
+    def test_subnormals(self):
+        # every mantissa up to 10**5, then a stride up to the largest subnormal
+        mantissas = np.concatenate(
+            [np.arange(1, 100_001), np.arange(100_001, 2**52, 2**52 // 20_000 + 1), [2**52 - 1]]
+        )
+        self.assert_written_as_repr(mantissas.astype(np.uint64).view(np.float64))
+
+    def test_neighbours_of_powers_of_two_and_ten(self):
+        tens = [float(f"1e{e}") for e in range(-323, 309)]
+        powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), tens])
+        below = np.nextafter(powers, 0.0)
+        above = np.nextafter(powers, np.inf)
+        values = np.concatenate([powers, below, above[np.isfinite(above)]])
+        self.assert_written_as_repr(np.concatenate([values, -values]))
+
+    def test_integers_near_2_to_the_53(self):
+        offsets = np.arange(-1000.0, 1001.0)
+        self.assert_written_as_repr(np.concatenate([2.0**53 + offsets, 2.0**53 + 2 * offsets, 2.0**54 + offsets]))
+
+    def test_notation_switches(self):
+        # repr writes fixed notation for 1e-4 <= |x| < 1e16
+        edges = np.array([1e-4, 1e-5, 1e16, 1e15, 9999999999999998.0, 0.001, 1.0, 10.0])
+        steps = np.arange(-40, 41, dtype=np.int64)
+        values = (edges.view(np.int64)[:, None] + steps).ravel().view(np.float64)
+        self.assert_written_as_repr(np.concatenate([values, -values]))
+
+    def test_named_values(self):
+        # Giulietti's published Schubfach forces two digits: 4.9e-324 and 7.9e-323
+        values = np.array([[5e-324, 1e-323, 8e-323, 0.0, -0.0, np.finfo(float).max, -np.finfo(float).max]])
+        assert _float_text.csv_rows(values) == (
+            b"5e-324,1e-323,8e-323,0.0,-0.0,1.7976931348623157e+308,-1.7976931348623157e+308\r\n"
+        )
+
+    def test_uint64_throughout(self):
+        # a signed operand would promote the digits to float64
+        values = [1.0, 0.1, 5e-324, 2.0**-1022, 1e300]
+        digits, exponents = _float_text.shortest_digits(np.array(values).view(np.uint64))
+        assert (digits.dtype, exponents.dtype) == (np.uint64, np.int64)
+        assert [float(f"{f}e{k}") for f, k in zip(digits, exponents)] == values
 
 
 class TestBundledSample:
