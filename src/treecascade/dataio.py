@@ -254,11 +254,11 @@ def _parse_csv(path) -> Dataset:
 def _utf8_text(path, error):
     """Open ``path`` as UTF-8 text for the body of a ``with`` block.
 
-    A byte that is not UTF-8 raises ``error`` naming the path and the
-    byte's offset in the file.
+    A leading byte-order mark is skipped.  A byte that is not UTF-8 raises
+    ``error`` naming the path and the byte's offset in the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError:
         raise error(f"{path}: not valid UTF-8 at byte {_utf8_error_offset(path)}") from None
@@ -583,9 +583,9 @@ def model_from_document(doc: Mapping):
 
 
 def save_fit(fit, path) -> None:
+    text = dumps_document(fit_to_document(fit)) + "\n"  # raises before the file is truncated
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_document(fit_to_document(fit)))
-        handle.write("\n")
+        handle.write(text)
 
 
 def load_fit(path):

@@ -113,35 +113,12 @@ def correlation_from_dataset(
     if diff:
         v = _difference_in_place(v, ds.names)
     z = _standardize_in_place(v, ds.names)
+    # numpy forms z.T @ z with one syrk and mirrors its triangle: exactly symmetric
     corr = z.T @ z
     corr /= z.shape[0] - 1
-    _symmetrize_in_place(corr)
     np.fill_diagonal(corr, 1.0)
     np.clip(corr, -1.0, 1.0, out=corr)
     return _adopt_summary(corr)
-
-
-# Rows per band of _symmetrize_in_place, whose one work array is a copy of a
-# band; bands of _block_rows(d) rows would make it a second Gram up to d = 362.
-_BAND_ROWS = 64
-
-
-def _symmetrize_in_place(a: np.ndarray) -> None:
-    """Overwrite the square ``a`` with the bits of ``(a + a.T) / 2.0``.
-
-    Band by band of ``_BAND_ROWS`` rows, the band's entries on and right of
-    the diagonal are averaged in place with the transposed columns below
-    it, and copied there transposed.  A band reads only entries that no
-    earlier band wrote; the two overlap in the band's square on the
-    diagonal, so numpy reads a copy of the band.  IEEE addition commutes,
-    so both entries of a mirror pair get the same bits.
-    """
-    for start in range(0, a.shape[0], _BAND_ROWS):
-        right = a[start : start + _BAND_ROWS, start:]
-        below = a[start:, start : start + _BAND_ROWS]
-        np.add(right, below.T, out=right)
-        right /= 2.0
-        below[...] = right.T
 
 
 def _adopt_summary(corr: np.ndarray) -> CorrelationSummary:

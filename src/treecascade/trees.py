@@ -212,7 +212,7 @@ def maximum_spanning_tree(g: WeightedGraph, *, candidate: RootedTree | None = No
     if candidate is not None:
         if candidate.d != g.d:
             raise InvalidInputError(f"tree on {candidate.d} vertices does not span graph on {g.d}")
-        if _bottleneck_verdict(g, candidate)[0] == "unique":
+        if _tree_gaps(g, candidate).min() > 0:
             rooted = candidate if candidate.root == 0 else root_tree(candidate.tree, 0)
             return MstResult(rooted.tree, _total_weight(g, rooted), True, rooted)
     rooted = _prim(g)
@@ -323,46 +323,48 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
 
     ``t`` is the unique maximum iff every non-tree edge ``{i, j}`` weighs
     strictly less than its bottleneck, the lightest edge on the tree path
-    between ``i`` and ``j``.  Equality anywhere yields an equal-weight
-    exchange, hence a tie.  The bottleneck matrix fills over the prefixes
-    of a parent-first walk, of ``t`` rooted at 0, or from its own root
-    when ``t`` comes rooted.  Raises if ``t`` does not span ``g`` or is not
-    maximal, naming the first non-tree edge in row-major upper-triangle
-    order that outweighs an edge on its path.
+    between ``i`` and ``j``: iff the least gap of :func:`_tree_gaps`, the
+    tree margin, is positive; a zero gap is a tie.  The bottleneck matrix
+    fills over the prefixes of a parent-first walk, of ``t`` rooted at 0,
+    or from its own root when ``t`` comes rooted.  Raises if ``t`` does
+    not span ``g`` or is not maximal, naming the first non-tree edge in
+    row-major upper-triangle order that outweighs an edge on its path.
     """
     if t.d != g.d:
         raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
-    verdict, heavier = _bottleneck_verdict(g, t if isinstance(t, RootedTree) else root_tree(t, 0))
-    if heavier is not None:
+    gaps = _tree_gaps(g, t if isinstance(t, RootedTree) else root_tree(t, 0))
+    margin = gaps.min()
+    if margin < 0:
+        i, j = np.argwhere(np.triu(gaps < 0, 1))[0].tolist()
         raise InvalidInputError(
-            f"tree is not a maximum spanning tree: non-tree edge {heavier} "
+            f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
             f"outweighs a tree edge on its path"
         )
-    return verdict == "unique"
+    return bool(margin > 0)
 
 
-def _bottleneck_verdict(g: WeightedGraph, rt: RootedTree) -> tuple[str, tuple[int, int] | None]:
-    """Compare each weight of ``g`` with its bottleneck on spanning tree ``rt``; raises nothing.
+def _tree_gaps(g: WeightedGraph, rt: RootedTree) -> np.ndarray:
+    """Each non-tree pair's bottleneck on spanning tree ``rt`` minus its weight in ``g``.
 
-    Returns ``("unique", None)`` when every non-tree weight falls strictly
-    below its bottleneck, ``("tied", None)`` when one equals it, and
-    ``("not maximal", (i, j))`` with the first non-tree edge in row-major
-    upper-triangle order that outweighs it.
+    The diagonal and the tree edges hold +inf, so the least entry is the
+    tree margin.  Every bottleneck is a copy of a weight, and for finite
+    doubles a difference is negative exactly when the weight is the larger
+    and zero exactly when the two are equal, so the signs are exact.
     """
     w = g.matrix
     _, joins, pos = _walk(rt)
     # a path minimum is exact, so the walk cannot change a bit
-    bottleneck = np.full((g.d, g.d), np.inf)
+    gaps = np.full((g.d, g.d), np.inf)
     for k, v, u, pu in joins:
-        bottleneck[k, :k] = bottleneck[:k, k] = np.minimum(bottleneck[pu, :k], w[u, v])
-    _to_vertex_order(bottleneck, pos)
-    heavier = w > bottleneck
-    if heavier.any():
-        return "not maximal", tuple(np.argwhere(np.triu(heavier, 1))[0].tolist())
-    # A tree edge is its own bottleneck; any other equality is a tie.
-    if int(np.count_nonzero(w == bottleneck)) == 2 * (g.d - 1):
-        return "unique", None
-    return "tied", None
+        gaps[k, :k] = gaps[:k, k] = np.minimum(gaps[pu, :k], w[u, v])
+    _to_vertex_order(gaps, pos)
+    with np.errstate(over="ignore"):  # an overflow to +-inf keeps the sign
+        gaps -= w
+    np.fill_diagonal(gaps, np.inf)
+    parent = np.array(rt.parent, dtype=np.intp)
+    v = np.flatnonzero(parent >= 0)
+    gaps[v, parent[v]] = gaps[parent[v], v] = np.inf
+    return gaps
 
 
 def _path_neighbor_gaps(x: np.ndarray, hop: np.ndarray) -> tuple[float, int]:
@@ -407,8 +409,11 @@ def random_tree(d: int, rng: np.random.Generator) -> Tree:
         raise InvalidInputError(f"vertex count must be >= 1, got {d}")
     if d <= 2:
         return Tree(d, frozenset({(0, 1)}) if d == 2 else frozenset())
-    seq = [int(s) for s in rng.integers(0, d, size=d - 2)]
-    return _tree_from_pruefer(seq, d)
+    try:
+        draws = rng.integers(0, d, size=d - 2)
+    except ValueError:  # past int64, or past numpy's largest array
+        raise InvalidInputError(f"cannot draw a random tree on {d} vertices") from None
+    return _tree_from_pruefer([int(s) for s in draws], d)
 
 
 def _breadth_first(t: Tree, r: int) -> tuple[list[int], list[int], list[int]]:

@@ -24,8 +24,10 @@ covariance normalization over upper-triangle index arrays, and the
 objective summed one scalar edge term at a time.  The covariance-lemma
 report compares the covariance with one predicted matrix, B_im * B_jm at
 the deepest common ancestor; the report that took the ancestor pairs
-against B_ji and gathered the branching pairs by index is kept.  Tests
-require the fast paths to agree with them exactly.
+against B_ji and gathered the branching pairs by index is kept.  The
+certificate's tree margin, its least gap of bottleneck minus weight, has a
+path-walk oracle too.  Tests require the fast paths to agree with them
+exactly.
 """
 
 from __future__ import annotations
@@ -225,6 +227,19 @@ def path_walk_is_unique(g: WeightedGraph, t: Tree) -> bool:
             if w == bound:
                 unique = False
     return unique
+
+
+def path_walk_margin(g: WeightedGraph, t: Tree) -> float:
+    """Least path minimum minus weight over the non-tree pairs, walked as ``path_walk_is_unique`` walks them; +inf with none."""
+    rt = root_tree(t, 0)
+    margin = math.inf
+    for i in range(g.d):
+        for j in range(i + 1, g.d):
+            if t.has_edge(i, j):
+                continue
+            bound = min(g.weight(a, b) for a, b in path_edges(rt, i, j))
+            margin = min(margin, bound - g.weight(i, j))
+    return margin
 
 
 def loop_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:

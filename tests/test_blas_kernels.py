@@ -8,13 +8,19 @@ covariance of ``verify`` and ``chow-check --fit`` use no BLAS product, and
 LAPACK call, so the bytes of all three must not depend on the kernel.  Each
 kernel runs in its own child process, and its digests must equal those of
 a child that lets OpenBLAS choose.  ``fit`` is left out: its correlation
-Gram ``z.T @ z`` is a BLAS product.
+Gram ``z.T @ z`` is a BLAS product, whose last bits follow the kernel.
+Its exact symmetry does not: numpy forms it with one ``syrk`` and mirrors
+the triangle it computed, and ``correlation_from_dataset`` relies on
+this instead of averaging the Gram with its transpose.
 
 Claims covered:
   - Under each of Prescott, Sandybridge, Haswell, SkylakeX and Zen that
     this CPU can run, a ``simulate`` CSV spanning two row blocks,
     ``verify --random 30 7``, and ``verify --model`` and ``chow-check
     --fit`` on a d = 12 fit document give the bytes of the default kernel.
+  - Under each of them, and under the default kernel, the correlations of
+    ``correlation_from_dataset`` equal their own transpose exactly, for
+    d in ``GRAM_DIMS``, with and without ``diff``.
 """
 
 from __future__ import annotations
@@ -37,10 +43,17 @@ KERNELS = {"Prescott": "pni", "Sandybridge": "avx", "Haswell": "avx2", "SkylakeX
 
 D = 12
 
+#: Column counts of the Gram symmetry check, 1 to 400: either side of 64,
+#: past 128, and a 400-column Gram larger than 1 MiB.
+GRAM_DIMS = (1, 2, 7, 64, 65, 129, 400)
+
 # One digest line per command: its name, exit code and the SHA-256 of its
-# stdout, followed for simulate by the CSV it wrote.
-CHILD = """\
+# stdout, followed for simulate by the CSV it wrote.  Then one line per
+# Gram shape, saying whether its correlations are exactly symmetric.
+CHILD = f"""\
 import contextlib, hashlib, io, sys
+import numpy as np
+from treecascade import Dataset, correlation_from_dataset
 from treecascade.cli import main
 
 doc, csv, n = sys.argv[1:]
@@ -58,6 +71,12 @@ for argv in (
         with open(csv, "rb") as handle:
             digest.update(handle.read())
     print(argv[0], code, digest.hexdigest())
+rng = np.random.default_rng(3)
+for d in {GRAM_DIMS}:
+    ds = Dataset(values=rng.standard_normal((2 * d + 3, d)), names=tuple(map(str, range(d))))
+    for diff in (False, True):
+        corr = correlation_from_dataset(ds, diff=diff).corr
+        print("symmetric" if np.array_equal(corr, corr.T) else "ASYMMETRIC", d, diff)
 """
 
 
@@ -111,9 +130,11 @@ def run_child(tmp_path_factory):
 @pytest.fixture(scope="module")
 def default_digests(run_child):
     digests = run_child(None)
-    assert [line.split()[:2] for line in digests.splitlines()] == [
+    lines = digests.splitlines()
+    assert [line.split()[:2] for line in lines[:4]] == [
         ["simulate", "0"], ["verify", "0"], ["verify", "0"], ["chow-check", "0"]
     ]
+    assert lines[4:] == [f"symmetric {d} {diff}" for d in GRAM_DIMS for diff in (False, True)]
     return digests
 
 

@@ -34,6 +34,9 @@ Claims covered:
     maximum-spanning-tree search; chow-check --data and fit run one.
   - A negative seed, to simulate or to verify --random, exits 2 on one
     error line before any output file is opened.
+  - verify --random with more vertices than numpy can draw a tree on
+    exits 2 on one error line.
+  - A UTF-8 byte-order mark does not reach the names of a fit document.
   - Help, usage and argument errors keep their bytes, and a command
     builds the top-level parser and its own subparser only.
   - verify's objective-identity row holds at d = 2000 and catches a
@@ -166,6 +169,14 @@ class TestFitCommand:
         assert "objective:" in stdout and "tree_unique:" in stdout
         fit = load_fit(out)
         assert fit.tree.d == 30 and len(fit.tree.edges) == 29
+
+    def test_byte_order_mark_is_not_in_the_names(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,5\n4,4\n")
+        out = tmp_path / "fit.json"
+        code, _, _ = run(capsys, "fit", "--data", str(path), "--root", "0", "--out", str(out))
+        assert code == 0
+        assert load_document(out)["names"] == ["a", "b"]
 
     def test_missing_file_names_path(self, capsys, tmp_path):
         code, _, stderr = run(
@@ -449,6 +460,13 @@ class TestVerifyCommand:
     def test_negative_seed_rejected(self, capsys):
         assert run(capsys, "verify", "--random", "5", "-1") == (
             2, "", "error: --random SEED must be >= 0, got -1\n"
+        )
+
+    @pytest.mark.parametrize("d", ["4611686018427387904", "1000000000000000000000000000000"])
+    def test_huge_vertex_count_rejected(self, capsys, d):
+        # numpy refuses the tree's draws before it allocates anything
+        assert run(capsys, "verify", "--random", d, "1") == (
+            2, "", f"error: cannot draw a random tree on {d} vertices\n"
         )
 
     def test_single_vertex_vacuous_pass(self, capsys):
@@ -1423,7 +1441,8 @@ class TestPeakMemory:
     @pytest.mark.parametrize("command", RELEASING)
     def test_wide_peak_within_the_values_and_one_and_a_half_grams(self, wide_csv, tmp_path, command):
         # the values go before the tree stage, whose d-by-d arrays would
-        # otherwise come on top of them; the Gram is symmetrized in place
+        # otherwise come on top of them; the Gram comes out of numpy exactly
+        # symmetric, so it is clipped in place and never copied
         n, d = self.WIDE_N, self.WIDE_D
         tracemalloc.start()
         try:

@@ -6,6 +6,8 @@ Claims covered:
   - numpy's C reader, which reads plain files, returns what the
     validating parser returns, bit for bit, or leaves the file to it.
   - A byte that is not UTF-8 is an error naming the file and its offset.
+  - A leading UTF-8 byte-order mark is skipped, by the C reader and the
+    validating parser alike, and still counts in the offsets.
   - The chunk writer writes the bytes csv.writer writes, for any finite
     double and at any width; it checks the names before opening the file
     and each block before writing it, numbering rows from the first
@@ -24,7 +26,8 @@ Claims covered:
     block size; the public functions leave their input unchanged, and a
     column near the float limit standardizes instead of overflowing.
   - Fit documents round-trip losslessly with 17-significant-digit
-    decimals, and schema violations name the field path.
+    decimals, and schema violations name the field path; a fit that
+    cannot be written leaves the old document's bytes.
   - Loading a document checks each field once and roots its tree in one
     walk, with the result, or the first error, of the loaders that ran
     every constructor's checks, on documents with up to three faults.
@@ -275,6 +278,34 @@ class TestNonUtf8:
         path.write_bytes(b'{"d": "\xe9"}')
         with pytest.raises(SchemaError, match=r"bad\.json: not valid UTF-8 at byte 7"):
             load_fit(path)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark opens the file; it is not part of the first column's name."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_plain_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(self.BOM + b"a,b\n1,2\n3,5\n")
+        assert dataio._read_plain(path, 2) is not None  # the C reader reads it
+        ds = load_csv(path)
+        assert ds.names == ("a", "b") == read_csv_header(path)
+        assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 5.0]])
+
+    def test_quoted_cell(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(self.BOM + b'a,b\n"1",2\n3,5\n')
+        assert dataio._read_plain(path, 2) is None  # the validating parser reads it
+        ds = load_csv(path)
+        assert ds.names == ("a", "b")
+        assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 5.0]])
+
+    def test_offsets_count_the_mark(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.BOM + b"a,b\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match=r"bad\.csv: not valid UTF-8 at byte 11$"):
+            load_csv(path)
 
 
 class TestSaveCsv:
@@ -666,6 +697,17 @@ class TestFitDocuments:
         assert load_fit(path) == fit
         with pytest.raises(SchemaError, match="rejected"):
             model_from_document(fit_to_document(fit))
+
+    def test_failed_save_leaves_the_old_document(self, tmp_path):
+        import dataclasses
+
+        fit = example_fit()
+        path = tmp_path / "fit.json"
+        save_fit(fit, path)
+        old = path.read_bytes()
+        with pytest.raises(InvalidInputError):
+            save_fit(dataclasses.replace(fit, objective=float("nan")), path)
+        assert path.read_bytes() == old
 
     def test_seventeen_digit_decimals(self):
         fit = example_fit()

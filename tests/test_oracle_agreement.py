@@ -6,6 +6,11 @@ Claims covered:
     grid weights.
   - The bottleneck certificate agrees with the path-walk certificate on
     arbitrary trees, raising the same error on non-maximal ones.
+  - The least entry of the certificate's gap matrix, under two rootings,
+    equals the least path minimum minus weight over the non-tree pairs,
+    walked pair by pair, on the same grid-weight, non-maximal and cascade
+    cases; it is negative exactly where the path walk raises, and
+    positive exactly where it certifies a unique maximum.
   - The path-neighbor gaps that ``verify`` takes over a first-hop matrix
     agree with the strict-triangle loop.
   - The array form of the covariance-lemma checks returns the loop's
@@ -36,6 +41,7 @@ from oracles import (
     loop_covariance_lemmas,
     loop_strict_triangle_condition,
     path_walk_is_unique,
+    path_walk_margin,
     dense_covariance,
     dense_simulate,
     one_shot_errors,
@@ -58,7 +64,7 @@ from treecascade import (
     verify_covariance_lemmas,
 )
 from treecascade.cascade import _lemma_report, cascade_inverse
-from treecascade.trees import _hop_and_meet_matrices, random_tree
+from treecascade.trees import _hop_and_meet_matrices, _tree_gaps, random_tree
 
 
 def certificate_outcome(certify, g, t):
@@ -77,6 +83,17 @@ def assert_same_core(g):
     assert strict_triangle(g, fast.tree) == loop_strict_triangle_condition(
         g, fast.tree
     )
+
+
+def assert_margin_agrees(g, t):
+    """The least gap is the path walk's margin, and its sign is the path walk's outcome."""
+    margin = _tree_gaps(g, root_tree(t, 0)).min()
+    assert _tree_gaps(g, root_tree(t, t.d - 1)).min() == margin == path_walk_margin(g, t)
+    outcome = certificate_outcome(path_walk_is_unique, g, t)
+    if margin < 0:
+        assert isinstance(outcome, str)
+    else:
+        assert outcome is bool(margin > 0)
 
 
 @st.composite
@@ -99,6 +116,8 @@ def test_grid_weights_match_oracle(g, seed):
         path_walk_is_unique, g, other
     )
     assert strict_triangle(g, other) == loop_strict_triangle_condition(g, other)
+    assert_margin_agrees(g, maximum_spanning_tree(g).tree)
+    assert_margin_agrees(g, other)
 
 
 def test_non_maximal_trees_raise_like_oracle():
@@ -111,6 +130,7 @@ def test_non_maximal_trees_raise_like_oracle():
         other = random_tree(d, rng)
         outcome = certificate_outcome(mst_is_unique, g, other)
         assert outcome == certificate_outcome(path_walk_is_unique, g, other)
+        assert_margin_agrees(g, other)
         raised += isinstance(outcome, str)
     assert raised > 100
 
@@ -123,6 +143,7 @@ def test_random_cascades_match_oracle():
         g = WeightedGraph.from_matrix(corr * corr)
         assert_same_core(g)
         assert maximum_spanning_tree(g).tree == model.rt.tree
+        assert_margin_agrees(g, model.rt.tree)
         fast, slow = verify_covariance_lemmas(model), loop_covariance_lemmas(model)
         assert len(fast.checks) == len(slow.checks) == 3
         for a, b in zip(fast.checks, slow.checks):

@@ -15,8 +15,10 @@ Claims covered:
   - Covariances normalize densely to the bits of the upper-triangle
     index-array form, -0.0 and clipped entries included, with the same
     warnings where variances square past the ends of the float range.
-  - The empirical Gram is symmetrized in place to the bits of
-    ``(raw + raw.T) / 2.0``.
+  - The empirical correlations are exactly symmetric with no averaging
+    pass, as numpy forms the Gram ``z.T @ z`` with one ``syrk`` and
+    mirrors it; ``tests/test_blas_kernels.py`` checks the same shapes
+    under every OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from treecascade import (
     simulate,
 )
 from treecascade.dataio import _standardize_in_place, document_to_fit, fit_to_document
-from treecascade.regression import _symmetrize_in_place, objective_value, optimal_coefficients
+from treecascade.regression import objective_value, optimal_coefficients
 from treecascade.trees import random_tree
 
 
@@ -417,21 +419,16 @@ class TestEmpiricalFit:
         assert coeff == pytest.approx(0.327, abs=5e-4)
 
 
-class TestInPlaceSymmetrization:
-    """The empirical Gram is averaged with its transpose in place, to the bits of two arrays."""
+class TestGramSymmetry:
+    """The empirical correlations come out exactly symmetric with no averaging pass."""
 
+    @pytest.mark.parametrize("diff", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 65, 129, 400])
-    def test_bits_of_the_two_array_average(self, d):
-        # deliberately asymmetric: numpy's Gram z.T @ z comes out exactly
-        # symmetric, so no fit of data reaches the averaging; 400 rows span
-        # several bands and more than one 1 MiB block
+    def test_exactly_symmetric(self, d, diff):
         rng = np.random.default_rng(d)
-        raw = rng.standard_normal((d, d)) * rng.choice([1e-300, 1.0, 1e300], (d, d))
-        raw[rng.random((d, d)) < 0.1] = -0.0
-        raw[rng.random((d, d)) < 0.1] = 0.0
-        expected = (raw + raw.T) / 2.0
-        _symmetrize_in_place(raw)
-        assert np.array_equal(raw.view(np.uint64), expected.view(np.uint64))
+        ds = Dataset(values=rng.standard_normal((2 * d + 3, d)), names=tuple(map(str, range(d))))
+        corr = correlation_from_dataset(ds, diff=diff).corr
+        assert np.array_equal(corr, corr.T)
 
 
 class TestBruteForceRootIndependence:

@@ -407,6 +407,29 @@ class TestMstUniqueness:
                         checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize(
+        "bottleneck, weight, expected",
+        [
+            (5e-324, 0.0, True),  # a gap of the smallest subnormal
+            (0.0, 5e-324, None),
+            (5e-324, 5e-324, False),
+            (-5e-324, -5e-324, False),
+            (1e308, -1e308, True),  # a gap past the largest double
+            (-1e308, 1e308, None),
+            (0.0, -0.0, False),
+        ],
+    )
+    def test_sign_exact_at_the_ends_of_the_float_range(self, bottleneck, weight, expected):
+        # the path 0-1-2 with both edges at the bottleneck, and (0, 2) at the weight
+        g = complete_graph(3, {(0, 1): bottleneck, (1, 2): bottleneck, (0, 2): weight})
+        t = Tree.from_edges(3, [(0, 1), (1, 2)])
+        for certify in (mst_is_unique, path_walk_is_unique):
+            if expected is None:
+                with pytest.raises(InvalidInputError, match=r"non-tree edge \(0, 2\) outweighs"):
+                    certify(g, t)
+            else:
+                assert certify(g, t) is expected
+
     def test_first_violating_pair_named(self):
         # the path 0-3-2-4-1 leaves out the heavier (1, 2) and (3, 4); a walk
         # from 0 meets 3 and 4 before 1, but (1, 2) comes first in row-major
