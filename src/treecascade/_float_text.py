@@ -12,31 +12,43 @@ import functools
 
 import numpy as np
 
-# The digits are computed all in uint64 arrays: mixing in a signed operand
-# would promote to float64, so every constant is a uint64.
+# The digits are computed all in unsigned arrays, uint64 and for the last
+# groups uint32: mixing in a signed operand would promote uint64 to float64,
+# so every constant is unsigned.
 _U = np.uint64
 _LOW32 = _U(2**32 - 1)
 _LOW52 = _U(2**52 - 1)
 _LOW63 = _U(2**63 - 1)
 _POW10 = np.array([10**j for j in range(18)], dtype=_U)
+# The text is laid out in little-endian words: byte k of a word is bits 8k to 8k + 7.
+_WORD = np.dtype("<u8")
+_GROUP = np.uint32(10_000)
+_ROW_END = _U((ord(",") ^ ord("\r")) << 32 | ord("\n") << 40)  # turns "," and NUL into CR LF
 
 
 def csv_rows(chunk: np.ndarray) -> bytes:
     """The rows of finite ``chunk`` as ``csv.writer`` writes them, floats as ``repr``.
 
-    Each value gets a row of a byte matrix in which NUL marks an unused
-    byte: a sign, 21 digit places with a place for the decimal point after
-    each of the first 20, an exponent and a separator.  The digit places
-    are 4 leading zeros and the 17 shortest digits, left-aligned, with
-    their trailing zeros NUL; a frame chosen by the notation adds the
-    point and the zeros that the notation needs.  Deleting every NUL
-    leaves the text.  ``repr`` writes fixed notation for decimal exponents
-    -4 to 15, else one digit, the rest after a point and ``e`` with a sign
-    and at least two exponent digits.
+    Each value gets a row of seven ``uint64`` words, 56 bytes in which NUL
+    marks an unused byte: after 5 unused bytes, a sign, 21 digit places
+    with a place for the decimal point after each of the first 20, an
+    exponent and a separator.  The digit places are 4 leading zeros and
+    the 17 shortest digits, left-aligned, with their trailing zeros NUL;
+    the last 16 digits fall in four-digit groups of one word each, the
+    digits at even bytes and the point places at odd ones.  A frame chosen
+    by the notation adds the point, the zeros and the ``e`` that the
+    notation needs, and the separator.  Deleting every NUL leaves the
+    text.  ``repr`` writes fixed notation for decimal exponents -4 to 15,
+    else one digit, the rest after a point and ``e`` with a sign and at
+    least two exponent digits.
     """
+    return _words(chunk).tobytes().translate(None, b"\0")
+
+
+def _words(chunk: np.ndarray) -> np.ndarray:
+    """The word rows of ``csv_rows``: its work arrays are freed before the words are copied."""
     d = chunk.shape[1]
     bits = np.ascontiguousarray(chunk, dtype=np.float64).ravel().view(_U)
-    n = bits.size
     magnitude = bits & _LOW63
     zero = magnitude == 0
     digits, exponent = shortest_digits(magnitude)
@@ -48,51 +60,59 @@ def csv_rows(chunk: np.ndarray) -> bytes:
     point = np.where(zero, 0, exponent + (count - 1))
     scientific = (point < -4) | (point >= 16)
     groups, frames, exponents = text_tables()
-    frame = np.where(scientific, 20 + (rest != 0), point + 4)
-    four = np.empty((n, 4), dtype=np.intp)
-    for i, scale in enumerate(_POW10[12::-4]):
-        group = rest // scale
-        rest -= group * scale
-        four[:, i] = group
-        four[:, i] += (rest == 0) * 10_000  # what follows is zeros: drop the group's trailing ones
-    text = np.empty((n, 49), dtype=np.uint8)
-    text[:, 0] = (bits >> _U(63)) * _U(ord("-"))
-    text[:, 1:42] = frames.take(frame, axis=0)
-    text[:, 9] |= (lead + _U(ord("0"))).astype(np.uint8)
-    text[:, 11:42:2] |= groups.take(four, axis=0).reshape(n, 16)
-    text[:, 42:47] = exponents.take(np.where(scientific, point + 325, 0), axis=0)
-    text[:, 47:] = ord(","), 0
-    text[d - 1 :: d, 47:] = ord("\r"), ord("\n")
-    return text.tobytes().translate(None, b"\0")
+    words = frames.take(np.where(scientific, 20 + (rest != 0), point + 4), axis=0)
+    words[:, 0] |= (bits >> _U(63)) * _U(ord("-") << 40)
+    words[:, 1] |= (lead + _U(ord("0"))) << _U(48)
+    # the 16 digits after the lead: two uint32 halves of two four-digit groups
+    high = rest // _POW10[8]
+    low = (rest - high * _POW10[8]).astype(np.uint32)
+    for word, half, zeros_after in ((2, high.astype(np.uint32), low == 0), (4, low, True)):
+        group = half // _GROUP
+        half -= group * _GROUP
+        # where only zeros follow a group, its own trailing zeros are dropped
+        group += ((half == 0) & zeros_after) * _GROUP
+        half += zeros_after * _GROUP
+        words[:, word] |= groups.take(group)
+        words[:, word + 1] |= groups.take(half)
+    at = np.flatnonzero(scientific)
+    words[at, 6] |= exponents.take(point[at] + 324)
+    words[d - 1 :: d, 6] ^= _ROW_END
+    return words
 
 
 @functools.cache
 def text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Byte tables of ``csv_rows``, built on the first write.
+    """Word tables of ``csv_rows``, built on the first write.
 
-    Four-digit groups: row g is g's digits, row 10 000 + g the same with
-    its trailing zeros NUL.  Frames over the 41 digit and point places:
+    Four-digit groups: word g is g's digits at even bytes, word
+    10 000 + g the same with its trailing zeros NUL.  Frames, seven words
+    each with the point, zeros and ``e`` of a notation and the separator:
     row e + 4 for fixed notation with decimal exponent e, rows 20 and 21
-    for one digit and for more in scientific notation.  Exponents: row
-    e + 325 is ``e`` and e's sign and digits, row 0 nothing.
+    for one digit and for more in scientific notation.  Exponents: word
+    e + 324 is e's sign and digits.
     """
-    # int16 keeps each work array small
-    g = np.arange(10_000, dtype=np.int16)[:, None]
-    places = 10 ** np.arange(3, -1, -1, dtype=np.int16)
-    digits = (g // places % 10 + ord("0")).astype(np.uint8)
-    trailing = g % (10 * places) == 0  # the digit and those after it are zeros
-    groups = np.concatenate([digits, np.where(trailing, 0, digits).astype(np.uint8)])
-    frames = np.zeros((22, 41), dtype=np.uint8)
+    groups = np.zeros(20_000, dtype=_WORD)
+    # axes: variant, then g's thousands, hundreds, tens and units, then the byte
+    cells = groups.view(np.uint8).reshape(2, 10, 10, 10, 10, 8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(4):
+        cells[..., 2 * j] = digits.reshape((10,) + (1,) * (3 - j))
+    for j in range(4):
+        cells[(1,) + (slice(None),) * j + (0,) * (4 - j) + (2 * j,)] = 0  # it and what follows are zeros
+    frames = np.zeros((22, 7), dtype=_WORD)
+    text = frames.view(np.uint8)
     for e in range(-4, 16):
-        # digit place j is column 2j - 2; the point after place j is column 2j - 1
+        # digit place j is byte 2j + 4; the point after place j is byte 2j + 5
         first, point = 5 + min(e, 0), 5 + e
-        frames[e + 4, 2 * first - 2 : 2 * max(point + 2, 5) - 2 : 2] = ord("0")
-        frames[e + 4, 2 * point - 1] = ord(".")
-    frames[21, 9] = ord(".")
-    exponents = np.zeros((634, 5), dtype=np.uint8)
+        text[e + 4, 2 * first + 4 : 2 * max(point + 2, 5) + 4 : 2] = ord("0")
+        text[e + 4, 2 * point + 5] = ord(".")
+    text[21, 15] = ord(".")
+    text[20:, 47] = ord("e")
+    text[:, 52] = ord(",")
+    exponents = np.zeros(633, dtype=_WORD)
+    text = exponents.view(np.uint8).reshape(633, 8)
     for e in range(-324, 309):
-        text = b"e%+03d" % e
-        exponents[e + 325, : len(text)] = list(text)
+        text[e + 324, :4] = list((b"%+03d" % e).ljust(4, b"\0"))
     return _read_only(groups, frames, exponents)
 
 
@@ -146,11 +166,17 @@ def schubfach_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     h = q + r + 127, from 2 to 5.  g and r are built with Python integers,
     once per k, on the first write.
     """
-    q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)
-    closer = np.arange(4096) >= 2048
-    ks = (q * 661_971_961_083 - closer * 274_743_187_321) >> 41
-    g1s, g0s, rs = [], [], []
-    for k in range(ks.min(), ks.max() + 1):
+    q = np.arange(4096) & 2047
+    np.maximum(q, 1, out=q)
+    q -= 1075
+    ks = q * 661_971_961_083
+    ks[2048:] -= 274_743_187_321
+    ks >>= 41
+    k0 = int(ks.min())
+    g1s, g0s = np.empty((2, ks.max() + 1 - k0), dtype=_U)
+    rs = np.empty(g1s.size, dtype=np.int64)
+    for i in range(g1s.size):
+        k = k0 + i
         p = 10 ** abs(k)
         if k <= 0:
             r = p.bit_length() - 126
@@ -158,16 +184,11 @@ def schubfach_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         else:
             r = -p.bit_length() - 125
             g = (1 << -r) // p + 1
-        g1s.append(g >> 63)
-        g0s.append(g & (2**63 - 1))
-        rs.append(r)
-    at = ks - ks.min()
-    return _read_only(
-        np.array(g1s, dtype=_U).take(at),
-        np.array(g0s, dtype=_U).take(at),
-        (q + np.take(rs, at) + 127).astype(_U),
-        ks,
-    )
+        g1s[i], g0s[i], rs[i] = g >> 63, g & (2**63 - 1), r
+    at = ks - k0
+    q += rs.take(at)  # q becomes h = q + r + 127, in place
+    q += 127
+    return _read_only(g1s.take(at), g0s.take(at), q.view(_U), ks)
 
 
 def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -206,17 +206,22 @@ def maximum_spanning_tree(g: WeightedGraph, *, candidate: RootedTree | None = No
     A ``candidate`` is certified first.  When every non-tree weight falls
     strictly below its bottleneck, the candidate is the unique maximum, so
     it is the tree Prim would find under any tie order: it is returned,
-    rooted at 0, and Prim does not run.  On a tie or a heavier non-tree
-    edge Prim runs as without one.  The result is the same either way.
+    rooted at 0, and Prim does not run.  On a heavier non-tree edge Prim
+    runs as without one.  On a tie the candidate is a maximum that is not
+    unique, so no maximum is: Prim runs, and its tree is not certified
+    again.  The result is the same either way.
     """
+    tied = False
     if candidate is not None:
         if candidate.d != g.d:
             raise InvalidInputError(f"tree on {candidate.d} vertices does not span graph on {g.d}")
-        if _tree_gaps(g, candidate).min() > 0:
+        margin = _tree_gaps(g, candidate).min()
+        if margin > 0:
             rooted = candidate if candidate.root == 0 else root_tree(candidate.tree, 0)
             return MstResult(rooted.tree, _total_weight(g, rooted), True, rooted)
+        tied = margin == 0
     rooted = _prim(g)
-    return MstResult(rooted.tree, _total_weight(g, rooted), mst_is_unique(g, rooted), rooted)
+    return MstResult(rooted.tree, _total_weight(g, rooted), not tied and mst_is_unique(g, rooted), rooted)
 
 
 def _prim(g: WeightedGraph) -> RootedTree:

@@ -14,7 +14,10 @@ Claims covered:
     block, and removes a partial file.
   - Its digit and layout kernel writes repr's text for random bit
     patterns, subnormals, the neighbours of powers of two and ten,
-    integers near 2**53 and the notation switches, in uint64 arithmetic.
+    integers near 2**53 and the notation switches, in uint64 arithmetic;
+    for chunks in fixed notation only, in scientific notation only or
+    only at each row's end, and one column wide; and its first call
+    builds its tables without large temporaries.
   - tools/generate_sample_prices.py reproduces the bundled sample CSV.
   - The in-place standardization hits the n-1 convention exactly and is
     idempotent; correlation_from_dataset errors by column name on zero
@@ -475,6 +478,67 @@ class TestFloatText:
         assert _float_text.csv_rows(values) == (
             b"5e-324,1e-323,8e-323,0.0,-0.0,1.7976931348623157e+308,-1.7976931348623157e+308\r\n"
         )
+
+    @staticmethod
+    def laplace(n, exponents):
+        """n Laplace draws of either sign, each scaled by 10 ** e for an e drawn from ``exponents``."""
+        rng = np.random.default_rng(n)
+        return rng.laplace(size=n) * 10.0 ** rng.choice(exponents, n)
+
+    def test_fixed_notation_only(self):
+        # as simulate writes: no value takes the exponent fill
+        values = self.laplace(64 * 200, np.arange(-4, 3))
+        values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e3)]
+        assert not any("e" in repr(v) for v in values.tolist())
+        self.assert_written_as_repr(values)
+
+    def test_scientific_notation_ends_each_row(self):
+        # the exponent and the row end share the last word
+        values = self.laplace(64 * 100, np.arange(-4, 3)).reshape(100, 64)
+        values[:, -1] = self.laplace(100, np.r_[-320:-5, 16:300])
+        assert all("e" in repr(v) for v in values[:, -1].tolist())
+        self.assert_written_as_repr(values.ravel())
+
+    def test_scientific_notation_only(self):
+        # one digit and many, two exponent digits and three, both signs
+        values = self.laplace(64 * 100, np.r_[-320:-5, 16:300])
+        powers = 10.0 ** np.r_[-323:-4, 16:309]
+        values = values[(values != 0) & ((np.abs(values) < 1e-4) | (np.abs(values) >= 1e16))]
+        values = np.concatenate([values, powers, -powers])
+        assert all("e" in repr(v) for v in values.tolist())
+        self.assert_written_as_repr(values)
+
+    def test_one_column(self):
+        # every value ends a row
+        values = np.concatenate(
+            [self.laplace(500, np.r_[-320:-5, -4:16, 16:300]), [0.0, -0.0, 1e16, 1e-5, 1e15, 1e-4]]
+        )[:, None]
+        oracle = csv_writer_bytes(("c0",), values).split(b"\r\n", 1)[1]
+        assert _float_text.csv_rows(values) == oracle
+
+    def test_first_call_memory(self):
+        # the tables are built in place, with no temporary larger than a few KiB
+        def clear():
+            _float_text.schubfach_tables.cache_clear()
+            _float_text.text_tables.cache_clear()
+
+        chunk = self.laplace(256 * 30, np.arange(-4, 3)).reshape(256, 30)
+        clear()
+        tracemalloc.start()
+        try:
+            _float_text.csv_rows(chunk)
+            kept, peak = tracemalloc.get_traced_memory()
+            clear()
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _float_text.schubfach_tables()
+            _float_text.text_tables()
+            built, build_peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept < 320 << 10  # the tables: 292 KiB
+        assert build_peak < built + (16 << 10)
+        assert peak < 1900 << 10  # 1785 KiB: the tables, the words and their bytes
 
     def test_uint64_throughout(self):
         # a signed operand would promote the digits to float64

@@ -48,6 +48,7 @@ from treecascade import (
     random_unit_variance_model,
     root_tree,
 )
+from treecascade import trees
 from treecascade.trees import _hop_and_meet_matrices, random_tree
 
 # Drawn once with seed 20260810 and frozen; the expected tree was computed
@@ -349,6 +350,25 @@ class TestCandidateCertificate:
             assert got.rooted.root == 0
             assert got.rooted.parent == expected.rooted.parent, t
             assert got.rooted.depth == expected.rooted.depth, t
+
+    def test_tied_candidate_builds_one_gap_matrix(self, monkeypatch):
+        # a maximum candidate with a zero gap already shows that no maximum is unique
+        d = 50
+        g = WeightedGraph.from_matrix(np.ones((d, d)))
+        expected = maximum_spanning_tree(g)
+        calls = []
+        tree_gaps = trees._tree_gaps
+
+        def counted(*args):
+            calls.append(args)
+            return tree_gaps(*args)
+
+        monkeypatch.setattr(trees, "_tree_gaps", counted)
+        chain = Tree.from_edges(d, [(v, v + 1) for v in range(d - 1)])
+        got = maximum_spanning_tree(g, candidate=root_tree(chain, 0))
+        assert len(calls) == 1
+        assert got == expected
+        assert got.is_unique is False
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_candidate_on_another_vertex_count_rejected(self, d):
