@@ -5,7 +5,7 @@ A cascade couples a rooted tree with one coefficient per non-root vertex
 Each component of the modeled vector is a linear function of its parent
 plus a zero-mean error term; the error components are uncorrelated but
 need not be independent or Gaussian.  Coefficients are stored sparsely,
-one per edge; dense matrices are an explicit conversion.
+one per edge.
 
 All closed-form algebra here exploits the tree structure: the inverse of
 (I - A) is assembled from coefficient products along directed paths and
@@ -71,14 +71,6 @@ class CascadeModel:
 
     def error_variance_vector(self) -> np.ndarray:
         return np.array([self.error_vars[i] for i in range(self.d)], dtype=float)
-
-
-def coefficient_matrix(m: CascadeModel) -> np.ndarray:
-    """Dense d-by-d coefficient matrix; entry (i, parent(i)) per non-root i."""
-    a = np.zeros((m.d, m.d))
-    for i, coeff in m.coeffs.items():
-        a[i, m.rt.parent[i]] = coeff
-    return a
 
 
 def cascade_inverse(m: CascadeModel) -> np.ndarray:
@@ -365,16 +357,7 @@ class LemmaCheck:
     pairs_checked: int
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    checks: tuple[LemmaCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_covariance_lemmas(m: CascadeModel) -> LemmaReport:
+def verify_covariance_lemmas(m: CascadeModel) -> tuple[LemmaCheck, ...]:
     """Check the closed-form covariance structure of a unit-variance cascade.
 
     Three checks over the induced covariance C and closed-form inverse B,
@@ -395,7 +378,7 @@ def verify_covariance_lemmas(m: CascadeModel) -> LemmaReport:
     return _lemma_report(cascade_inverse(m), population_covariance(m), *_hop_and_meet_matrices(m.rt))
 
 
-def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.ndarray) -> LemmaReport:
+def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.ndarray) -> tuple[LemmaCheck, ...]:
     """``verify_covariance_lemmas`` from the model's inverse, covariance and hop/meet pair.
 
     Both covariance checks compare C with one prediction, B_im * B_jm at the
@@ -430,4 +413,4 @@ def _lemma_report(inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.nd
             pairs,
         )
     )
-    return LemmaReport(tuple(checks))
+    return tuple(checks)

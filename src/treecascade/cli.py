@@ -191,7 +191,7 @@ def _cmd_verify(args) -> int:
 
     cov = population_covariance(model)
     hop, meet = _hop_and_meet_matrices(model.rt)
-    for check in _lemma_report(inv, cov, hop, meet).checks:
+    for check in _lemma_report(inv, cov, hop, meet):
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
     del inv, meet
 
@@ -254,7 +254,11 @@ def _cmd_cluster(args) -> int:
 def _cmd_chow_check(args) -> int:
     if args.data is not None:
         ds = dataio.load_csv(args.data)
+        n, d = ds.values.shape
         corr = correlation_from_dataset(ds, overwrite=True)
+        if n <= d:
+            # n centred rows span at most n - 1 dimensions: the correlations are singular
+            raise InvalidInputError(f"covariance is not positive definite: {n} rows for {d} columns")
         names = ds.names
         del ds  # the check reads the correlations alone
         known = None

@@ -115,7 +115,14 @@ def _buffer(ds: Dataset, overwrite: bool) -> np.ndarray:
 
 
 def read_csv_header(path) -> tuple[str, ...]:
-    """Column names from the first row only; no data rows are touched."""
+    """Column names from the first row only; no data rows are touched.
+
+    The path must be a regular file: ``load_csv`` reads it more than once,
+    which a pipe does not allow.  ``os.stat`` checks this without opening
+    it, so a FIFO with no writer cannot block.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataError(f"{path}: a CSV must be a regular file")
     with _utf8_text(path, DataError) as handle:
         try:
             header = next(csv.reader(handle))

@@ -18,6 +18,7 @@ prefix.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -67,16 +68,6 @@ class Tree:
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Edges in ascending canonical order; the deterministic iteration order."""
         return sorted(self.edges)
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists, each sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.d)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        for lst in adj:
-            lst.sort()
-        return adj
 
     def has_edge(self, i: int, j: int) -> bool:
         return canonical_edge(i, j) in self.edges
@@ -198,7 +189,7 @@ def maximum_spanning_tree(g: WeightedGraph, *, candidate: RootedTree | None = No
     the module's strict total edge order, under which the maximum spanning
     tree is unique, so the result (including tie resolution) is identical
     across runs and platforms, and equals Kruskal's greedy tree over that
-    order.  ``total_weight`` sums the tree edges in that order.  Prim grows
+    order.  ``total_weight`` is ``math.fsum`` of its weights.  Prim grows
     the tree from vertex 0, so the parent each vertex joined through roots
     it there: :func:`mst_is_unique` certifies that rooting, which
     ``rooted`` keeps.
@@ -259,16 +250,10 @@ def _prim(g: WeightedGraph) -> RootedTree:
 
 
 def _total_weight(g: WeightedGraph, rt: RootedTree) -> float:
-    """The weights of ``rt``'s edges summed in the strict total edge order, so over any rooting."""
+    """The weights of ``rt``'s edges, summed correctly rounded, so the same over any rooting."""
     parent = np.array(rt.parent, dtype=np.intp)
     v = np.flatnonzero(parent >= 0)
-    u = parent[v]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    weights = g.matrix[v, u]
-    total = 0.0
-    for weight in weights[np.lexsort((hi, lo, -weights))].tolist():
-        total += weight
-    return total
+    return math.fsum(g.matrix[v, parent[v]].tolist())
 
 
 def _parent_first_order(rt: RootedTree) -> np.ndarray:
@@ -422,13 +407,17 @@ def random_tree(d: int, rng: np.random.Generator) -> Tree:
 
 
 def _breadth_first(t: Tree, r: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first walk of ``t`` from ``r``, neighbors in ascending order.
+    """Breadth-first walk of ``t`` from ``r``, neighbors in no set order.
 
     Returns the visit order and the parent and depth maps.  ``parent`` is
     ``-1`` at ``r``; a vertex the walk does not reach is left out of the
-    order and has depth ``-1``.
+    order and has depth ``-1``.  In a tree, parent and depth do not
+    depend on the neighbor order; the visit order is some parent-first one.
     """
-    adj = t.adjacency()
+    adj: list[list[int]] = [[] for _ in range(t.d)]
+    for i, j in t.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     parent = [-1] * t.d
     depth = [-1] * t.d
     depth[r] = 0
@@ -447,7 +436,8 @@ def root_tree(t: Tree, r: int) -> RootedTree:
     if not (0 <= r < t.d):
         raise InvalidInputError(f"root {r} out of range for {t.d} vertices")
     _, parent, depth = _breadth_first(t, r)
-    return RootedTree(t, r, tuple(parent), tuple(depth))
+    # a breadth-first walk of a tree orients every edge toward r: the checks would hold
+    return _unchecked(RootedTree, tree=t, root=r, parent=tuple(parent), depth=tuple(depth))
 
 
 def cluster_by_edge_deletion(

@@ -26,8 +26,9 @@ report compares the covariance with one predicted matrix, B_im * B_jm at
 the deepest common ancestor; the report that took the ancestor pairs
 against B_ji and gathered the branching pairs by index is kept.  The
 certificate's tree margin, its least gap of bottleneck minus weight, has a
-path-walk oracle too.  Tests require the fast paths to agree with them
-exactly.
+path-walk oracle too.  The dense coefficient matrix A, which only the
+tests' LAPACK inverse of I - A reads, lives here.  Tests require the fast
+paths to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from treecascade import (
     population_covariance,
     root_tree,
 )
-from treecascade.cascade import LemmaCheck, LemmaReport, cascade_inverse
+from treecascade.cascade import LemmaCheck, cascade_inverse
 from treecascade.chowliu import mutual_information_weights
 from treecascade.dataio import FORMAT_VERSION
 from treecascade.regression import objective_value, optimal_coefficients
@@ -178,6 +179,14 @@ def path_edges(rt, i: int, j: int) -> list[tuple[int, int]]:
     return [canonical_edge(a, b) for a, b in zip(verts, verts[1:])]
 
 
+def coefficient_matrix(m: CascadeModel) -> np.ndarray:
+    """Dense d-by-d coefficient matrix; entry (i, parent(i)) per non-root i."""
+    a = np.zeros((m.d, m.d))
+    for i, coeff in m.coeffs.items():
+        a[i, m.rt.parent[i]] = coeff
+    return a
+
+
 def graph_from_weights(d: int, weights) -> WeightedGraph:
     """Graph from a ``{(i, j): w}`` mapping; a pair left out stays NaN, which fails."""
     m = np.full((d, d), np.nan)
@@ -187,24 +196,24 @@ def graph_from_weights(d: int, weights) -> WeightedGraph:
 
 
 def kruskal_mst(g: WeightedGraph) -> MstResult:
-    """Kruskal's greedy construction over the canonical edge order."""
+    """Kruskal's greedy construction over the canonical edge order; the total is ``math.fsum``'s."""
     edges = sorted(
         ((g.weight(i, j), i, j) for i in range(g.d) for j in range(i + 1, g.d)),
         key=lambda t: (-t[0], t[1], t[2]),
     )
     component = list(range(g.d))
     chosen: list[tuple[int, int]] = []
-    total = 0.0
+    weights: list[float] = []
     for w, i, j in edges:
         if component[i] != component[j]:
             joined = component[j]
             component = [component[i] if c == joined else c for c in component]
             chosen.append((i, j))
-            total += w
+            weights.append(w)
             if len(chosen) == g.d - 1:
                 break
     tree = Tree(g.d, frozenset(chosen))
-    return MstResult(tree, total, path_walk_is_unique(g, tree), root_tree(tree, 0))
+    return MstResult(tree, math.fsum(weights), path_walk_is_unique(g, tree), root_tree(tree, 0))
 
 
 def path_walk_is_unique(g: WeightedGraph, t: Tree) -> bool:
@@ -257,7 +266,7 @@ def loop_strict_triangle_condition(g: WeightedGraph, t: Tree) -> bool:
     return True
 
 
-def loop_covariance_lemmas(m, tol: float = 1e-12) -> LemmaReport:
+def loop_covariance_lemmas(m, tol: float = 1e-12) -> tuple[LemmaCheck, ...]:
     """The three covariance-lemma checks, one pair at a time."""
     if not m.unit_variance:
         raise UnsupportedModelError("verify_covariance_lemmas requires a unit-variance model")
@@ -294,36 +303,34 @@ def loop_covariance_lemmas(m, tol: float = 1e-12) -> LemmaReport:
             bound_ok = bound_ok and gap > 0.0
             bound_pairs += 1
 
-    return LemmaReport(
-        (
-            LemmaCheck(
-                "ancestor-covariance",
-                ancestor_dev <= tol,
-                ancestor_dev,
-                "max |C_ij - B_ji|",
-                ancestor_pairs,
-            ),
-            LemmaCheck(
-                "branching-covariance",
-                branch_dev <= tol,
-                branch_dev,
-                "max |C_ij - B_im B_jm|",
-                branch_pairs,
-            ),
-            LemmaCheck(
-                "strict-dominance",
-                bound_ok,
-                margin,
-                "min margin min(|C_ik|, |C_kj|) - |C_ij|",
-                bound_pairs,
-            ),
-        )
+    return (
+        LemmaCheck(
+            "ancestor-covariance",
+            ancestor_dev <= tol,
+            ancestor_dev,
+            "max |C_ij - B_ji|",
+            ancestor_pairs,
+        ),
+        LemmaCheck(
+            "branching-covariance",
+            branch_dev <= tol,
+            branch_dev,
+            "max |C_ij - B_im B_jm|",
+            branch_pairs,
+        ),
+        LemmaCheck(
+            "strict-dominance",
+            bound_ok,
+            margin,
+            "min margin min(|C_ik|, |C_kj|) - |C_ij|",
+            bound_pairs,
+        ),
     )
 
 
 def two_formula_lemma_report(
     inv: np.ndarray, cov: np.ndarray, hop: np.ndarray, meet: np.ndarray
-) -> LemmaReport:
+) -> tuple[LemmaCheck, ...]:
     """The covariance-lemma report with one formula per covariance check.
 
     Ancestor pairs compare C_ij with B_ji over the whole matrix; branching
@@ -342,30 +349,28 @@ def two_formula_lemma_report(
 
     ancestor_dev = float(ancestor_devs.max(initial=0.0))
     branch_dev = float(branch_devs.max(initial=0.0))
-    return LemmaReport(
-        (
-            LemmaCheck(
-                "ancestor-covariance",
-                ancestor_dev <= 1e-12,
-                ancestor_dev,
-                "max |C_ij - B_ji|",
-                ancestor_devs.size,
-            ),
-            LemmaCheck(
-                "branching-covariance",
-                branch_dev <= 1e-12,
-                branch_dev,
-                "max |C_ij - B_im B_jm|",
-                branch_devs.size,
-            ),
-            LemmaCheck(
-                "strict-dominance",
-                bool((gaps > 0.0).all()),
-                float(gaps.min(initial=math.inf)),
-                "min margin min(|C_ik|, |C_kj|) - |C_ij|",
-                gaps.size,
-            ),
-        )
+    return (
+        LemmaCheck(
+            "ancestor-covariance",
+            ancestor_dev <= 1e-12,
+            ancestor_dev,
+            "max |C_ij - B_ji|",
+            ancestor_devs.size,
+        ),
+        LemmaCheck(
+            "branching-covariance",
+            branch_dev <= 1e-12,
+            branch_dev,
+            "max |C_ij - B_im B_jm|",
+            branch_devs.size,
+        ),
+        LemmaCheck(
+            "strict-dominance",
+            bool((gaps > 0.0).all()),
+            float(gaps.min(initial=math.inf)),
+            "min margin min(|C_ik|, |C_kj|) - |C_ij|",
+            gaps.size,
+        ),
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import ancestors, one_shot_simulate, path_vertices, path_walk_inverse
+from oracles import ancestors, coefficient_matrix, one_shot_simulate, path_vertices, path_walk_inverse
 from treecascade import (
     CascadeModel,
     InvalidInputError,
@@ -38,7 +38,7 @@ from treecascade import (
     simulate,
     verify_covariance_lemmas,
 )
-from treecascade.cascade import BUILTIN_SAMPLERS, _simulated_blocks, cascade_inverse, coefficient_matrix
+from treecascade.cascade import BUILTIN_SAMPLERS, _simulated_blocks, cascade_inverse
 from treecascade.dataio import _block_rows
 
 
@@ -372,8 +372,8 @@ class TestCovarianceLemmaChecks:
             root_tree(Tree.from_edges(3, [(0, 1), (1, 2)]), 0), {1: 0.5, 2: 0.5}
         )
         report = verify_covariance_lemmas(m)
-        by_name = {c.name: c for c in report.checks}
-        assert report.all_passed
+        by_name = {c.name: c for c in report}
+        assert all(c.passed for c in report)
         assert by_name["ancestor-covariance"].worst <= 1e-15
         assert population_covariance(m)[0, 2] == pytest.approx(0.25, abs=1e-15)
 
@@ -384,15 +384,15 @@ class TestCovarianceLemmaChecks:
         inv = cascade_inverse(m)
         assert cov[1, 2] == pytest.approx(0.42, abs=1e-15)
         assert cov[1, 2] == pytest.approx(inv[1, 0] * inv[2, 0], abs=1e-15)
-        assert verify_covariance_lemmas(m).all_passed
+        assert all(c.passed for c in verify_covariance_lemmas(m))
 
     def test_random_models_pass_with_positive_slack(self):
         rng = np.random.default_rng(77)
         for _ in range(30):
             d = int(rng.integers(3, 9))
             report = verify_covariance_lemmas(random_unit_variance_model(d, rng))
-            assert report.all_passed
-            by_name = {c.name: c for c in report.checks}
+            assert all(c.passed for c in report)
+            by_name = {c.name: c for c in report}
             if by_name["strict-dominance"].pairs_checked:
                 assert by_name["strict-dominance"].worst > 0.0
 
@@ -403,7 +403,7 @@ class TestCovarianceLemmaChecks:
     def test_single_vertex_vacuous(self):
         t = Tree(1)
         m = CascadeModel(root_tree(t, 0), {}, {0: 1.0})
-        assert verify_covariance_lemmas(m).all_passed
+        assert all(c.passed for c in verify_covariance_lemmas(m))
 
 
 class TestModelValidation:

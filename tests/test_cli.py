@@ -100,7 +100,7 @@ from treecascade import (
 )
 from treecascade import cascade as cascade_module
 from treecascade import dataio
-from treecascade.cascade import cascade_inverse, coefficient_matrix, inverse_residual
+from treecascade.cascade import cascade_inverse, inverse_residual
 from treecascade import trees as trees_module
 from treecascade.cascade import _simulated_blocks
 from treecascade import cli as cli_module
@@ -108,7 +108,7 @@ from treecascade.cli import _identity_holds, main
 from treecascade.dataio import _block_rows, fit_to_document, load_document, model_from_document
 
 from conftest import csv_texts
-from oracles import csv_writer_bytes, loop_strict_triangle_condition, one_shot_simulate
+from oracles import coefficient_matrix, csv_writer_bytes, loop_strict_triangle_condition, one_shot_simulate
 
 
 def run(capsys, *argv):
@@ -608,7 +608,7 @@ def verify_table(model, label: str) -> str:
     rows = []
     residual = loop_inverse_residual(model, cascade_inverse(model))
     rows.append(("closed-form-inverse", residual <= 1e-12, f"max |(I - A)B - I| = {residual:.3e}"))
-    for check in verify_covariance_lemmas(model).checks:
+    for check in verify_covariance_lemmas(model):
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
     summary = correlation_from_covariance(population_covariance(model))
     # |rho| orders pairs as rho^2 does, without the square's underflow
@@ -892,6 +892,15 @@ class TestChowCheckCommand:
         code, stdout, _ = run(capsys, "chow-check", "--data", str(path))
         assert code == 0
         assert "tie detected" in stdout
+
+    @pytest.mark.parametrize("d, text", [(2, "a,b\n1,2\n3,4\n"), (3, "a,b,c\n1,2,5\n3,4,1\n2,7,7\n")])
+    def test_no_more_rows_than_columns_rejected(self, capsys, tmp_path, d, text):
+        # n centred rows span n - 1 dimensions at most, however Cholesky rounds
+        path = tmp_path / "square.csv"
+        path.write_text(text)
+        assert run(capsys, "chow-check", "--data", str(path)) == (
+            2, "", f"error: covariance is not positive definite: {d} rows for {d} columns\n"
+        )
 
     def test_constant_column_named(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
@@ -1551,6 +1560,52 @@ class TestPeakMemory:
             peaks.append(int(result.stdout.split()[-1]) * 1024)  # VmHWM is in KiB
         gap = peaks[1] - peaks[0]
         assert gap < self.N_SIMULATED * self.D * 8 / 2, f"peak grew {gap / 2**20:.2f} MiB"
+
+
+class TestCsvMustBeARegularFile:
+    """A pipe yields its bytes once, where a CSV is read more than once: it exits 2 by name."""
+
+    @staticmethod
+    def cli(*argv, stdin=None):
+        # a timeout, so that a read that blocks fails the test
+        return subprocess.run(
+            [sys.executable, "-m", "treecascade.cli", *map(str, argv)],
+            input=stdin,
+            capture_output=True,
+            timeout=60,
+        )
+
+    def test_piped_stdin(self, tmp_path):
+        result = self.cli(
+            "fit", "--data", "/dev/stdin", "--diff", "--out", tmp_path / "f.json",
+            stdin=sample_prices_path().read_bytes(),
+        )
+        assert (result.returncode, result.stderr) == (
+            2, b"error: /dev/stdin: a CSV must be a regular file\n"
+        )
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--root", "1"]])
+    def test_fifo_without_writer_does_not_block(self, tmp_path, flags):
+        fifo = tmp_path / "prices.csv"
+        os.mkfifo(fifo)
+        result = self.cli("fit", "--data", fifo, *flags, "--out", tmp_path / "f.json")
+        assert (result.returncode, result.stderr) == (
+            2, f"error: {fifo}: a CSV must be a regular file\n".encode()
+        )
+
+    def test_null_device(self):
+        result = self.cli("chow-check", "--data", os.devnull)
+        assert (result.returncode, result.stderr) == (
+            2, f"error: {os.devnull}: a CSV must be a regular file\n".encode()
+        )
+
+    def test_fit_document_from_stdin(self, tmp_path):
+        # a fit document is read once, so a pipe serves
+        _, _, doc = model_fit_document(tmp_path, d=6)
+        result = self.cli("verify", "--model", "/dev/stdin", stdin=doc.read_bytes())
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.endswith(b"result: pass\n")
 
 
 class TestEntryPoint:

@@ -145,8 +145,8 @@ def test_random_cascades_match_oracle():
         assert maximum_spanning_tree(g).tree == model.rt.tree
         assert_margin_agrees(g, model.rt.tree)
         fast, slow = verify_covariance_lemmas(model), loop_covariance_lemmas(model)
-        assert len(fast.checks) == len(slow.checks) == 3
-        for a, b in zip(fast.checks, slow.checks):
+        assert len(fast) == len(slow) == 3
+        for a, b in zip(fast, slow):
             assert a.name == b.name
             assert a.passed == b.passed
             assert a.worst.hex() == b.worst.hex()
@@ -167,8 +167,8 @@ def both_reports(inputs):
 
 
 def assert_same_report(fast, slow):
-    assert len(fast.checks) == len(slow.checks) == 3
-    for a, b in zip(fast.checks, slow.checks):
+    assert len(fast) == len(slow) == 3
+    for a, b in zip(fast, slow):
         assert (a.name, a.passed, a.measure, a.pairs_checked) == (
             b.name, b.passed, b.measure, b.pairs_checked
         )
@@ -209,7 +209,7 @@ def test_lemma_report_matches_oracle_where_the_recursion_sticks_at_the_smallest_
     report, slow = both_reports(inputs)
     assert_same_report(report, slow)
     # the stuck entries tie their path neighbours, so dominance fails with margin zero
-    assert report.checks[2].worst == 0.0 and not report.checks[2].passed
+    assert report[2].worst == 0.0 and not report[2].passed
 
 
 @pytest.mark.parametrize("kind", ["ancestor", "branching"])
@@ -225,7 +225,7 @@ def test_planted_error_fails_only_its_row(kind):
     cov[j, i] = cov[i, j]
     report, slow = both_reports((inv, cov, hop, meet))
     assert_same_report(report, slow)
-    assert [c.name for c in report.checks if not c.passed] == [f"{kind}-covariance"]
+    assert [c.name for c in report if not c.passed] == [f"{kind}-covariance"]
 
 
 def free_model(rt, rng):

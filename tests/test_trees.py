@@ -13,6 +13,11 @@ Claims covered:
   - Monotone re-weighting never changes the selected edge set.
   - Edge-deletion clustering removes exactly the lightest tree edges: for
     every k, vertices share a cluster iff no cut edge lies between them.
+  - What the unsorted, unchecked tree core relies on: ``root_tree``'s
+    rooting passes the validating ``RootedTree`` constructor; the
+    breadth-first parents and depths and the clusters do not depend on
+    the order a tree's edges iterate in; and ``total_weight`` is
+    ``math.fsum`` of the tree's weights, with or without a candidate.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from oracles import (
 )
 from treecascade import (
     InvalidInputError,
+    RootedTree,
     Tree,
     WeightedGraph,
     cluster_by_edge_deletion,
@@ -49,7 +55,7 @@ from treecascade import (
     root_tree,
 )
 from treecascade import trees
-from treecascade.trees import _hop_and_meet_matrices, random_tree
+from treecascade.trees import _breadth_first, _hop_and_meet_matrices, random_tree
 
 # Drawn once with seed 20260810 and frozen; the expected tree was computed
 # by maximizing total weight over all 125 enumerated trees.
@@ -123,6 +129,33 @@ class TestRootTree:
     def test_root_out_of_range(self):
         with pytest.raises(InvalidInputError):
             root_tree(Tree.from_edges(2, [(0, 1)]), 2)
+
+    def test_rooting_passes_the_validating_constructor(self):
+        # root_tree skips RootedTree's checks, as its walk makes them hold
+        rng = np.random.default_rng(8)
+        for d in [*range(1, 13), 30, 60]:
+            t = random_tree(d, rng)
+            for r in range(d):
+                rt = root_tree(t, r)
+                assert RootedTree(t, r, rt.parent, rt.depth) == rt
+
+    def test_walk_does_not_depend_on_edge_order(self):
+        # a frozenset built in another order iterates in another order, most of the time
+        rng = np.random.default_rng(9)
+        reordered = 0
+        for d in range(2, 61):
+            t = random_tree(d, rng)
+            weights = {e: int(rng.integers(0, 4)) / 4.0 for e in t.edges}
+            shuffled = list(t.edges)
+            rng.shuffle(shuffled)
+            other = Tree(d, frozenset(shuffled))
+            reordered += list(other.edges) != list(t.edges)
+            for r in range(d):
+                _, parent, depth = _breadth_first(t, r)
+                assert _breadth_first(other, r)[1:] == (parent, depth), (d, r)
+            for k in range(1, d + 1):
+                assert cluster_by_edge_deletion(other, weights, k) == cluster_by_edge_deletion(t, weights, k)
+        assert reordered > 30
 
     def test_parent_walk_terminates_at_root(self):
         rng = np.random.default_rng(3)
@@ -292,6 +325,18 @@ class TestMaximumSpanningTree:
                 assert fast.rooted.depth == rt.depth, (d, levels)
                 assert fast.is_unique == path_walk_is_unique(g, fast.tree), (d, levels)
 
+    def test_total_weight_is_fsum_of_the_tree_weights(self):
+        # tenths round, so a plain left-to-right sum would depend on the edge order
+        rng = np.random.default_rng(12)
+        for d in range(2, 41):
+            k = rng.integers(0, 64, (d, d))
+            g = WeightedGraph.from_matrix((np.triu(k, 1) + np.triu(k, 1).T) / 10.0)
+            res = maximum_spanning_tree(g)
+            expected = math.fsum(g.weight(*e) for e in res.tree.edges)
+            assert res.total_weight.hex() == expected.hex(), d
+            candidate = root_tree(res.tree, int(rng.integers(d)))
+            assert maximum_spanning_tree(g, candidate=candidate).total_weight.hex() == expected.hex(), d
+
     def test_determinism(self):
         g1 = complete_graph(5, FROZEN_D5_WEIGHTS)
         g2 = complete_graph(5, dict(FROZEN_D5_WEIGHTS))
@@ -330,7 +375,7 @@ class TestCandidateCertificate:
     def test_candidate_gives_the_search_result(self, case):
         d, levels, r, seed = case
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        # tenths round, so the sum's bits depend on the order the weights are added in
+        # tenths round, so only a correctly rounded total has the same bits in any order
         g = complete_graph(d, {e: k / 10.0 for e, k in zip(pairs, levels)})
         expected = maximum_spanning_tree(g)
         slow = kruskal_mst(g)
