@@ -23,7 +23,7 @@ import numpy as np
 from .dataio import Dataset, _adopt, _block_lengths, _column_names
 from .errors import InvalidInputError, UnsupportedModelError
 from .trees import RootedTree, _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
-from .trees import _to_vertex_order, _unchecked, _walk, random_tree, root_tree
+from .trees import _check_non_root_keys, _to_vertex_order, _unchecked, _walk, random_tree, root_tree
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,7 @@ class CascadeModel:
     error_vars: Mapping[int, float]
 
     def __post_init__(self) -> None:
-        non_root = set(self.rt.non_root_vertices())
-        if set(self.coeffs) != non_root:
-            raise InvalidInputError(
-                "coefficients must cover exactly the non-root vertices; "
-                f"got {sorted(self.coeffs)}, expected {sorted(non_root)}"
-            )
+        _check_non_root_keys(self.rt, self.coeffs, "coefficients")
         if set(self.error_vars) != set(range(self.d)):
             raise InvalidInputError("error variances must cover every vertex")
         for i, a in self.coeffs.items():
@@ -156,12 +151,7 @@ def make_unit_variance_model(
     generating edge zero weight and forfeit uniqueness of the recovered
     tree.
     """
-    non_root = set(rt.non_root_vertices())
-    if set(edge_correlations) != non_root:
-        raise InvalidInputError(
-            "edge correlations must cover exactly the non-root vertices; "
-            f"got {sorted(edge_correlations)}, expected {sorted(non_root)}"
-        )
+    _check_non_root_keys(rt, edge_correlations, "edge correlations")
     coeffs = {}
     error_vars = {rt.root: 1.0}
     for i, rho in edge_correlations.items():

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidInputError, SchemaError
-from .trees import RootedTree, Tree, _breadth_first, _unchecked, canonical_edge
+from .trees import Tree, _rooted, _unchecked, canonical_edge
 
 FORMAT_VERSION = 1
 
@@ -481,10 +481,9 @@ def document_to_fit(doc: Mapping):
     """Validate a fit document and rebuild the fit result.
 
     The result keeps the tree rooted as the document orients it.  Each
-    field is checked once: one walk down from the root checks that the
-    edges form a tree and gives the rooting, which ``Tree`` and
-    ``RootedTree`` then take unchecked.  Raises a schema error naming the
-    offending field path.
+    field is checked once: the edges take ``Tree``'s checks and messages
+    in the one walk down from the root that also gives the rooting.
+    Raises a schema error naming the offending field path.
     """
     from .regression import FitResult
 
@@ -514,17 +513,11 @@ def document_to_fit(doc: Mapping):
         parents[child] = parent
     try:
         edges = [canonical_edge(child, parents[child]) for child in coeffs]
+        # each non-root vertex is the child of one edge, so on a tree each
+        # edge leads from its child toward the root: the walk's parents are ``parents``
+        rt = _rooted(_unchecked(Tree, d=d, edges=frozenset(edges)), root)
     except InvalidInputError as exc:
         raise SchemaError(f"edges: {exc}") from None
-    tree = _unchecked(Tree, d=d, edges=frozenset(edges))
-    if len(tree.edges) != d - 1:
-        raise SchemaError(f"edges: a tree on {d} vertices needs {d - 1} edges, got {len(tree.edges)}")
-    # d - 1 distinct edges that one walk from the root reaches form a tree, each
-    # leading from its child toward the root, so the walk's parents are ``parents``
-    order, _, depth = _breadth_first(tree, root)
-    if len(order) != d:
-        raise SchemaError("edges: edge set is not connected")
-    rt = _unchecked(RootedTree, tree=tree, root=root, parent=tuple(parents), depth=tuple(depth))
     error_vars = _require(doc, "error_vars", list)
     if len(error_vars) != d:
         raise SchemaError(f"error_vars: expected {d} entries, got {len(error_vars)}")

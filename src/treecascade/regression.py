@@ -28,6 +28,7 @@ from .trees import (
     RootedTree,
     Tree,
     WeightedGraph,
+    _check_non_root_keys,
     _unchecked,
     canonical_edge,
     maximum_spanning_tree,
@@ -189,8 +190,7 @@ def _objective_terms(
     """The terms :func:`objective_value` adds: E(x_root^2), then each edge's in canonical order."""
     if rt.d != c.d:
         raise InvalidInputError(f"tree on {rt.d} vertices vs correlations on {c.d}")
-    if set(coeffs) != set(rt.non_root_vertices()):
-        raise InvalidInputError("coefficients must cover exactly the non-root vertices")
+    _check_non_root_keys(rt, coeffs, "coefficients")
     corr = c.corr
     order = sorted(rt.non_root_vertices(), key=lambda i: canonical_edge(i, rt.parent[i]))
     parents = [rt.parent[i] for i in order]

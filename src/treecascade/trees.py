@@ -12,7 +12,7 @@ the tree path between its endpoints.  That test also certifies a
 candidate tree without a search, and Prim runs only when it fails.  The
 tree comes rooted at vertex 0, and path matrices such as the bottleneck
 fill in a parent-first walk, where the vertices before each one form a
-prefix.
+prefix.  One breadth-first walk checks a tree and roots it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,9 +38,9 @@ def canonical_edge(i: int, j: int) -> tuple[int, int]:
 class Tree:
     """An undirected tree on vertices ``0..d-1``.
 
-    Invariants checked at construction: exactly ``d - 1`` canonical edges,
-    valid endpoints, connected (which with the edge count implies acyclic).
-    A single-vertex tree has no edges.
+    Invariants checked in this order: ``d >= 1``, ``d - 1`` edges, each
+    canonical on ``0..d-1``, connected (which with the edge count implies
+    acyclic).  A single-vertex tree has no edges.
     """
 
     d: int
@@ -49,16 +49,7 @@ class Tree:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise InvalidInputError(f"vertex count must be >= 1, got {self.d}")
-        if len(self.edges) != self.d - 1:
-            raise InvalidInputError(
-                f"a tree on {self.d} vertices needs {self.d - 1} edges, "
-                f"got {len(self.edges)}"
-            )
-        for i, j in self.edges:
-            if not (0 <= i < j < self.d):
-                raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {self.d} vertices")
-        if len(_breadth_first(self, 0)[0]) != self.d:
-            raise InvalidInputError("edge set is not connected")
+        _rooted(self, 0)
 
     @staticmethod
     def from_edges(d: int, edges: Sequence[tuple[int, int]]) -> "Tree":
@@ -78,8 +69,8 @@ class RootedTree:
     """A tree plus a distinguished root, with every edge oriented root-ward.
 
     ``parent[i]`` is the parent of vertex ``i`` and ``-1`` at the root;
-    ``depth[i]`` is the number of edges from ``i`` up to the root.  Build
-    via :func:`root_tree`.
+    ``depth[i]`` is the number of edges from ``i`` up to the root.  The tree
+    and root fix both maps: the constructor takes exactly :func:`root_tree`'s.
     """
 
     tree: Tree
@@ -88,21 +79,9 @@ class RootedTree:
     depth: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = self.tree.d
-        if not (0 <= self.root < d):
-            raise InvalidInputError(f"root {self.root} out of range for {d} vertices")
-        if len(self.parent) != d or len(self.depth) != d:
-            raise InvalidInputError("parent/depth maps must cover every vertex")
-        if self.parent[self.root] != -1 or self.depth[self.root] != 0:
-            raise InvalidInputError("root must have no parent and depth 0")
-        for i in range(d):
-            if i == self.root:
-                continue
-            p = self.parent[i]
-            if not self.tree.has_edge(i, p):
-                raise InvalidInputError(f"parent map entry {i} -> {p} is not a tree edge")
-            if self.depth[i] != self.depth[p] + 1:
-                raise InvalidInputError(f"depth of {i} inconsistent with its parent")
+        rt = root_tree(self.tree, self.root)
+        if (tuple(self.parent), tuple(self.depth)) != (rt.parent, rt.depth):
+            raise InvalidInputError(f"parent/depth maps are not the tree's rooting at {self.root}")
 
     @property
     def d(self) -> int:
@@ -204,8 +183,6 @@ def maximum_spanning_tree(g: WeightedGraph, *, candidate: RootedTree | None = No
     """
     tied = False
     if candidate is not None:
-        if candidate.d != g.d:
-            raise InvalidInputError(f"tree on {candidate.d} vertices does not span graph on {g.d}")
         margin = _tree_gaps(g, candidate).min()
         if margin > 0:
             rooted = candidate if candidate.root == 0 else root_tree(candidate.tree, 0)
@@ -320,8 +297,6 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     not span ``g`` or is not maximal, naming the first non-tree edge in
     row-major upper-triangle order that outweighs an edge on its path.
     """
-    if t.d != g.d:
-        raise InvalidInputError(f"tree on {t.d} vertices does not span graph on {g.d}")
     gaps = _tree_gaps(g, t if isinstance(t, RootedTree) else root_tree(t, 0))
     margin = gaps.min()
     if margin < 0:
@@ -341,6 +316,8 @@ def _tree_gaps(g: WeightedGraph, rt: RootedTree) -> np.ndarray:
     doubles a difference is negative exactly when the weight is the larger
     and zero exactly when the two are equal, so the signs are exact.
     """
+    if rt.d != g.d:
+        raise InvalidInputError(f"tree on {rt.d} vertices does not span graph on {g.d}")
     w = g.matrix
     _, joins, pos = _walk(rt)
     # a path minimum is exact, so the walk cannot change a bit
@@ -395,9 +372,7 @@ def _tree_from_pruefer(seq: Sequence[int], d: int) -> Tree:
 
 def random_tree(d: int, rng: np.random.Generator) -> Tree:
     """Uniformly random labeled tree on ``d`` vertices."""
-    if d < 1:
-        raise InvalidInputError(f"vertex count must be >= 1, got {d}")
-    if d <= 2:
+    if d <= 2:  # Tree rejects d < 1
         return Tree(d, frozenset({(0, 1)}) if d == 2 else frozenset())
     try:
         draws = rng.integers(0, d, size=d - 2)
@@ -431,13 +406,39 @@ def _breadth_first(t: Tree, r: int) -> tuple[list[int], list[int], list[int]]:
     return order, parent, depth
 
 
+def _rooted(t: Tree, r: int) -> RootedTree:
+    """``t`` rooted at its vertex ``r``, after :class:`Tree`'s checks of its edges.
+
+    The edge count comes first, then each pair, then connectivity, which
+    the breadth-first walk that gives the rooting also shows.
+    """
+    if len(t.edges) != t.d - 1:
+        raise InvalidInputError(f"a tree on {t.d} vertices needs {t.d - 1} edges, got {len(t.edges)}")
+    for i, j in t.edges:
+        if not (0 <= i < j < t.d):
+            raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {t.d} vertices")
+    order, parent, depth = _breadth_first(t, r)
+    if len(order) != t.d:
+        raise InvalidInputError("edge set is not connected")
+    # a breadth-first walk of a tree orients every edge toward r
+    return _unchecked(RootedTree, tree=t, root=r, parent=tuple(parent), depth=tuple(depth))
+
+
 def root_tree(t: Tree, r: int) -> RootedTree:
     """Orient every edge of ``t`` toward the root ``r`` (breadth-first)."""
     if not (0 <= r < t.d):
         raise InvalidInputError(f"root {r} out of range for {t.d} vertices")
-    _, parent, depth = _breadth_first(t, r)
-    # a breadth-first walk of a tree orients every edge toward r: the checks would hold
-    return _unchecked(RootedTree, tree=t, root=r, parent=tuple(parent), depth=tuple(depth))
+    return _rooted(t, r)
+
+
+def _check_non_root_keys(rt: RootedTree, keys: Collection[int], what: str) -> None:
+    """Raise unless ``keys`` are exactly ``rt``'s non-root vertices; ``what`` names them."""
+    non_root = set(rt.non_root_vertices())
+    if set(keys) != non_root:
+        raise InvalidInputError(
+            f"{what} must cover exactly the non-root vertices; "
+            f"got {sorted(keys)}, expected {sorted(non_root)}"
+        )
 
 
 def cluster_by_edge_deletion(

@@ -55,6 +55,7 @@ Claims covered:
     document's names; a document whose names repeat one exits 2.
   - A command whose stdout is closed by its reader exits 141 and
     prints nothing on stderr.
+  - tools/same_bytes.py runs every subcommand.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -1723,3 +1725,12 @@ class TestEntryPoint:
             f"treecascade.{m}" for m in ("cascade", "chowliu", "cli", "dataio", "errors", "regression", "trees")
         ]
         assert result.stdout.splitlines() == [str(modules), "0 0"]
+
+
+class TestSameBytesTool:
+    def test_commands_cover_every_subcommand(self):
+        script = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
+        spec = importlib.util.spec_from_file_location("same_bytes", script)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert {command[0] for command in tool.COMMANDS} == set(cli_module._COMMANDS)

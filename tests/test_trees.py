@@ -13,6 +13,8 @@ Claims covered:
   - Monotone re-weighting never changes the selected edge set.
   - Edge-deletion clustering removes exactly the lightest tree edges: for
     every k, vertices share a cluster iff no cut edge lies between them.
+  - ``RootedTree`` accepts exactly the rootings its former four rules
+    accepted, and a check written once gives its callers one message.
   - What the unsorted, unchecked tree core relies on: ``root_tree``'s
     rooting passes the validating ``RootedTree`` constructor; the
     breadth-first parents and depths and the clusters do not depend on
@@ -42,12 +44,14 @@ from oracles import (
     path_walk_is_unique,
 )
 from treecascade import (
+    CascadeModel,
     InvalidInputError,
     RootedTree,
     Tree,
     WeightedGraph,
     cluster_by_edge_deletion,
     correlation_from_covariance,
+    make_unit_variance_model,
     maximum_spanning_tree,
     mst_is_unique,
     population_covariance,
@@ -55,6 +59,7 @@ from treecascade import (
     root_tree,
 )
 from treecascade import trees
+from treecascade.regression import objective_value
 from treecascade.trees import _breadth_first, _hop_and_meet_matrices, random_tree
 
 # Drawn once with seed 20260810 and frozen; the expected tree was computed
@@ -131,7 +136,7 @@ class TestRootTree:
             root_tree(Tree.from_edges(2, [(0, 1)]), 2)
 
     def test_rooting_passes_the_validating_constructor(self):
-        # root_tree skips RootedTree's checks, as its walk makes them hold
+        # RootedTree compares its maps with root_tree's, so these must pass
         rng = np.random.default_rng(8)
         for d in [*range(1, 13), 30, 60]:
             t = random_tree(d, rng)
@@ -169,6 +174,121 @@ class TestRootTree:
                 assert len(anc) <= d - 1
                 if v != r:
                     assert anc[-1] == r
+
+
+def old_rooting_rules_hold(t, root, parent, depth) -> bool:
+    """The four rules RootedTree once applied one by one, after its root's range.
+
+    The maps cover every vertex; the root has parent -1 and depth 0; every
+    other vertex's parent is a tree neighbour; and its depth is one more
+    than its parent's.
+    """
+    d = t.d
+    if not (0 <= root < d) or len(parent) != d or len(depth) != d:
+        return False
+    if parent[root] != -1 or depth[root] != 0:
+        return False
+    return all(
+        parent[i] != i and t.has_edge(i, parent[i]) and depth[i] == depth[parent[i]] + 1
+        for i in range(d)
+        if i != root
+    )
+
+
+def mutated_rootings(t, r, rng):
+    """``t``'s rooting at ``r`` and rootings of it with one fault each, as (root, parent, depth)."""
+    rt = root_tree(t, r)
+    parent, depth = list(rt.parent), list(rt.depth)
+    yield r, parent, depth
+    yield r, tuple(parent), tuple(depth)
+    for s in range(t.d):
+        if s != r:
+            other = root_tree(t, s)
+            yield r, other.parent, other.depth  # a valid rooting at another root
+    yield r, parent[:-1], depth  # one entry short
+    yield r, parent, depth[:-1]
+    yield t.d, parent, depth  # a root out of range
+    for v in range(t.d):
+        for step in (-1, 1):
+            moved = depth.copy()
+            moved[v] += step
+            yield r, parent, moved
+    non_root = [v for v in range(t.d) if v != r]
+    if not non_root:
+        return
+    v = int(rng.choice(non_root))
+    for p in range(-1, t.d):
+        if p != parent[v]:
+            # a non-neighbour, the vertex itself, one of its children, or -1
+            changed = parent.copy()
+            changed[v] = p
+            yield r, changed, depth
+    for u in (u for u in range(t.d) if u != r and t.has_edge(r, u)):
+        given = parent.copy()
+        given[r] = u  # the root given a parent
+        yield r, given, depth
+        yield r, given, [k + 1 for k in depth]
+
+
+class TestRootedTreeConstructor:
+    def test_accepts_exactly_what_the_old_rules_accept(self):
+        rng = np.random.default_rng(27)
+        accepted = rejected = 0
+        for d in [*range(1, 9), 13, 30]:
+            t = random_tree(d, rng)
+            for r in range(d):
+                for root, parent, depth in mutated_rootings(t, r, rng):
+                    if old_rooting_rules_hold(t, root, parent, depth):
+                        got = RootedTree(t, root, parent, depth)
+                        rt = root_tree(t, root)
+                        assert (tuple(got.parent), tuple(got.depth)) == (rt.parent, rt.depth)
+                        accepted += 1
+                    else:
+                        with pytest.raises(InvalidInputError):
+                            RootedTree(t, root, parent, depth)
+                        rejected += 1
+        assert accepted > 100 and rejected > 1000
+
+    def test_messages(self):
+        t = Tree.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidInputError, match=r"^root 3 out of range for 3 vertices$"):
+            RootedTree(t, 3, (-1, 0, 1), (0, 1, 2))
+        with pytest.raises(InvalidInputError, match=r"^parent/depth maps are not the tree's rooting at 0$"):
+            RootedTree(t, 0, (-1, 0, 0), (0, 1, 2))
+
+
+class TestCheckMessages:
+    """Each check is written once, so every caller raises its message, in one order."""
+
+    def test_edge_count_is_checked_before_the_pairs(self):
+        with pytest.raises(InvalidInputError, match=r"^a tree on 3 vertices needs 2 edges, got 1$"):
+            Tree(3, frozenset({(1, 0)}))
+
+    def test_pairs_are_checked_before_connectivity(self):
+        with pytest.raises(InvalidInputError, match=r"^edge \(1, 0\) is not canonical on 3 vertices$"):
+            Tree(3, frozenset({(1, 0), (1, 2)}))
+        with pytest.raises(InvalidInputError, match=r"^edge \(1, 3\) is not canonical on 3 vertices$"):
+            Tree(3, frozenset({(1, 3), (1, 2)}))
+
+    def test_connectivity(self):
+        with pytest.raises(InvalidInputError, match=r"^edge set is not connected$"):
+            Tree(4, frozenset({(0, 1), (1, 2), (0, 2)}))
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_random_tree_vertex_count(self, d):
+        with pytest.raises(InvalidInputError, match=rf"^vertex count must be >= 1, got {d}$"):
+            random_tree(d, np.random.default_rng(0))
+
+    def test_coefficient_coverage(self):
+        rt = root_tree(Tree.from_edges(3, [(0, 1), (1, 2)]), 0)
+        corr = correlation_from_covariance(np.eye(3))
+        expected = r"must cover exactly the non-root vertices; got \[2\], expected \[1, 2\]$"
+        with pytest.raises(InvalidInputError, match="^coefficients " + expected):
+            CascadeModel(rt, {2: 0.5}, dict.fromkeys(range(3), 1.0))
+        with pytest.raises(InvalidInputError, match="^edge correlations " + expected):
+            make_unit_variance_model(rt, {2: 0.5})
+        with pytest.raises(InvalidInputError, match="^coefficients " + expected):
+            objective_value(rt, {2: 0.5}, corr)
 
 
 class TestLca:
@@ -414,6 +534,14 @@ class TestCandidateCertificate:
         assert len(calls) == 1
         assert got == expected
         assert got.is_unique is False
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_tree_on_another_vertex_count_rejected(self, d):
+        g = complete_graph(3, {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.1})
+        t = random_tree(d, np.random.default_rng(0))
+        for tree in (t, root_tree(t, d - 1)):
+            with pytest.raises(InvalidInputError, match=f"^tree on {d} vertices does not span graph on 3$"):
+                mst_is_unique(g, tree)
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_candidate_on_another_vertex_count_rejected(self, d):

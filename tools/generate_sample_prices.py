@@ -39,7 +39,8 @@ BUNDLED = Path(__file__).resolve().parents[1] / "src" / "treecascade" / "data" /
 
 def main(out: Path = BUNDLED) -> None:
     tickers = sorted({h for h in GROUPS} | {m for ms in GROUPS.values() for m in ms})
-    assert len(tickers) == 30
+    if len(tickers) != 30:
+        raise SystemExit(f"error: GROUPS name {len(tickers)} tickers, expected 30")
     index = {t: i for i, t in enumerate(tickers)}
 
     rng = np.random.default_rng(MODEL_SEED)
