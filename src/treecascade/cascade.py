@@ -326,12 +326,10 @@ def reroot(m: CascadeModel, new_root: int) -> CascadeModel:
     """
     if not m.unit_variance:
         raise UnsupportedModelError("reroot requires a unit-variance model")
-    if not (0 <= new_root < m.d):
-        raise InvalidInputError(f"root {new_root} out of range for {m.d} vertices")
     if new_root == m.root:
         return m
-    cov = population_covariance(m)
     rt2 = root_tree(m.rt.tree, new_root)
+    cov = population_covariance(m)
     correlations = {i: float(cov[i, rt2.parent[i]]) for i in rt2.non_root_vertices()}
     return make_unit_variance_model(rt2, correlations)
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidInputError, SchemaError
-from .trees import Tree, _rooted, _unchecked, canonical_edge
+from .trees import Tree, _unchecked, canonical_edge, root_tree
 
 FORMAT_VERSION = 1
 
@@ -482,7 +482,7 @@ def document_to_fit(doc: Mapping):
 
     The result keeps the tree rooted as the document orients it.  Each
     field is checked once: the edges take ``Tree``'s checks and messages
-    in the one walk down from the root that also gives the rooting.
+    in the one :func:`root_tree` walk that also gives the rooting.
     Raises a schema error naming the offending field path.
     """
     from .regression import FitResult
@@ -515,7 +515,7 @@ def document_to_fit(doc: Mapping):
         edges = [canonical_edge(child, parents[child]) for child in coeffs]
         # each non-root vertex is the child of one edge, so on a tree each
         # edge leads from its child toward the root: the walk's parents are ``parents``
-        rt = _rooted(_unchecked(Tree, d=d, edges=frozenset(edges)), root)
+        rt = root_tree(_unchecked(Tree, d=d, edges=frozenset(edges)), root)
     except InvalidInputError as exc:
         raise SchemaError(f"edges: {exc}") from None
     error_vars = _require(doc, "error_vars", list)

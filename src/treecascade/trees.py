@@ -12,7 +12,7 @@ the tree path between its endpoints.  That test also certifies a
 candidate tree without a search, and Prim runs only when it fails.  The
 tree comes rooted at vertex 0, and path matrices such as the bottleneck
 fill in a parent-first walk, where the vertices before each one form a
-prefix.  One breadth-first walk checks a tree and roots it.
+prefix.  One breadth-first walk, :func:`root_tree`, checks a tree and roots it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ def canonical_edge(i: int, j: int) -> tuple[int, int]:
 class Tree:
     """An undirected tree on vertices ``0..d-1``.
 
-    Invariants checked in this order: ``d >= 1``, ``d - 1`` edges, each
-    canonical on ``0..d-1``, connected (which with the edge count implies
-    acyclic).  A single-vertex tree has no edges.
+    Invariants checked in this order, after ``d >= 1`` by :func:`root_tree`:
+    ``d - 1`` edges, each canonical on ``0..d-1``, connected (which with the
+    edge count implies acyclic).  The edges, checked as given, are kept as
+    a frozenset.  A single-vertex tree has no edges.
     """
 
     d: int
@@ -49,7 +50,8 @@ class Tree:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise InvalidInputError(f"vertex count must be >= 1, got {self.d}")
-        _rooted(self, 0)
+        root_tree(self, 0)
+        object.__setattr__(self, "edges", frozenset(self.edges))
 
     @staticmethod
     def from_edges(d: int, edges: Sequence[tuple[int, int]]) -> "Tree":
@@ -69,8 +71,8 @@ class RootedTree:
     """A tree plus a distinguished root, with every edge oriented root-ward.
 
     ``parent[i]`` is the parent of vertex ``i`` and ``-1`` at the root;
-    ``depth[i]`` is the number of edges from ``i`` up to the root.  The tree
-    and root fix both maps: the constructor takes exactly :func:`root_tree`'s.
+    ``depth[i]`` is the number of edges from ``i`` up to the root; tree and
+    root fix both, so the constructor takes and keeps :func:`root_tree`'s.
     """
 
     tree: Tree
@@ -82,6 +84,8 @@ class RootedTree:
         rt = root_tree(self.tree, self.root)
         if (tuple(self.parent), tuple(self.depth)) != (rt.parent, rt.depth):
             raise InvalidInputError(f"parent/depth maps are not the tree's rooting at {self.root}")
+        object.__setattr__(self, "parent", rt.parent)
+        object.__setattr__(self, "depth", rt.depth)
 
     @property
     def d(self) -> int:
@@ -381,20 +385,25 @@ def random_tree(d: int, rng: np.random.Generator) -> Tree:
     return _tree_from_pruefer([int(s) for s in draws], d)
 
 
-def _breadth_first(t: Tree, r: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first walk of ``t`` from ``r``, neighbors in no set order.
+def root_tree(t: Tree, r: int) -> RootedTree:
+    """``t`` rooted at ``r``: the package's one checked walk over an edge set.
 
-    Returns the visit order and the parent and depth maps.  ``parent`` is
-    ``-1`` at ``r``; a vertex the walk does not reach is left out of the
-    order and has depth ``-1``.  In a tree, parent and depth do not
-    depend on the neighbor order; the visit order is some parent-first one.
+    Checks, with :class:`Tree`'s messages, the root's range, the edge
+    count, each pair as canonical on ``0..d-1``, then connectivity, which
+    the breadth-first walk orienting every edge toward ``r`` shows.
     """
-    adj: list[list[int]] = [[] for _ in range(t.d)]
+    d = t.d
+    if not (0 <= r < d):
+        raise InvalidInputError(f"root {r} out of range for {d} vertices")
+    if len(t.edges) != d - 1:
+        raise InvalidInputError(f"a tree on {d} vertices needs {d - 1} edges, got {len(t.edges)}")
+    adj: list[list[int]] = [[] for _ in range(d)]
     for i, j in t.edges:
+        if not (0 <= i < j < d):
+            raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {d} vertices")
         adj[i].append(j)
         adj[j].append(i)
-    parent = [-1] * t.d
-    depth = [-1] * t.d
+    parent, depth = [-1] * d, [-1] * d
     depth[r] = 0
     order = [r]
     for v in order:
@@ -403,32 +412,9 @@ def _breadth_first(t: Tree, r: int) -> tuple[list[int], list[int], list[int]]:
                 parent[w] = v
                 depth[w] = depth[v] + 1
                 order.append(w)
-    return order, parent, depth
-
-
-def _rooted(t: Tree, r: int) -> RootedTree:
-    """``t`` rooted at its vertex ``r``, after :class:`Tree`'s checks of its edges.
-
-    The edge count comes first, then each pair, then connectivity, which
-    the breadth-first walk that gives the rooting also shows.
-    """
-    if len(t.edges) != t.d - 1:
-        raise InvalidInputError(f"a tree on {t.d} vertices needs {t.d - 1} edges, got {len(t.edges)}")
-    for i, j in t.edges:
-        if not (0 <= i < j < t.d):
-            raise InvalidInputError(f"edge ({i}, {j}) is not canonical on {t.d} vertices")
-    order, parent, depth = _breadth_first(t, r)
-    if len(order) != t.d:
+    if len(order) != d:
         raise InvalidInputError("edge set is not connected")
-    # a breadth-first walk of a tree orients every edge toward r
     return _unchecked(RootedTree, tree=t, root=r, parent=tuple(parent), depth=tuple(depth))
-
-
-def root_tree(t: Tree, r: int) -> RootedTree:
-    """Orient every edge of ``t`` toward the root ``r`` (breadth-first)."""
-    if not (0 <= r < t.d):
-        raise InvalidInputError(f"root {r} out of range for {t.d} vertices")
-    return _rooted(t, r)
 
 
 def _check_non_root_keys(rt: RootedTree, keys: Collection[int], what: str) -> None:
@@ -449,8 +435,9 @@ def cluster_by_edge_deletion(
     ``weights`` maps each canonical tree edge to its weight, as a fit's
     ``weights`` does; other keys are ignored.  Ties resolve by ascending
     canonical vertex pair, mirroring the fixed order of
-    :func:`maximum_spanning_tree`.  Each cluster is sorted and the clusters
-    are ordered by their smallest vertex.
+    :func:`maximum_spanning_tree`.  Labels pass down ``root_tree(t, 0)`` in
+    parent-first order, as every walk here does.  Each cluster is sorted
+    and the clusters are ordered by their smallest vertex.
     """
     if not (1 <= k <= t.d):
         raise InvalidInputError(f"cluster count {k} out of range 1..{t.d}")
@@ -461,11 +448,11 @@ def cluster_by_edge_deletion(
         if not np.isfinite(weights[e]):
             raise InvalidInputError(f"weight of edge {e} is not finite: {weights[e]!r}")
     cut = set(sorted(edges, key=lambda e: weights[e])[: k - 1])
-    order, parent, _ = _breadth_first(t, 0)
+    rt = root_tree(t, 0)
     label = list(range(t.d))
-    for v in order[1:]:
-        if canonical_edge(v, parent[v]) not in cut:
-            label[v] = label[parent[v]]
+    for v in _parent_first_order(rt).tolist()[1:]:
+        if canonical_edge(v, rt.parent[v]) not in cut:
+            label[v] = label[rt.parent[v]]
     # Vertices ascend, so each cluster is sorted and the first vertex seen
     # of each, its smallest, fixes the order of the clusters.
     clusters: dict[int, list[int]] = {}

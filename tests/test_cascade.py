@@ -168,6 +168,12 @@ class TestUnitVarianceConstruction:
         assert cov[0, 2] == pytest.approx(0.25, abs=1e-15)
         assert cov[0, 2] == pytest.approx(inv[2, 0], abs=1e-15)
 
+    def test_magnitude_range_must_exclude_zero(self):
+        with pytest.raises(
+            InvalidInputError, match=r"^magnitude range must satisfy 0 < lo <= hi < 1, got \(0\.0, 0\.5\)$"
+        ):
+            random_unit_variance_model(4, np.random.default_rng(0), magnitude_range=(0.0, 0.5))
+
     def test_unit_diagonal_for_random_inputs(self):
         rng = np.random.default_rng(21)
         models = [random_unit_variance_model(int(rng.integers(1, 11)), rng) for _ in range(25)]
@@ -365,6 +371,13 @@ class TestReroot:
         with pytest.raises(UnsupportedModelError):
             reroot(chain_model(0.5), 1)
 
+    @pytest.mark.parametrize("new_root", [4, -1])
+    def test_root_out_of_range(self, new_root):
+        # the range is root_tree's check, with its message
+        m = random_unit_variance_model(4, np.random.default_rng(1))
+        with pytest.raises(InvalidInputError, match=rf"^root {new_root} out of range for 4 vertices$"):
+            reroot(m, new_root)
+
 
 class TestCovarianceLemmaChecks:
     def test_chain_ancestor_identity(self):
@@ -407,6 +420,11 @@ class TestCovarianceLemmaChecks:
 
 
 class TestModelValidation:
+    def test_coefficient_must_be_finite(self):
+        rt = root_tree(Tree.from_edges(2, [(0, 1)]), 0)
+        with pytest.raises(InvalidInputError, match=r"^coefficient at vertex 1 is not finite: nan$"):
+            CascadeModel(rt, {1: float("nan")}, {0: 1.0, 1: 1.0})
+
     def test_error_vars_must_be_positive(self):
         rt = root_tree(Tree.from_edges(2, [(0, 1)]), 0)
         with pytest.raises(InvalidInputError):

@@ -27,9 +27,9 @@ Claims covered:
     squared-correlation graph once, and chow-check --fit the covariance
     once and no inverse; verify's report equals the one built from the
     library's functions called one by one.
-  - A fit keeps its rooting: fit, export-dot and the document loads call
-    root_tree only for a root other than 0; a document load roots its
-    tree in its own walk.
+  - A fit keeps its rooting: fit calls root_tree only for a root other
+    than 0, a document load calls it once, and verify and chow-check
+    --fit once more, to root the model's tree at 0.
   - verify and chow-check --fit certify the model's tree and run no
     maximum-spanning-tree search; chow-check --data and fit run one.
   - A negative seed, to simulate or to verify --random, exits 2 on one
@@ -55,7 +55,9 @@ Claims covered:
     document's names; a document whose names repeat one exits 2.
   - A command whose stdout is closed by its reader exits 141 and
     prints nothing on stderr.
-  - tools/same_bytes.py runs every subcommand.
+  - tools/same_bytes.py runs every subcommand, and replays rejections: a
+    negative --root, --random D of 0, --k 0, and two malformed documents,
+    whose loads fail with the loader's messages.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ from hypothesis import strategies as st
 import treecascade
 from treecascade import (
     CorrelationSummary,
+    SchemaError,
     Tree,
     WeightedGraph,
     correlation_from_covariance,
@@ -196,6 +199,14 @@ class TestFitCommand:
         )
         assert code != 0
         assert "--root 99" in stderr and "3 columns" in stderr
+
+    def test_negative_root_rejected(self, capsys, tmp_path):
+        # before the CSV is opened: the data file need not exist
+        out = tmp_path / "f.json"
+        assert run(
+            capsys, "fit", "--data", str(tmp_path / "absent.csv"), "--root", "-1", "--out", str(out)
+        ) == (2, "", "error: --root must be nonnegative, got -1\n")
+        assert not out.exists()
 
     def test_header_only_csv_exits_2_without_warning(self, capsys, tmp_path):
         # numpy's reader would warn on stderr that it read no data
@@ -462,6 +473,11 @@ class TestVerifyCommand:
     def test_negative_seed_rejected(self, capsys):
         assert run(capsys, "verify", "--random", "5", "-1") == (
             2, "", "error: --random SEED must be >= 0, got -1\n"
+        )
+
+    def test_zero_vertices_rejected(self, capsys):
+        assert run(capsys, "verify", "--random", "0", "1") == (
+            2, "", "error: --random D must be >= 1, got 0\n"
         )
 
     @pytest.mark.parametrize("d", ["4611686018427387904", "1000000000000000000000000000000"])
@@ -741,22 +757,22 @@ class TestVerifyAlgebra:
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
         # a fit keeps the rooting it was built or loaded with, and a document
-        # load roots its tree in its own walk.  verify and chow-check --fit
-        # certify the model's tree, rooted where the document roots it, and
-        # root it once at 0, the rooting Prim would give; a --root fit roots
-        # again, and nothing else does
+        # load roots its tree in one root_tree call.  verify and chow-check
+        # --fit certify the model's tree, rooted where the document roots it,
+        # and root it once more at 0, the rooting Prim would give; a --root
+        # fit roots again, and nothing else does
         model, path = rooted_model_document(tmp_path, 30, 3)
         assert model.root != 0
         data = str(sample_prices_path())
         fit, rooted = tmp_path / "fit.json", tmp_path / "rooted.json"
         calls = self.count_calls(monkeypatch, {"root_tree": trees_module.root_tree})
         for argv, expected in [
-            (("verify", "--model", path), 1),
-            (("chow-check", "--fit", path), 1),
+            (("verify", "--model", path), 2),
+            (("chow-check", "--fit", path), 2),
             (("fit", "--data", data, "--diff", "--out", fit), 0),
             (("fit", "--data", data, "--diff", "--root", "3", "--out", rooted), 1),
-            (("export-dot", "--fit", rooted, "--out", tmp_path / "rooted.dot"), 0),
-            (("export-dot", "--fit", fit, "--out", tmp_path / "fit.dot"), 0),
+            (("export-dot", "--fit", rooted, "--out", tmp_path / "rooted.dot"), 1),
+            (("export-dot", "--fit", fit, "--out", tmp_path / "fit.dot"), 1),
         ]:
             calls["root_tree"] = 0
             assert quiet_main(*argv) == 0
@@ -1728,9 +1744,35 @@ class TestEntryPoint:
 
 
 class TestSameBytesTool:
-    def test_commands_cover_every_subcommand(self):
+    @pytest.fixture(scope="class")
+    def tool(self):
         script = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
         spec = importlib.util.spec_from_file_location("same_bytes", script)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
+        return tool
+
+    def test_commands_cover_every_subcommand(self, tool):
         assert {command[0] for command in tool.COMMANDS} == set(cli_module._COMMANDS)
+
+    def test_commands_replay_rejections(self, tool, tmp_path):
+        rejections = [
+            ("fit", "--data", tool.CSV, "--root", "-1", "--out", "negative_root.json"),
+            ("verify", "--random", "0", "1"),
+            ("cluster", "--fit", tool.FITS[0], "--k", "0"),
+        ]
+        for doc in tool.BROKEN:
+            dot = doc.replace(".json", ".dot")
+            rejections += [("verify", "--model", doc), ("export-dot", "--fit", doc, "--out", dot)]
+        assert set(rejections) <= set(tool.COMMANDS)
+        # each broken document fails the loader, at its root or at its edges
+        expected = {
+            "unconnected.json": "edges: edge set is not connected",
+            "root_is_d.json": "root: 5 out of range for d=5",
+        }
+        assert set(expected) == set(tool.BROKEN)
+        for name, (root, edges) in tool.BROKEN.items():
+            path = tmp_path / name
+            path.write_text(tool._broken_document(root, edges))
+            with pytest.raises(SchemaError, match=f"^{expected[name]}$"):
+                load_fit(path)

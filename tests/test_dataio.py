@@ -112,6 +112,10 @@ class TestLoadCsv:
         assert ds.names == ("a", "b")
         assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_lone_newline_is_an_empty_file(self, tmp_path):
+        with pytest.raises(DataError, match=r"file is empty, expected a header row$"):
+            load_csv(write(tmp_path, "\n"))
+
     def test_trailing_blank_line_ignored(self, tmp_path):
         ds = load_csv(write(tmp_path, "a,b\n1,2\n\n"))
         assert ds.n == 1
@@ -582,6 +586,14 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match=rf"^non-finite value at row {first + 1}, column 'b'$"):
             Dataset(values=values, names=("a", "b", "c"))
 
+    def test_values_must_be_a_matrix(self):
+        with pytest.raises(InvalidInputError, match=r"^values must be a 2-D matrix, got ndim=3$"):
+            Dataset(np.zeros((2, 2, 2)), ("a", "b"))
+
+    def test_one_name_per_column(self):
+        with pytest.raises(InvalidInputError, match=r"^1 column names for 2 columns$"):
+            Dataset(np.zeros((2, 2)), ("a",))
+
     def test_zero_columns_rejected(self):
         # an n-by-0 dataset would save as blank lines that load_csv rejects
         with pytest.raises(InvalidInputError, match="at least one column, got 0"):
@@ -761,6 +773,22 @@ class TestFitDocuments:
         assert load_fit(path) == fit
         with pytest.raises(SchemaError, match="rejected"):
             model_from_document(fit_to_document(fit))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = write(tmp_path, "[1, 2]", name="list.json")
+        with pytest.raises(SchemaError, match=r": expected a JSON object at top level$"):
+            dataio.load_document(path)
+
+    def test_tree_unique_must_be_a_boolean(self):
+        doc = fit_to_document(example_fit())
+        doc["tree_unique"] = "yes"
+        with pytest.raises(SchemaError, match=r"^tree_unique: expected a boolean, got 'yes'$"):
+            document_to_fit(doc)
+
+    def test_dumps_document(self):
+        assert dumps_document({}) == "{}"
+        with pytest.raises(InvalidInputError, match=r"^cannot serialize set to a document$"):
+            dumps_document({"a": {1}})
 
     def test_failed_save_leaves_the_old_document(self, tmp_path):
         import dataclasses

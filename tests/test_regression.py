@@ -70,6 +70,17 @@ class TestCorrelationSummary:
         with pytest.raises(InvalidInputError):
             summary_from_matrix([[1.0, 1.5], [1.5, 1.0]])
 
+    def test_requires_finite_entries(self):
+        with pytest.raises(InvalidInputError, match=r"^correlation matrix contains non-finite entries$"):
+            summary_from_matrix([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_from_covariance_rejects_a_vanishing_variance_product(self):
+        # 1e-200 squared underflows to 0, so the pair divides 0 by 0
+        cov = np.array([[1e-200, 0.0], [0.0, 1e-200]])
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(InvalidInputError, match=r"^correlation matrix contains non-finite entries$"):
+                correlation_from_covariance(cov)
+
     def test_from_covariance_normalizes(self):
         cov = np.array([[4.0, 1.2], [1.2, 1.0]])
         c = correlation_from_covariance(cov)
@@ -201,6 +212,15 @@ class TestOptimalCoefficients:
 
 
 class TestObjectiveValue:
+    def test_tree_must_match_the_correlations(self):
+        rt = root_tree(Tree.from_edges(3, [(0, 1), (1, 2)]), 0)
+        c = summary_from_matrix(np.eye(2))
+        message = r"^tree on 3 vertices vs correlations on 2$"
+        with pytest.raises(InvalidInputError, match=message):
+            optimal_coefficients(rt, c)
+        with pytest.raises(InvalidInputError, match=message):
+            objective_value(rt, {1: 0.5, 2: 0.5}, c)
+
     def test_zero_coefficients_give_d(self):
         rng = np.random.default_rng(5)
         c = random_correlation(5, rng)

@@ -15,9 +15,11 @@ Claims covered:
     every k, vertices share a cluster iff no cut edge lies between them.
   - ``RootedTree`` accepts exactly the rootings its former four rules
     accepted, and a check written once gives its callers one message.
+  - ``Tree`` and ``RootedTree`` built from lists compare and hash equal
+    to the same values built from a frozenset or by ``root_tree``.
   - What the unsorted, unchecked tree core relies on: ``root_tree``'s
-    rooting passes the validating ``RootedTree`` constructor; the
-    breadth-first parents and depths and the clusters do not depend on
+    rooting passes the validating ``RootedTree`` constructor; its
+    parents and depths and the clusters do not depend on
     the order a tree's edges iterate in; and ``total_weight`` is
     ``math.fsum`` of the tree's weights, with or without a candidate.
 """
@@ -60,7 +62,7 @@ from treecascade import (
 )
 from treecascade import trees
 from treecascade.regression import objective_value
-from treecascade.trees import _breadth_first, _hop_and_meet_matrices, random_tree
+from treecascade.trees import _hop_and_meet_matrices, random_tree
 
 # Drawn once with seed 20260810 and frozen; the expected tree was computed
 # by maximizing total weight over all 125 enumerated trees.
@@ -156,8 +158,8 @@ class TestRootTree:
             other = Tree(d, frozenset(shuffled))
             reordered += list(other.edges) != list(t.edges)
             for r in range(d):
-                _, parent, depth = _breadth_first(t, r)
-                assert _breadth_first(other, r)[1:] == (parent, depth), (d, r)
+                rt, got = root_tree(t, r), root_tree(other, r)
+                assert (got.parent, got.depth) == (rt.parent, rt.depth), (d, r)
             for k in range(1, d + 1):
                 assert cluster_by_edge_deletion(other, weights, k) == cluster_by_edge_deletion(t, weights, k)
         assert reordered > 30
@@ -257,6 +259,17 @@ class TestRootedTreeConstructor:
             RootedTree(t, 0, (-1, 0, 0), (0, 1, 2))
 
 
+class TestCanonicalValues:
+    def test_values_built_from_lists_compare_and_hash_equal(self):
+        t = Tree(3, [(0, 1), (1, 2)])
+        same = Tree(3, frozenset({(1, 2), (0, 1)}))
+        assert t == same and hash(t) == hash(same)
+        rt = root_tree(same, 1)
+        given = RootedTree(t, 1, list(rt.parent), list(rt.depth))
+        assert given == rt and hash(given) == hash(rt)
+        assert (given.parent, given.depth) == ((1, -1, 1), (1, 0, 1))
+
+
 class TestCheckMessages:
     """Each check is written once, so every caller raises its message, in one order."""
 
@@ -273,6 +286,9 @@ class TestCheckMessages:
     def test_connectivity(self):
         with pytest.raises(InvalidInputError, match=r"^edge set is not connected$"):
             Tree(4, frozenset({(0, 1), (1, 2), (0, 2)}))
+        # a list is checked as given: with d - 1 entries, a repeated edge leaves a vertex unreached
+        with pytest.raises(InvalidInputError, match=r"^edge set is not connected$"):
+            Tree(3, [(0, 1), (0, 1)])
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_random_tree_vertex_count(self, d):
@@ -371,6 +387,10 @@ class TestWeightedGraph:
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidInputError, match="vertex count must be >= 1, got 0"):
             WeightedGraph.from_matrix(np.zeros((0, 0)))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^weight matrix must be square, got shape \(2, 3\)$"):
+            WeightedGraph.from_matrix(np.zeros((2, 3)))
 
 
 class TestMaximumSpanningTree:

@@ -6,15 +6,18 @@
 Each root is a checkout of this repository.  Every command in ``COMMANDS``
 runs as the ``treecascade`` CLI under ``PYTHONPATH=<root>/src`` with one
 BLAS thread, each checkout in a temporary directory of its own that starts
-with a copy of that checkout's bundled CSV; later commands read the fits
-that earlier ones write.  For each command the exit code, stdout, stderr
-and the sha256 of every file it writes must match.  One line is printed
-per command, and the exit status is 1 on any difference.
+with a copy of that checkout's bundled CSV and the malformed fit documents
+in ``BROKEN``; later commands read the fits that earlier ones write, and
+the last ones replay rejections, so their messages are compared too.  For
+each command the exit code, stdout, stderr and the sha256 of every file it
+writes must match.  One line is printed per command, and the exit status
+is 1 on any difference.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -25,6 +28,12 @@ from pathlib import Path
 CSV = "prices.csv"
 FITS = ("fit.json", "fit_root3.json")
 SAMPLERS = ("gaussian", "laplace", "uniform", "rademacher", "dependent")
+# d = 5 fit documents as (root, (child, parent) pairs): edges that close a
+# cycle away from the root, and a root equal to d
+BROKEN = {
+    "unconnected.json": (0, ((1, 0), (2, 3), (3, 4), (4, 2))),
+    "root_is_d.json": (5, ((1, 0), (2, 1), (3, 2), (4, 3))),
+}
 
 COMMANDS: tuple[tuple[str, ...], ...] = (
     ("fit", "--data", CSV, "--diff", "--out", FITS[0]),
@@ -47,11 +56,40 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
         ("simulate", "--model", FITS[0], "--sampler", s, "--n", "5000", "--seed", "3", "--out", f"{s}.csv")
         for s in SAMPLERS
     ),
+    ("fit", "--data", CSV, "--root", "-1", "--out", "negative_root.json"),
+    ("verify", "--random", "0", "1"),
+    ("cluster", "--fit", FITS[0], "--k", "0"),
+    *(
+        command
+        for doc in BROKEN
+        for command in (
+            ("verify", "--model", doc),
+            ("export-dot", "--fit", doc, "--out", doc.replace(".json", ".dot")),
+        )
+    ),
 )
 
 # sys.argv[1:] holds the command, as the installed entry point would see it
 _RUN_CLI = "import sys; from treecascade.cli import main; sys.exit(main())"
 _PARTS = ("exit code", "stdout", "stderr", "files")  # what _run returns, in order
+
+
+def _broken_document(root: int, edges: tuple[tuple[int, int], ...]) -> str:
+    """A fit document on ``len(edges) + 1`` vertices whose fields past ``edges`` all check."""
+    d = len(edges) + 1
+    return json.dumps({
+        "format_version": 1,
+        "d": d,
+        "root": root,
+        "edges": [{"child": c, "parent": p, "coeff": 0.5} for c, p in edges],
+        "error_vars": [1.0] + [0.75] * (d - 1),
+        "unit_variance": True,
+        "objective": 1.0 + 0.75 * (d - 1),
+        "weights": [0.25] * (d - 1),
+        "tree_unique": True,
+        "root_hint_source": "default",
+        "names": None,
+    })
 
 
 def _digests(directory: Path) -> dict[str, str]:
@@ -88,6 +126,8 @@ def main(argv: list[str]) -> int:
         dirs = [Path(a), Path(b)]
         for root, cwd in zip(roots, dirs):
             shutil.copyfile(root / "src" / "treecascade" / "data" / "dow30_prices.csv", cwd / CSV)
+            for name, (root_vertex, edges) in BROKEN.items():
+                (cwd / name).write_text(_broken_document(root_vertex, edges))
         for command in COMMANDS:
             parent, change = (_run(root, cwd, command) for root, cwd in zip(roots, dirs))
             diff = [name for name, x, y in zip(_PARTS, parent, change) if x != y]
