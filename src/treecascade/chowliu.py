@@ -5,8 +5,8 @@ product of its marginals has the closed form -1/2 log(1 - rho^2).  The
 best tree-factoring approximation (minimum divergence) is the maximum
 spanning tree under those pairwise weights.  Because that weight is a
 strictly increasing function of the squared correlation, the tree agrees
-with the one cascade regression selects; ``correspondence_check`` makes
-the agreement observable edge by edge.
+with the one cascade regression selects; ``correspondence_check`` shows
+the agreement edge by edge, and takes every pair's weight only near a tie.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DegeneracyError, InvalidInputError
 from .regression import CorrelationSummary, squared_correlation_graph
 from .trees import RootedTree, Tree, WeightedGraph, maximum_spanning_tree
+
+_LOG1P_ULPS = 2  # the error bound k, in ulps, that correspondence_check assumes of math.log1p
 
 
 def mutual_information_weights(c: CorrelationSummary) -> np.ndarray:
@@ -73,32 +75,43 @@ def correspondence_check(
 ) -> CorrespondenceReport:
     """Run both tree selections on a Gaussian's correlations and report whether they coincide.
 
-    Both trees depend on the correlations alone.  The Gaussian must be
-    nondegenerate: a correlation matrix that is not positive definite is
-    an error.  Inequality is reported, not raised.  Non-unique maxima on
-    either side are surfaced so callers can flag ties.  The
-    squared-correlation tree comes first, from ``candidate`` when that
-    certifies as its unique maximum, and is then the candidate for the
-    mutual-information tree, so a search runs only where a certificate
-    fails; the report is the same with or without a candidate.
+    Both trees depend on the correlations alone, which must be positive
+    definite.  Inequality is reported, not raised, and non-unique maxima on
+    either side are flagged as ties.  The squared-correlation tree comes
+    first, from ``candidate`` when that certifies as its unique maximum;
+    the report is the same with or without a candidate.
+
+    That tree's margin m (``MstResult.margin``) decides the MI tree unless
+    it is within the rounding of f^(w) = ``-0.5 * math.log1p(-w)``, the MI
+    f(w) = -1/2 log(1 - w) of a squared correlation w.  Assume |f^ - f| <=
+    eps f + eta on [0, 1), with eps = k 2^-52 (glibc lists 1 ulp for double
+    ``log1p`` on x86_64; k = 2 is assumed) and eta = (k + 1) 2^-1075 for
+    subnormals.  A non-tree pair p and an edge e on its path have w_p + m
+    <= w_e <= w_max, the largest tree weight; as f' >= 1/2, f^(w_e) -
+    f^(w_p) >= m/2 - 2 eps f(w_max) - 2 eta, positive once m > 4 eps
+    f(w_max) + 4 eta.  The tree is then the unique MI maximum and ``log1p``
+    runs on its d - 1 edges alone; the test doubles eps for the rounding
+    of m, of f^(w_max) and its own.  Otherwise (w_max = 1, a tie, or m
+    within the slack) the MI matrix is built and certified with that tree
+    as candidate, and a perfectly correlated pair raises there.
     """
     try:
         np.linalg.cholesky(c.corr)
     except np.linalg.LinAlgError:
         raise InvalidInputError("covariance is not positive definite") from None
-    # one weight matrix at a time: the squared correlations' graph goes before the MI weights come
-    cascade = maximum_spanning_tree(squared_correlation_graph(c), candidate=candidate)
-    mi = WeightedGraph._adopt(mutual_information_weights(c))
-    approx = maximum_spanning_tree(mi, candidate=cascade.rooted)
-    pairs = []
-    for i, j in approx.tree.sorted_edges():
-        rho = float(c.corr[i, j])
-        pairs.append(((i, j), rho * rho, mi.weight(i, j)))
+    cascade = approx = maximum_spanning_tree(squared_correlation_graph(c), candidate=candidate)
+    w_max = float(np.square([c.corr[e] for e in cascade.tree.edges]).max(initial=0.0))
+    slack = 8 * _LOG1P_ULPS * 2**-52 * -0.5 * math.log1p(-w_max) + 2**-1060 if w_max < 1 else math.inf
+    if not cascade.margin > slack:
+        # one weight matrix at a time: the squared correlations' graph is gone before the MI weights come
+        mi = WeightedGraph._adopt(mutual_information_weights(c))
+        approx = maximum_spanning_tree(mi, candidate=cascade.rooted)
+    rho = {e: float(c.corr[e]) for e in approx.tree.sorted_edges()}  # f^ below is the MI matrix's, bit for bit
     return CorrespondenceReport(
         approximator_tree=approx.tree,
         cascade_tree=cascade.tree,
         trees_equal=approx.tree.edges == cascade.tree.edges,
         approximator_unique=approx.is_unique,
         cascade_unique=cascade.is_unique,
-        edge_pairs=tuple(pairs),
+        edge_pairs=tuple((e, r * r, -0.5 * math.log1p(-r * r)) for e, r in rho.items()),
     )

@@ -515,7 +515,7 @@ def document_to_fit(doc: Mapping):
         edges = [canonical_edge(child, parents[child]) for child in coeffs]
         # each non-root vertex is the child of one edge, so on a tree each
         # edge leads from its child toward the root: the walk's parents are ``parents``
-        rt = root_tree(_unchecked(Tree, d=d, edges=frozenset(edges)), root)
+        rt = root_tree(_unchecked(Tree, d=d, edges=edges), root)
     except InvalidInputError as exc:
         raise SchemaError(f"edges: {exc}") from None
     error_vars = _require(doc, "error_vars", list)

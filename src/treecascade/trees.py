@@ -39,9 +39,9 @@ class Tree:
     """An undirected tree on vertices ``0..d-1``.
 
     Invariants checked in this order, after ``d >= 1`` by :func:`root_tree`:
-    ``d - 1`` edges, each canonical on ``0..d-1``, connected (which with the
-    edge count implies acyclic).  The edges, checked as given, are kept as
-    a frozenset.  A single-vertex tree has no edges.
+    no edge twice, ``d - 1`` edges, each canonical on ``0..d-1``, connected
+    (which with the edge count implies acyclic).  The edges, checked as
+    given, are kept as a frozenset.  A single-vertex tree has no edges.
     """
 
     d: int
@@ -50,13 +50,12 @@ class Tree:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise InvalidInputError(f"vertex count must be >= 1, got {self.d}")
-        root_tree(self, 0)
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "edges", root_tree(self, 0).tree.edges)
 
     @staticmethod
     def from_edges(d: int, edges: Sequence[tuple[int, int]]) -> "Tree":
-        """Build a tree from any iterable of (possibly unordered) vertex pairs."""
-        return Tree(d, frozenset(canonical_edge(i, j) for i, j in edges))
+        """Build a tree from any iterable of (possibly unordered) vertex pairs, each given once."""
+        return Tree(d, [canonical_edge(i, j) for i, j in edges])
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Edges in ascending canonical order; the deterministic iteration order."""
@@ -144,8 +143,10 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class MstResult:
-    """A maximum spanning tree, its weight, an exact uniqueness flag, and its rooting at 0.
+    """A maximum spanning tree, its weight, an exact uniqueness flag, its rooting at 0, and its margin.
 
+    ``margin``, the least entry of :func:`_tree_gaps` (+inf with no non-tree
+    pair), is positive exactly when the tree is unique and 0.0 on a tie.
     The same for a graph whether or not :func:`maximum_spanning_tree` was
     handed a candidate: a certified candidate is the tree Prim would find.
     """
@@ -154,6 +155,7 @@ class MstResult:
     total_weight: float
     is_unique: bool
     rooted: RootedTree
+    margin: float
 
 
 def _unchecked(cls, **fields):
@@ -183,17 +185,16 @@ def maximum_spanning_tree(g: WeightedGraph, *, candidate: RootedTree | None = No
     rooted at 0, and Prim does not run.  On a heavier non-tree edge Prim
     runs as without one.  On a tie the candidate is a maximum that is not
     unique, so no maximum is: Prim runs, and its tree is not certified
-    again.  The result is the same either way.
+    again.  The result, margin included, is the same either way.
     """
-    tied = False
-    if candidate is not None:
-        margin = _tree_gaps(g, candidate).min()
-        if margin > 0:
-            rooted = candidate if candidate.root == 0 else root_tree(candidate.tree, 0)
-            return MstResult(rooted.tree, _total_weight(g, rooted), True, rooted)
-        tied = margin == 0
-    rooted = _prim(g)
-    return MstResult(rooted.tree, _total_weight(g, rooted), not tied and mst_is_unique(g, rooted), rooted)
+    margin = math.nan if candidate is None else float(_tree_gaps(g, candidate).min())
+    if margin > 0:
+        rooted = candidate if candidate.root == 0 else root_tree(candidate.tree, 0)
+    else:
+        rooted = _prim(g)
+        if margin != 0:  # no candidate, or one that is not a maximum
+            margin = mst_is_unique(g, rooted, margin=True)
+    return MstResult(rooted.tree, _total_weight(g, rooted), margin > 0, rooted, margin)
 
 
 def _prim(g: WeightedGraph) -> RootedTree:
@@ -289,7 +290,7 @@ def _hop_and_meet_matrices(rt: RootedTree) -> tuple[np.ndarray, np.ndarray]:
     return _to_vertex_order(hop, pos), _to_vertex_order(meet, pos)
 
 
-def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
+def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree, *, margin: bool = False) -> bool | float:
     """Exact uniqueness certificate for a maximum spanning tree.
 
     ``t`` is the unique maximum iff every non-tree edge ``{i, j}`` weighs
@@ -300,16 +301,17 @@ def mst_is_unique(g: WeightedGraph, t: Tree | RootedTree) -> bool:
     or from its own root when ``t`` comes rooted.  Raises if ``t`` does
     not span ``g`` or is not maximal, naming the first non-tree edge in
     row-major upper-triangle order that outweighs an edge on its path.
+    With ``margin`` it returns the margin itself, as a float.
     """
     gaps = _tree_gaps(g, t if isinstance(t, RootedTree) else root_tree(t, 0))
-    margin = gaps.min()
-    if margin < 0:
+    least = float(gaps.min())
+    if least < 0:
         i, j = np.argwhere(np.triu(gaps < 0, 1))[0].tolist()
         raise InvalidInputError(
             f"tree is not a maximum spanning tree: non-tree edge ({i}, {j}) "
             f"outweighs a tree edge on its path"
         )
-    return bool(margin > 0)
+    return least if margin else least > 0
 
 
 def _tree_gaps(g: WeightedGraph, rt: RootedTree) -> np.ndarray:
@@ -388,15 +390,19 @@ def random_tree(d: int, rng: np.random.Generator) -> Tree:
 def root_tree(t: Tree, r: int) -> RootedTree:
     """``t`` rooted at ``r``: the package's one checked walk over an edge set.
 
-    Checks, with :class:`Tree`'s messages, the root's range, the edge
-    count, each pair as canonical on ``0..d-1``, then connectivity, which
-    the breadth-first walk orienting every edge toward ``r`` shows.
+    Checks, with :class:`Tree`'s messages, the root's range, no edge twice,
+    the edge count, each pair as canonical on ``0..d-1``, then connectivity,
+    which the breadth-first walk orienting every edge toward ``r`` shows.
     """
     d = t.d
     if not (0 <= r < d):
         raise InvalidInputError(f"root {r} out of range for {d} vertices")
-    if len(t.edges) != d - 1:
-        raise InvalidInputError(f"a tree on {d} vertices needs {d - 1} edges, got {len(t.edges)}")
+    edges = frozenset(t.edges)  # ``t.edges`` itself when a frozenset, and the rooting's tree keeps it
+    if len(edges) != len(t.edges):
+        seen: set = set()
+        raise InvalidInputError(f"edge {next(e for e in t.edges if e in seen or seen.add(e))} is repeated")
+    if len(edges) != d - 1:
+        raise InvalidInputError(f"a tree on {d} vertices needs {d - 1} edges, got {len(edges)}")
     adj: list[list[int]] = [[] for _ in range(d)]
     for i, j in t.edges:
         if not (0 <= i < j < d):
@@ -414,7 +420,8 @@ def root_tree(t: Tree, r: int) -> RootedTree:
                 order.append(w)
     if len(order) != d:
         raise InvalidInputError("edge set is not connected")
-    return _unchecked(RootedTree, tree=t, root=r, parent=tuple(parent), depth=tuple(depth))
+    tree = t if edges is t.edges else _unchecked(Tree, d=d, edges=edges)
+    return _unchecked(RootedTree, tree=tree, root=r, parent=tuple(parent), depth=tuple(depth))
 
 
 def _check_non_root_keys(rt: RootedTree, keys: Collection[int], what: str) -> None:

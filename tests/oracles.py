@@ -27,8 +27,10 @@ the deepest common ancestor; the report that took the ancestor pairs
 against B_ji and gathered the branching pairs by index is kept.  The
 certificate's tree margin, its least gap of bottleneck minus weight, has a
 path-walk oracle too.  The dense coefficient matrix A, which only the
-tests' LAPACK inverse of I - A reads, lives here.  Tests require the fast
-paths to agree with them exactly.
+tests' LAPACK inverse of I - A reads, lives here.  ``correspondence_check``
+reads the mutual-information tree off the squared-correlation margin; the
+version that built every pair's weight and certified it is kept.  Tests
+require the fast paths to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from treecascade import (
     root_tree,
 )
 from treecascade.cascade import LemmaCheck, cascade_inverse
-from treecascade.chowliu import mutual_information_weights
+from treecascade.chowliu import CorrespondenceReport, mutual_information_weights
 from treecascade.dataio import FORMAT_VERSION
-from treecascade.regression import objective_value, optimal_coefficients
+from treecascade.regression import objective_value, optimal_coefficients, squared_correlation_graph
 from treecascade.trees import MstResult, canonical_edge
 from treecascade.trees import _tree_from_pruefer
 
@@ -117,6 +119,33 @@ def brute_force_fit(c: CorrelationSummary) -> FitResult:
 def chow_liu_tree(c: CorrelationSummary) -> MstResult:
     """Optimal approximator tree: maximum spanning tree of pairwise MI weights."""
     return maximum_spanning_tree(WeightedGraph.from_matrix(mutual_information_weights(c)))
+
+
+def full_mi_correspondence(c: CorrelationSummary, *, candidate=None) -> CorrespondenceReport:
+    """``correspondence_check`` as it was before the margin shortcut: the full MI matrix, always.
+
+    Cholesky first, then the squared-correlation tree, then every pair's MI
+    weight and a certified MI maximum with that tree as candidate.
+    """
+    try:
+        np.linalg.cholesky(c.corr)
+    except np.linalg.LinAlgError:
+        raise InvalidInputError("covariance is not positive definite") from None
+    cascade = maximum_spanning_tree(squared_correlation_graph(c), candidate=candidate)
+    mi = WeightedGraph.from_matrix(mutual_information_weights(c))
+    approx = maximum_spanning_tree(mi, candidate=cascade.rooted)
+    pairs = []
+    for i, j in approx.tree.sorted_edges():
+        rho = float(c.corr[i, j])
+        pairs.append(((i, j), rho * rho, mi.weight(i, j)))
+    return CorrespondenceReport(
+        approximator_tree=approx.tree,
+        cascade_tree=cascade.tree,
+        trees_equal=approx.tree.edges == cascade.tree.edges,
+        approximator_unique=approx.is_unique,
+        cascade_unique=cascade.is_unique,
+        edge_pairs=tuple(pairs),
+    )
 
 
 def ancestors(rt, i: int) -> list[int]:
@@ -213,7 +242,8 @@ def kruskal_mst(g: WeightedGraph) -> MstResult:
             if len(chosen) == g.d - 1:
                 break
     tree = Tree(g.d, frozenset(chosen))
-    return MstResult(tree, math.fsum(weights), path_walk_is_unique(g, tree), root_tree(tree, 0))
+    unique, margin = path_walk_is_unique(g, tree), path_walk_margin(g, tree)
+    return MstResult(tree, math.fsum(weights), unique, root_tree(tree, 0), margin)
 
 
 def path_walk_is_unique(g: WeightedGraph, t: Tree) -> bool:

@@ -10,17 +10,26 @@ Claims covered:
     correspondence report nor the fit.
   - At d=3 the selected tree minimizes the actual KL divergence to the
     tree-factored Gaussian, checked against both alternatives directly.
+  - The report read off the squared-correlation margin equals the one the
+    full MI matrix gives, errors included, on ties, near-ties, the bundled
+    CSV and random models; the MI matrix is built only where the margin
+    is within the rounding of the MI map.
+  - ``math.log1p`` stays within the ulp bound that rounding slack assumes,
+    against a 60-digit decimal reference.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spd_covariance
-from oracles import chow_liu_tree, enumerate_spanning_trees, scalar_mi_weight
+from oracles import chow_liu_tree, enumerate_spanning_trees, full_mi_correspondence, scalar_mi_weight
 from treecascade import (
     CascadeModel,
     CorrelationSummary,
@@ -31,10 +40,19 @@ from treecascade import (
     correspondence_check,
     fit_cascade,
     population_covariance,
+    correlation_from_dataset,
+    load_csv,
+    make_unit_variance_model,
+    maximum_spanning_tree,
     random_unit_variance_model,
     root_tree,
+    sample_prices_path,
 )
-from treecascade.chowliu import mutual_information_weights
+from treecascade import chowliu
+from treecascade.chowliu import _LOG1P_ULPS, mutual_information_weights
+from treecascade.errors import TreeCascadeError
+from treecascade.regression import squared_correlation_graph
+from treecascade.trees import random_tree
 
 
 def summary(cov) -> CorrelationSummary:
@@ -201,6 +219,163 @@ class TestCorrespondenceCheck:
         report = correspondence_check(s)
         for _, rho_sq, mi in report.edge_pairs:
             assert mi == pytest.approx(-0.5 * math.log1p(-rho_sq), abs=1e-12)
+
+
+def outcome(check, c, candidate=None):
+    """The report, or the error's type and message."""
+    try:
+        return check(c, candidate=candidate)
+    except TreeCascadeError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_oracle(c, candidates=(None,)):
+    expected = outcome(full_mi_correspondence, c)
+    for candidate in candidates:
+        assert outcome(correspondence_check, c, candidate) == expected, candidate
+    return expected
+
+
+def count_mi_matrices(monkeypatch):
+    """The vertex count of each MI matrix ``correspondence_check`` builds; the oracle's are not counted."""
+    calls = []
+    weights = chowliu.mutual_information_weights
+
+    def counted(c):
+        calls.append(c.d)
+        return weights(c)
+
+    monkeypatch.setattr(chowliu, "mutual_information_weights", counted)
+    return calls
+
+
+@st.composite
+def tied_correlations(draw):
+    """A correlation matrix on a 1/32 grid with free signs: equal squares are the common case.
+
+    With levels up to 5/32 and d <= 7 the matrix is diagonally dominant,
+    so positive definite; a top level of 32 adds pairs at +-1 and
+    matrices that are not positive definite, whose errors must match too.
+    """
+    d = draw(st.integers(1, 7))
+    top = draw(st.sampled_from([1, 2, 3, 5, 32]))
+    ks = draw(st.lists(st.integers(-top, top), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))
+    corr = np.eye(d)
+    corr[np.triu_indices(d, 1)] = np.array(ks, dtype=float) / 32.0
+    corr = np.triu(corr, 1) + np.triu(corr, 1).T + np.eye(d)
+    return CorrelationSummary(corr)
+
+
+def chain_model(d, rng):
+    """A unit-variance chain with |rho| in [0.5, 0.95], the worst tree shape for path walks."""
+    rt = root_tree(Tree.from_edges(d, [(v, v + 1) for v in range(d - 1)]), d // 3)
+    magnitudes = rng.uniform(0.5, 0.95, d) * rng.choice([-1.0, 1.0], d)
+    return make_unit_variance_model(rt, {v: float(magnitudes[v]) for v in rt.non_root_vertices()})
+
+
+class TestMarginShortcutMatchesFullMatrix:
+    """``correspondence_check`` equals the full-MI oracle wherever the margin decides or not."""
+
+    @given(c=tied_correlations(), r=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_tie_strategy(self, c, r, seed):
+        r = r % c.d
+        candidates = [None, root_tree(random_tree(c.d, np.random.default_rng(seed)), r)]
+        expected = outcome(full_mi_correspondence, c)
+        if isinstance(expected, chowliu.CorrespondenceReport):
+            candidates.append(root_tree(expected.cascade_tree, r))
+        assert_matches_oracle(c, candidates)
+
+    def test_bundled_csv_differenced(self, monkeypatch):
+        c = correlation_from_dataset(load_csv(sample_prices_path()), diff=True)
+        calls = count_mi_matrices(monkeypatch)
+        report = assert_matches_oracle(c, [None, fit_cascade(c, 3).rt])
+        assert report.trees_equal and not report.tie_detected
+        # its margin, about 0.059, clears the slack (the oracle's own MI matrix is not counted)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 30])
+    def test_random_models(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            model = random_unit_variance_model(d, rng)
+            c = correlation_from_covariance(population_covariance(model))
+            report = assert_matches_oracle(c, [None, model.rt])
+            assert report.trees_equal and not report.tie_detected
+            assert report.cascade_tree == model.rt.tree
+
+    def test_near_tie_within_the_slack_takes_the_full_matrix(self, monkeypatch):
+        # (0, 2) falls 2^-54 below its bottleneck (0, 1): a unique tree whose
+        # margin is below the slack of about 8e-16, so the MI weights decide
+        rho_02 = 0.5 - 2**-54
+        corr = np.array([[1.0, 0.5, rho_02], [0.5, 1.0, 0.6], [rho_02, 0.6, 1.0]])
+        c = CorrelationSummary(corr)
+        mst = maximum_spanning_tree(squared_correlation_graph(c))
+        assert mst.is_unique and mst.margin == 2**-54
+        slack = 8 * _LOG1P_ULPS * 2**-52 * -0.5 * math.log1p(-0.36)
+        assert 0 < mst.margin < slack
+        calls = count_mi_matrices(monkeypatch)
+        assert correspondence_check(c) == full_mi_correspondence(c)
+        assert calls == [3]
+
+    def test_mi_matrix_only_where_the_margin_is_unsure(self, monkeypatch):
+        chain = chain_model(200, np.random.default_rng(1))
+        chain_c = correlation_from_covariance(population_covariance(chain))
+        ties = np.full((5, 5), 0.4)
+        np.fill_diagonal(ties, 1.0)
+        calls = count_mi_matrices(monkeypatch)
+        for candidate in (None, chain.rt):
+            report = correspondence_check(chain_c, candidate=candidate)
+            assert report.trees_equal and not report.tie_detected
+        assert calls == []
+        report = correspondence_check(summary(ties))
+        assert report.tie_detected
+        assert calls == [5]
+        assert correspondence_check(chain_c, candidate=chain.rt) == full_mi_correspondence(chain_c)
+
+    def test_perfect_correlation_raises_as_before(self):
+        # a |rho| = 1 pair makes w_max = 1 or the margin <= 0.  Cholesky's
+        # rounding lets some such matrices through, and those must still
+        # meet the MI matrix's degeneracy error
+        outcomes = []
+        for k in range(1, 129):
+            a = k / 256
+            c = CorrelationSummary(np.array([[1.0, a, a], [a, 1.0, 1.0], [a, 1.0, 1.0]]))
+            outcomes.append(outcome(correspondence_check, c))
+            assert outcomes[-1] == outcome(full_mi_correspondence, c), a
+        assert (DegeneracyError, "components 1 and 2 are perfectly correlated") in outcomes
+
+
+def reference_mi(w: float) -> Decimal:
+    """-1/2 log(1 - w) to 60 digits, from 1 - w formed exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 1100  # every double in [0, 1) has at most 1075 digits after the point
+        arg = 1 - Decimal(w)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return -arg.ln() / 2
+
+
+class TestLog1pErrorBound:
+    """``-0.5 * math.log1p(-w)`` is within the eps f + eta that the margin slack assumes."""
+
+    def test_fixed_sample(self):
+        rng = np.random.default_rng(29)
+        sample = [
+            0.0, 2.0**-1074, 2.0**-1060, 1e-310, 2.0**-1022,  # subnormal and the least normal
+            2.0**-60, 2.0**-30, 1e-8, 1e-3, 0.25, 0.5,  # toward 0
+            1 - 2.0**-53, 1 - 2.0**-52, 1 - 2.0**-40, 0.999999,  # toward 1
+            *rng.uniform(0.0, 1.0, 600).tolist(),
+            *np.square(rng.uniform(-1.0, 1.0, 600)).tolist(),
+        ]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            eps = Decimal(_LOG1P_ULPS) * Decimal(2) ** -52
+            eta = Decimal(_LOG1P_ULPS + 1) * Decimal(2) ** -1075
+            for w in sample:
+                got, exact = -0.5 * math.log1p(-w), reference_mi(w)
+                assert abs(Decimal(got) - exact) <= eps * exact + eta, w
+                assert abs(Decimal(got) - exact) <= _LOG1P_ULPS * Decimal(math.ulp(got)), w
 
 
 def tree_factored_gaussian_covariance(cov: np.ndarray, tree: Tree) -> np.ndarray:

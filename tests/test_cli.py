@@ -104,6 +104,7 @@ from treecascade import (
     verify_covariance_lemmas,
 )
 from treecascade import cascade as cascade_module
+from treecascade import chowliu as chowliu_module
 from treecascade import dataio
 from treecascade.cascade import cascade_inverse, inverse_residual
 from treecascade import trees as trees_module
@@ -751,9 +752,9 @@ class TestVerifyAlgebra:
         assert quiet_main("verify", "--model", path) == 0
         assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1, "graph": 1}
         calls.update(dict.fromkeys(calls, 0))
-        # chow-check takes one graph per tree: the MI weights and the squared correlations
+        # chow-check takes the squared correlations' graph, and no MI graph while its margin clears the rounding
         assert quiet_main("chow-check", "--fit", path) == 0
-        assert calls == {"inverse": 0, "covariance": 1, "hop/meet": 0, "graph": 2}
+        assert calls == {"inverse": 0, "covariance": 1, "hop/meet": 0, "graph": 1}
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
         # a fit keeps the rooting it was built or loaded with, and a document
@@ -794,6 +795,25 @@ class TestVerifyAlgebra:
             calls["prim"] = 0
             assert quiet_main(*argv) == 0
             assert calls == {"prim": expected}, argv
+
+
+    def test_one_gap_matrix_per_command(self, monkeypatch, tmp_path):
+        # the margin comes from the certificate each command already takes:
+        # fit keeps its one gap matrix, and chow-check, whose margin clears
+        # the rounding of the MI map, no longer takes a second one for the MI tree
+        _, path = rooted_model_document(tmp_path, 30, 3)
+        data = str(sample_prices_path())
+        calls = self.count_calls(monkeypatch, {"gaps": trees_module._tree_gaps})
+        for argv, expected in [
+            (("fit", "--data", data, "--diff", "--out", tmp_path / "fit.json"), 1),
+            (("fit", "--data", data, "--diff", "--root", "3", "--out", tmp_path / "rooted.json"), 1),
+            (("verify", "--model", path), 1),
+            (("chow-check", "--fit", path), 1),
+            (("chow-check", "--data", data), 1),
+        ]:
+            calls["gaps"] = 0
+            assert quiet_main(*argv) == 0
+            assert calls == {"gaps": expected}, argv
 
 
 class TestClusterCommand:
@@ -1776,3 +1796,17 @@ class TestSameBytesTool:
             path.write_text(tool._broken_document(root, edges))
             with pytest.raises(SchemaError, match=f"^{expected[name]}$"):
                 load_fit(path)
+
+    def test_commands_replay_the_full_mutual_information_path(self, tool, tmp_path, capsys, monkeypatch):
+        # the tie CSV is the one input whose chow-check builds every pair's MI weight
+        assert ("chow-check", "--data", tool.TIE_CSV) in tool.COMMANDS
+        path = tmp_path / tool.TIE_CSV
+        path.write_text(tool.TIE_TEXT)
+        calls = TestVerifyAlgebra.count_calls(
+            monkeypatch, {"mi": chowliu_module.mutual_information_weights}
+        )
+        assert main(["chow-check", "--data", str(path)]) == 0
+        assert calls == {"mi": 1}
+        out = capsys.readouterr().out
+        assert "squared_correlation=0.062500" in out
+        assert out.endswith("trees_equal: true\ntie detected: the maximum spanning tree is not unique\n")

@@ -1084,3 +1084,13 @@ class TestDocumentLoaderOracle:
     @example(doc=TWO_FAULT_DOCUMENTS[0])
     def test_model_from_document(self, doc):
         assert load_outcome(model_from_document, doc) == load_outcome(checking_model_from_document, doc)
+
+    def test_repeated_edge_is_named(self):
+        # two children that name each other as parent give one edge twice
+        doc = fit_to_document(example_fit(d=5))
+        first, second = doc["edges"][:2]
+        first["parent"], second["parent"] = second["child"], first["child"]
+        a, b = sorted((first["child"], second["child"]))
+        for load in (document_to_fit, checking_document_to_fit):
+            with pytest.raises(SchemaError, match=rf"^edges: edge \({a}, {b}\) is repeated$"):
+                load(copy.deepcopy(doc))

@@ -44,6 +44,7 @@ from oracles import (
     path_edges,
     path_vertices,
     path_walk_is_unique,
+    path_walk_margin,
 )
 from treecascade import (
     CascadeModel,
@@ -286,9 +287,23 @@ class TestCheckMessages:
     def test_connectivity(self):
         with pytest.raises(InvalidInputError, match=r"^edge set is not connected$"):
             Tree(4, frozenset({(0, 1), (1, 2), (0, 2)}))
-        # a list is checked as given: with d - 1 entries, a repeated edge leaves a vertex unreached
         with pytest.raises(InvalidInputError, match=r"^edge set is not connected$"):
-            Tree(3, [(0, 1), (0, 1)])
+            Tree(4, [(0, 1), (1, 2), (0, 2)])
+
+    def test_repeated_edge_is_named_before_the_count(self):
+        # a list is checked as given, and from_edges keeps every pair it is handed,
+        # so a repeated edge reads one message whichever way it comes in
+        for build in (
+            lambda: Tree(3, [(0, 1), (0, 1)]),
+            lambda: Tree.from_edges(3, [(0, 1), (1, 0)]),
+            lambda: Tree.from_edges(3, [(0, 1), (1, 0), (1, 2)]),
+            lambda: Tree(3, [(1, 0), (1, 0)]),  # before the pair check, too
+            lambda: RootedTree(trees._unchecked(Tree, d=3, edges=((0, 1), (1, 2), (0, 1))), 0, (-1, 0, 1), (0, 1, 2)),
+        ):
+            with pytest.raises(InvalidInputError, match=r"^edge \((0|1), (1|0)\) is repeated$"):
+                build()
+        with pytest.raises(InvalidInputError, match=r"^edge \(1, 2\) is repeated$"):
+            Tree(4, [(0, 1), (1, 2), (2, 3), (1, 2), (0, 1)])  # the first to come twice
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_random_tree_vertex_count(self, d):
@@ -535,6 +550,41 @@ class TestCandidateCertificate:
             assert got.rooted.root == 0
             assert got.rooted.parent == expected.rooted.parent, t
             assert got.rooted.depth == expected.rooted.depth, t
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.sampled_from([1, 2, 3, 63]).flatmap(
+                    lambda top: st.lists(
+                        st.integers(0, top), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2
+                    )
+                ),
+                st.integers(0, d - 1),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_margin_matches_the_path_walk_oracle(self, case):
+        d, levels, r, seed = case
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        g = complete_graph(d, {e: k / 10.0 for e, k in zip(pairs, levels)})
+        expected = maximum_spanning_tree(g)
+        assert expected.margin == path_walk_margin(g, expected.tree)
+        assert expected.margin == kruskal_mst(g).margin
+        assert expected.is_unique == (expected.margin > 0)
+        if not expected.is_unique:
+            assert math.copysign(1.0, expected.margin) == 1.0 and expected.margin == 0.0
+        if d <= 2:
+            assert expected.margin == math.inf
+        candidates = [
+            expected.tree,
+            random_tree(d, np.random.default_rng(seed)),
+            equal_weight_exchange(g, expected.rooted),
+        ]
+        for t in filter(None, candidates):
+            assert maximum_spanning_tree(g, candidate=root_tree(t, r)).margin == expected.margin, t
 
     def test_tied_candidate_builds_one_gap_matrix(self, monkeypatch):
         # a maximum candidate with a zero gap already shows that no maximum is unique

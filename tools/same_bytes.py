@@ -6,9 +6,10 @@
 Each root is a checkout of this repository.  Every command in ``COMMANDS``
 runs as the ``treecascade`` CLI under ``PYTHONPATH=<root>/src`` with one
 BLAS thread, each checkout in a temporary directory of its own that starts
-with a copy of that checkout's bundled CSV and the malformed fit documents
-in ``BROKEN``; later commands read the fits that earlier ones write, and
-the last ones replay rejections, so their messages are compared too.  For
+with a copy of that checkout's bundled CSV, the small CSV ``TIE_TEXT``
+and the malformed fit documents in ``BROKEN``; later commands read the
+fits that earlier ones write, and the last ones replay rejections, so
+their messages are compared too.  For
 each command the exit code, stdout, stderr and the sha256 of every file it
 writes must match.  One line is printed per command, and the exit status
 is 1 on any difference.
@@ -28,6 +29,11 @@ from pathlib import Path
 CSV = "prices.csv"
 FITS = ("fit.json", "fit_root3.json")
 SAMPLERS = ("gaussian", "laplace", "uniform", "rademacher", "dependent")
+# columns with mean 0 and sum of squares n - 1 standardize to themselves, so
+# every correlation is exact: all three are +-1/4, a tie in the squared
+# correlations that sends chow-check through the full mutual-information matrix
+TIE_CSV = "tie.csv"
+TIE_TEXT = "a,b,c\n1,1,1\n-1,-1,0\n1,0,-1\n-1,1,-1\n0,-1,1\n"
 # d = 5 fit documents as (root, (child, parent) pairs): edges that close a
 # cycle away from the root, and a root equal to d
 BROKEN = {
@@ -39,6 +45,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("fit", "--data", CSV, "--diff", "--out", FITS[0]),
     ("fit", "--data", CSV, "--diff", "--root", "3", "--out", FITS[1]),
     ("chow-check", "--data", CSV),
+    ("chow-check", "--data", TIE_CSV),
     ("verify", "--random", "30", "7"),
     ("verify", "--random", "300", "4"),
     ("verify", "--random", "2000", "1"),
@@ -126,6 +133,7 @@ def main(argv: list[str]) -> int:
         dirs = [Path(a), Path(b)]
         for root, cwd in zip(roots, dirs):
             shutil.copyfile(root / "src" / "treecascade" / "data" / "dow30_prices.csv", cwd / CSV)
+            (cwd / TIE_CSV).write_text(TIE_TEXT)
             for name, (root_vertex, edges) in BROKEN.items():
                 (cwd / name).write_text(_broken_document(root_vertex, edges))
         for command in COMMANDS:
