@@ -22,6 +22,7 @@ import numpy as np
 
 from .dataio import Dataset, _adopt, _block_lengths, _column_names
 from .errors import InvalidInputError, UnsupportedModelError
+from .regression import CorrelationSummary, _adopt_summary, correlation_from_covariance
 from .trees import RootedTree, _hop_and_meet_matrices, _parent_first_order, _path_neighbor_gaps
 from .trees import _check_non_root_keys, _to_vertex_order, _unchecked, _walk, random_tree, root_tree
 
@@ -126,7 +127,9 @@ def population_covariance(m: CascadeModel) -> np.ndarray:
 
     Over a parent-first walk, C[v, w] = a_v C[u, w] for each earlier w, which e_v is
     uncorrelated with, and C[v, v] = a_v^2 C[u, u] + sigma_v^2, u the parent of v.
-    Entries that overflow come out infinite or NaN, without a warning.
+    Entries that overflow come out infinite or NaN, without a warning.  For a
+    unit-variance model the diagonal is exactly 1 and C is exactly symmetric,
+    so C is its own correlation matrix (see ``_population_correlation``).
     """
     _, joins, pos = _walk(m.rt)
     cov = np.empty((m.d, m.d))
@@ -137,6 +140,33 @@ def population_covariance(m: CascadeModel) -> np.ndarray:
             cov[:k, k] = np.multiply(cov[pu, :k], a, out=cov[k, :k])
             cov[k, k] = a * a * cov[pu, pu] + m.error_vars[v]
     return _to_vertex_order(cov, pos)
+
+
+def _population_correlation(m: CascadeModel) -> CorrelationSummary:
+    """The correlations of ``population_covariance(m)``; a unit-variance model's covariance itself.
+
+    Models that are not unit variance are normalized by
+    ``correlation_from_covariance``, with its errors.  A unit-variance
+    model's covariance already is its correlation matrix, bit for bit:
+
+    - ``unit_variance`` holds exactly when sigma_root^2 = 1 and
+      sigma_v^2 = fl(1 - x) for each other v, where x = fl(a_v^2).  The
+      walk sets C_vv = fl(fl(x C_uu) + sigma_v^2), u the parent of v.
+    - Let C_uu = 1, as at the root.  If x >= 1/2, 1 - x is exact
+      (Sterbenz), so C_vv = x + (1 - x) = 1.  If x < 1/2, fl(1 - x) is
+      within 2^-54 of 1 - x, so x + fl(1 - x) is within 2^-54 of 1 and
+      rounds to 1 (a tie below 1 goes to the even 1).  By induction every
+      C_vv is exactly 1.
+    - So C_ij / sqrt(C_ii C_jj) is C_ij divided by 1, exact; every |C_ij|
+      is a product of factors of magnitude at most 1, so the clip to
+      [-1, 1] changes nothing; and the walk writes each row and column
+      alike, so C is exactly symmetric.  ``correlation_from_covariance(C)``
+      is therefore C bit for bit, signed zeros and subnormals included,
+      and C is adopted without that pass.
+    """
+    if not m.unit_variance:
+        return correlation_from_covariance(population_covariance(m))
+    return _adopt_summary(population_covariance(m))
 
 
 def make_unit_variance_model(

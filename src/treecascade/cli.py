@@ -22,23 +22,17 @@ import numpy as np
 from . import dataio
 from .cascade import (
     _lemma_report,
+    _population_correlation,
     _simulated_blocks,
     cascade_inverse,
     get_sampler,
     inverse_residual,
-    population_covariance,
     random_unit_variance_model,
 )
 from .chowliu import correspondence_check
 from .errors import InvalidInputError, TreeCascadeError
-from .regression import (
-    _objective_terms,
-    correlation_from_covariance,
-    correlation_from_dataset,
-    empirical_fit,
-    fit_cascade,
-)
-from .trees import _hop_and_meet_matrices, _path_neighbor_gaps, cluster_by_edge_deletion
+from .regression import _objective_terms, correlation_from_dataset, empirical_fit, fit_cascade
+from .trees import _hop_and_meet_matrices, cluster_by_edge_deletion
 
 
 #: The subcommands, in the order the top-level help lists them.
@@ -189,18 +183,16 @@ def _cmd_verify(args) -> int:
     residual = inverse_residual(model, inv)
     rows.append(("closed-form-inverse", residual <= 1e-12, f"max |(I - A)B - I| = {residual:.3e}"))
 
-    cov = population_covariance(model)
-    hop, meet = _hop_and_meet_matrices(model.rt)
-    for check in _lemma_report(inv, cov, hop, meet):
+    # a unit-variance model's covariance is its correlation matrix, bit for bit
+    summary = _population_correlation(model)
+    checks = _lemma_report(inv, summary.corr, *_hop_and_meet_matrices(model.rt))
+    for check in checks:
         rows.append((check.name, check.passed, f"{check.measure} = {check.worst:.3e}"))
-    del inv, meet
+    del inv
 
-    summary = correlation_from_covariance(cov)
-    del cov
-    # |rho| orders pairs as rho^2 does, without the square's underflow to tied zeros;
-    # the diagonal, which the graph would blank, is never read; hop does not depend on the root
-    margin, _ = _path_neighbor_gaps(np.abs(summary.corr), hop)
-    rows.append(("strict-triangle", margin > 0.0, "squared-correlation weights"))
+    # so the strict-dominance margin over |C|, the last check, is the strict-triangle one over
+    # |rho|, which orders pairs as rho^2 does without the square's underflow to tied zeros
+    rows.append(("strict-triangle", checks[-1].passed, "squared-correlation weights"))
 
     fit = fit_cascade(summary, candidate=model.rt)
     recovered = fit.tree.edges == model.rt.tree.edges
@@ -265,7 +257,7 @@ def _cmd_chow_check(args) -> int:
     else:
         doc = dataio.load_document(args.fit)
         model = dataio.model_from_document(doc)
-        corr = correlation_from_covariance(population_covariance(model))
+        corr = _population_correlation(model)
         names = dataio._column_names(doc.get("names"), model.d)
         known = model.rt
     report = correspondence_check(corr, candidate=known)

@@ -14,6 +14,11 @@ Claims covered:
     the scale bit for bit; a draw comes in full blocks and one short last
     block, which join to the one-shot draw bit for bit.
   - Re-rooting preserves the covariance and the undirected edge set.
+  - A unit-variance model's covariance has an exactly unit diagonal and
+    is its own correlation matrix bit for bit, so the strict-dominance
+    margin over |C| is the neighbour-gap margin over |rho|; on random
+    trees, every root, coefficients whose square underflows or that are
+    the largest double below 1, and a 200-vertex chain at 0.1.
   - The covariance-structure checks pass with positive slack on random
     unit-variance models.
 """
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import ancestors, coefficient_matrix, one_shot_simulate, path_vertices, path_walk_inverse
 from treecascade import (
@@ -29,6 +36,7 @@ from treecascade import (
     InvalidInputError,
     Tree,
     UnsupportedModelError,
+    correlation_from_covariance,
     get_sampler,
     make_unit_variance_model,
     population_covariance,
@@ -38,8 +46,9 @@ from treecascade import (
     simulate,
     verify_covariance_lemmas,
 )
-from treecascade.cascade import BUILTIN_SAMPLERS, _simulated_blocks, cascade_inverse
+from treecascade.cascade import BUILTIN_SAMPLERS, _population_correlation, _simulated_blocks, cascade_inverse
 from treecascade.dataio import _block_rows
+from treecascade.trees import _hop_and_meet_matrices, _path_neighbor_gaps, random_tree
 
 
 def chain_model(*coeffs, error_vars=None):
@@ -152,6 +161,26 @@ class TestPopulationCovariance:
         assert np.max(np.abs(empirical - population_covariance(m))) < 5e-3
 
 
+@st.composite
+def signed_trees(draw):
+    """A random tree on at most 40 vertices and one signed coefficient per vertex.
+
+    Magnitudes include one whose square underflows to 0, the largest double
+    below 1, and squares on both sides of 1/2, where the rounding of
+    ``1 - a * a`` changes from exact to inexact.
+    """
+    d = draw(st.integers(1, 40))
+    tree = random_tree(d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    magnitude = st.one_of(
+        st.sampled_from([1e-200, 1.0 - 2.0**-53, 2.0**-0.5, float(np.nextafter(2.0**-0.5, 0.0))]),
+        st.floats(0.01, 0.999),
+        st.floats(2.0**-1074, 1.0 - 2.0**-53),
+    )
+    signs = st.sampled_from([1.0, -1.0])
+    coeffs = draw(st.lists(st.tuples(signs, magnitude).map(lambda p: p[0] * p[1]), min_size=d, max_size=d))
+    return tree, coeffs
+
+
 class TestUnitVarianceConstruction:
     def test_single_edge(self):
         rt = root_tree(Tree.from_edges(2, [(0, 1)]), 0)
@@ -182,6 +211,26 @@ class TestUnitVarianceConstruction:
         for m in models:
             diag = np.diag(population_covariance(m))
             assert np.max(np.abs(diag - 1.0)) <= 1e-12
+
+    @given(signed_trees())
+    @example((Tree.from_edges(200, [(i, i + 1) for i in range(199)]), [0.1] * 200))
+    @settings(max_examples=60, deadline=None)
+    def test_covariance_is_its_own_correlation_matrix(self, tree_and_coeffs):
+        # under every root, so each vertex's coefficient also meets the other rounding cases
+        tree, coeffs = tree_and_coeffs
+        hop, _ = _hop_and_meet_matrices(root_tree(tree, 0))  # the first hop does not depend on the root
+        for root in range(tree.d):
+            rt = root_tree(tree, root)
+            m = make_unit_variance_model(rt, {v: coeffs[v] for v in rt.non_root_vertices()})
+            cov = population_covariance(m)
+            assert (np.diag(cov) == 1.0).all()
+            corr = correlation_from_covariance(cov).corr
+            assert np.array_equal(cov.view(np.uint64), corr.view(np.uint64))
+            assert np.array_equal(_population_correlation(m).corr.view(np.uint64), cov.view(np.uint64))
+            # the strict-triangle margin as verify took it, from its own normalization
+            margin, pairs = _path_neighbor_gaps(np.abs(corr), hop)
+            dominance = verify_covariance_lemmas(m)[-1]
+            assert (dominance.name, dominance.worst, dominance.pairs_checked) == ("strict-dominance", margin, pairs)
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, -1.0, 1.5, float("nan")])
     def test_degenerate_correlations_rejected(self, rho):

@@ -26,7 +26,13 @@ Claims covered:
   - verify builds the inverse, the covariance, the hop/meet pair and the
     squared-correlation graph once, and chow-check --fit the covariance
     once and no inverse; verify's report equals the one built from the
-    library's functions called one by one.
+    library's functions called one by one.  Neither normalizes a
+    unit-variance model's covariance, and verify takes one neighbour-gap
+    sweep for its strict-dominance and strict-triangle rows;
+    chow-check --fit normalizes a model that is not unit variance and
+    reports the full mutual-information oracle's edges on it.
+  - A tie planted in the covariance of a 200-vertex chain at 0.1 fails
+    verify's strict-dominance and strict-triangle rows.
   - A fit keeps its rooting: fit calls root_tree only for a root other
     than 0, a document load calls it once, and verify and chow-check
     --fit once more, to root the model's tree at 0.
@@ -57,7 +63,9 @@ Claims covered:
     prints nothing on stderr.
   - tools/same_bytes.py runs every subcommand, and replays rejections: a
     negative --root, --random D of 0, --k 0, and two malformed documents,
-    whose loads fail with the loader's messages.
+    whose loads fail with the loader's messages.  It runs chow-check --fit
+    and verify on a model that is not unit variance, which verify rejects,
+    and verify on a unit-variance 200-vertex chain at 0.1, which passes.
 """
 
 from __future__ import annotations
@@ -87,7 +95,6 @@ from hypothesis import strategies as st
 
 import treecascade
 from treecascade import (
-    CorrelationSummary,
     SchemaError,
     Tree,
     WeightedGraph,
@@ -114,7 +121,22 @@ from treecascade.cli import _identity_holds, main
 from treecascade.dataio import _block_rows, fit_to_document, load_document, model_from_document
 
 from conftest import csv_texts
-from oracles import coefficient_matrix, csv_writer_bytes, loop_strict_triangle_condition, one_shot_simulate
+from oracles import (
+    coefficient_matrix,
+    csv_writer_bytes,
+    full_mi_correspondence,
+    loop_strict_triangle_condition,
+    one_shot_simulate,
+)
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace ``fn`` under every name a treecascade module holds it by."""
+    for key, module in list(sys.modules.items()):
+        if key == "treecascade" or key.startswith("treecascade."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setitem(vars(module), attr, replacement)
 
 
 def run(capsys, *argv):
@@ -546,18 +568,20 @@ class TestVerifyCommand:
         assert (code, stdout) == (0, verify_table(model_from_document(load_document(path)), str(path)))
 
     def test_planted_tie_between_far_pairs_fails(self, capsys, monkeypatch, tmp_path):
-        # |rho| of (0, d - 1) raised to that of (1, d - 1), k = 1 its path neighbour; both squares are 0
+        # |C| = |rho| of (0, d - 1) raised to that of (1, d - 1), k = 1 its path neighbour; both
+        # squares are 0.  The tie is planted in the covariance, which verify reads as the correlations
         path = self.weak_chain_document(tmp_path)
         last = 199
 
-        def planted(cov):
-            corr = correlation_from_covariance(cov).corr.copy()
-            corr[0, last] = corr[last, 0] = corr[1, last]
-            return CorrelationSummary(corr)
+        def planted(model):
+            cov = population_covariance(model)
+            cov[0, last] = cov[last, 0] = cov[1, last]
+            return cov
 
-        monkeypatch.setattr("treecascade.cli.correlation_from_covariance", planted)
+        patch_everywhere(monkeypatch, population_covariance, planted)
         code, stdout, _ = run(capsys, "verify", "--model", str(path))
         assert code == 1
+        assert re.search(r"^  strict-dominance      FAIL  ", stdout, re.M)
         assert "  strict-triangle       FAIL  squared-correlation weights\n" in stdout
         assert stdout.endswith("result: FAIL\n")
 
@@ -724,12 +748,8 @@ class TestVerifyAlgebra:
 
             return wrapper
 
-        for key, module in list(sys.modules.items()):
-            if key == "treecascade" or key.startswith("treecascade."):
-                for attr, value in list(vars(module).items()):
-                    for name, fn in builders.items():
-                        if value is fn:
-                            monkeypatch.setitem(vars(module), attr, counted(name, fn))
+        for name, fn in builders.items():
+            patch_everywhere(monkeypatch, fn, counted(name, fn))
         return calls
 
     def test_each_builder_runs_once(self, monkeypatch, tmp_path):
@@ -737,8 +757,11 @@ class TestVerifyAlgebra:
             "inverse": cascade_module.cascade_inverse,
             "covariance": cascade_module.population_covariance,
             "hop/meet": trees_module._hop_and_meet_matrices,
+            "normalization": correlation_from_covariance,
+            "neighbour gaps": trees_module._path_neighbor_gaps,
         }
         _, path = rooted_model_document(tmp_path, 30, 3)
+        chain = chain_document(tmp_path, [0.5, -0.4], [2.0, 1.0, 3.0])
         calls = self.count_calls(monkeypatch, builders)
         # every graph passes the validation of WeightedGraph._adopt, from_matrix's included
         adopt = trees_module.WeightedGraph._adopt
@@ -749,12 +772,24 @@ class TestVerifyAlgebra:
 
         monkeypatch.setattr(trees_module.WeightedGraph, "_adopt", staticmethod(counted_graph))
         calls["graph"] = 0
+        # a unit-variance model's covariance is its correlation matrix: no normalization, and the
+        # strict-dominance sweep over |C| serves the strict-triangle row too
         assert quiet_main("verify", "--model", path) == 0
-        assert calls == {"inverse": 1, "covariance": 1, "hop/meet": 1, "graph": 1}
+        assert calls == {
+            "inverse": 1, "covariance": 1, "hop/meet": 1, "normalization": 0, "neighbour gaps": 1, "graph": 1
+        }
         calls.update(dict.fromkeys(calls, 0))
         # chow-check takes the squared correlations' graph, and no MI graph while its margin clears the rounding
         assert quiet_main("chow-check", "--fit", path) == 0
-        assert calls == {"inverse": 0, "covariance": 1, "hop/meet": 0, "graph": 1}
+        assert calls == {
+            "inverse": 0, "covariance": 1, "hop/meet": 0, "normalization": 0, "neighbour gaps": 0, "graph": 1
+        }
+        # a model that is not unit variance has its covariance normalized
+        calls.update(dict.fromkeys(calls, 0))
+        assert quiet_main("chow-check", "--fit", chain) == 0
+        assert calls == {
+            "inverse": 0, "covariance": 1, "hop/meet": 0, "normalization": 1, "neighbour gaps": 0, "graph": 1
+        }
 
     def test_root_tree_runs_once_per_document_load(self, monkeypatch, tmp_path):
         # a fit keeps the rooting it was built or loaded with, and a document
@@ -957,6 +992,18 @@ class TestChowCheckCommand:
         doc = overflowing_document(tmp_path)
         code, stdout, stderr = run(capsys, "chow-check", "--fit", str(doc))
         assert (code, stdout, stderr) == (2, "", "error: covariance contains non-finite entries\n")
+
+    def test_model_that_is_not_unit_variance_is_normalized(self, capsys, tmp_path):
+        path = chain_document(tmp_path, [0.5, -0.4], [2.0, 1.0, 3.0])
+        model = model_from_document(load_document(path))
+        assert not model.unit_variance
+        report = full_mi_correspondence(correlation_from_covariance(population_covariance(model)))
+        lines = [
+            f"edge x{i} -- x{j}: squared_correlation={rho_sq:.6f} mi_weight={mi:.6f}\n"
+            for (i, j), rho_sq, mi in report.edge_pairs
+        ]
+        assert report.trees_equal and not report.tie_detected
+        assert run(capsys, "chow-check", "--fit", str(path)) == (0, "".join(lines) + "trees_equal: true\n", "")
 
     def test_fit_document_route(self, capsys, tmp_path):
         _, _, doc = model_fit_document(tmp_path, d=5)
@@ -1796,6 +1843,22 @@ class TestSameBytesTool:
             path.write_text(tool._broken_document(root, edges))
             with pytest.raises(SchemaError, match=f"^{expected[name]}$"):
                 load_fit(path)
+
+    def test_commands_replay_both_covariance_routes(self, tool, tmp_path, capsys):
+        # chow-check --fit normalizes a covariance only for a model that is not unit variance
+        for name, (coeffs, error_vars) in tool.CHAINS.items():
+            path = tmp_path / name
+            path.write_text(tool._chain_document(coeffs, error_vars))
+            model = model_from_document(load_document(path))
+            assert model.unit_variance is (error_vars is None)
+            assert load_document(path)["unit_variance"] is model.unit_variance
+        assert {("chow-check", "--fit", "not_unit.json"), ("verify", "--model", "not_unit.json")} <= set(tool.COMMANDS)
+        assert ("verify", "--model", "weak_chain.json") in tool.COMMANDS
+        assert run(capsys, "verify", "--model", str(tmp_path / "not_unit.json")) == (
+            2, "", "error: verify requires a unit-variance model document\n"
+        )
+        code, stdout, _ = run(capsys, "verify", "--model", str(tmp_path / "weak_chain.json"))
+        assert code == 0 and stdout.endswith("result: pass\n")
 
     def test_commands_replay_the_full_mutual_information_path(self, tool, tmp_path, capsys, monkeypatch):
         # the tie CSV is the one input whose chow-check builds every pair's MI weight

@@ -6,10 +6,10 @@
 Each root is a checkout of this repository.  Every command in ``COMMANDS``
 runs as the ``treecascade`` CLI under ``PYTHONPATH=<root>/src`` with one
 BLAS thread, each checkout in a temporary directory of its own that starts
-with a copy of that checkout's bundled CSV, the small CSV ``TIE_TEXT``
-and the malformed fit documents in ``BROKEN``; later commands read the
-fits that earlier ones write, and the last ones replay rejections, so
-their messages are compared too.  For
+with a copy of that checkout's bundled CSV, the small CSV ``TIE_TEXT``,
+the model documents in ``CHAINS`` and the malformed fit documents in
+``BROKEN``; later commands read the fits that earlier ones write, and the
+last ones replay rejections, so their messages are compared too.  For
 each command the exit code, stdout, stderr and the sha256 of every file it
 writes must match.  One line is printed per command, and the exit status
 is 1 on any difference.
@@ -34,6 +34,14 @@ SAMPLERS = ("gaussian", "laplace", "uniform", "rademacher", "dependent")
 # correlations that sends chow-check through the full mutual-information matrix
 TIE_CSV = "tie.csv"
 TIE_TEXT = "a,b,c\n1,1,1\n-1,-1,0\n1,0,-1\n-1,1,-1\n0,-1,1\n"
+# chains x0 -> x1 -> ... as (coefficients, error variances), None for unit
+# variance: a d = 3 model that is not unit variance, whose covariance
+# chow-check --fit normalizes and verify rejects, and a 200-vertex
+# unit-variance chain at 0.1, whose far pairs' squared correlations are 0
+CHAINS = {
+    "not_unit.json": ((0.5, -0.4), (2.0, 1.0, 3.0)),
+    "weak_chain.json": ((0.1,) * 199, None),
+}
 # d = 5 fit documents as (root, (child, parent) pairs): edges that close a
 # cycle away from the root, and a root equal to d
 BROKEN = {
@@ -63,7 +71,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
         ("simulate", "--model", FITS[0], "--sampler", s, "--n", "5000", "--seed", "3", "--out", f"{s}.csv")
         for s in SAMPLERS
     ),
+    ("chow-check", "--fit", "not_unit.json"),
+    ("verify", "--model", "weak_chain.json"),
     ("fit", "--data", CSV, "--root", "-1", "--out", "negative_root.json"),
+    ("verify", "--model", "not_unit.json"),
     ("verify", "--random", "0", "1"),
     ("cluster", "--fit", FITS[0], "--k", "0"),
     *(
@@ -81,22 +92,33 @@ _RUN_CLI = "import sys; from treecascade.cli import main; sys.exit(main())"
 _PARTS = ("exit code", "stdout", "stderr", "files")  # what _run returns, in order
 
 
-def _broken_document(root: int, edges: tuple[tuple[int, int], ...]) -> str:
-    """A fit document on ``len(edges) + 1`` vertices whose fields past ``edges`` all check."""
-    d = len(edges) + 1
+def _document(root: int, edges: tuple[tuple[int, int], ...], coeffs: tuple[float, ...], error_vars=None) -> str:
+    """A fit document on ``len(edges) + 1`` vertices; ``error_vars`` of None makes it unit variance."""
+    if error_vars is None:
+        error_vars = (1.0, *(1.0 - a * a for a in coeffs))
     return json.dumps({
         "format_version": 1,
-        "d": d,
+        "d": len(edges) + 1,
         "root": root,
-        "edges": [{"child": c, "parent": p, "coeff": 0.5} for c, p in edges],
-        "error_vars": [1.0] + [0.75] * (d - 1),
-        "unit_variance": True,
-        "objective": 1.0 + 0.75 * (d - 1),
-        "weights": [0.25] * (d - 1),
+        "edges": [{"child": c, "parent": p, "coeff": a} for (c, p), a in zip(edges, coeffs)],
+        "error_vars": list(error_vars),
+        "unit_variance": error_vars == (1.0, *(1.0 - a * a for a in coeffs)),
+        "objective": sum(error_vars),
+        "weights": [a * a for a in coeffs],
         "tree_unique": True,
         "root_hint_source": "default",
         "names": None,
     })
+
+
+def _chain_document(coeffs: tuple[float, ...], error_vars) -> str:
+    """A fit document on the chain x0 -> x1 -> ..., rooted at x0."""
+    return _document(0, tuple((i + 1, i) for i in range(len(coeffs))), coeffs, error_vars)
+
+
+def _broken_document(root: int, edges: tuple[tuple[int, int], ...]) -> str:
+    """A unit-variance fit document with every coefficient 0.5, whose fields past ``edges`` all check."""
+    return _document(root, edges, (0.5,) * len(edges))
 
 
 def _digests(directory: Path) -> dict[str, str]:
@@ -134,6 +156,8 @@ def main(argv: list[str]) -> int:
         for root, cwd in zip(roots, dirs):
             shutil.copyfile(root / "src" / "treecascade" / "data" / "dow30_prices.csv", cwd / CSV)
             (cwd / TIE_CSV).write_text(TIE_TEXT)
+            for name, (coeffs, error_vars) in CHAINS.items():
+                (cwd / name).write_text(_chain_document(coeffs, error_vars))
             for name, (root_vertex, edges) in BROKEN.items():
                 (cwd / name).write_text(_broken_document(root_vertex, edges))
         for command in COMMANDS:
