@@ -94,7 +94,8 @@ _PARTS = ("exit code", "stdout", "stderr", "files")  # what _run returns, in ord
 
 def _document(root: int, edges: tuple[tuple[int, int], ...], coeffs: tuple[float, ...], error_vars=None) -> str:
     """A fit document on ``len(edges) + 1`` vertices; ``error_vars`` of None makes it unit variance."""
-    if error_vars is None:
+    unit = error_vars is None
+    if unit:
         error_vars = (1.0, *(1.0 - a * a for a in coeffs))
     return json.dumps({
         "format_version": 1,
@@ -102,7 +103,7 @@ def _document(root: int, edges: tuple[tuple[int, int], ...], coeffs: tuple[float
         "root": root,
         "edges": [{"child": c, "parent": p, "coeff": a} for (c, p), a in zip(edges, coeffs)],
         "error_vars": list(error_vars),
-        "unit_variance": error_vars == (1.0, *(1.0 - a * a for a in coeffs)),
+        "unit_variance": unit,
         "objective": sum(error_vars),
         "weights": [a * a for a in coeffs],
         "tree_unique": True,
