@@ -101,7 +101,7 @@ def inverse_residual(m: CascadeModel, inv: np.ndarray) -> float:
     with no BLAS or LAPACK call.  An error in any one entry of ``inv``
     shows in the residual at its full size.  The rows of ``inv.T`` are
     read one ``_block_rows(d)`` block at a time: ``cascade_inverse``'s
-    view makes them C-ordered, and no work array exceeds one block.
+    view makes them C-ordered, and the one work array holds one block.
     """
     d = m.d
     # the root takes itself as parent, with coefficient 0
@@ -113,8 +113,9 @@ def inverse_residual(m: CascadeModel, inv: np.ndarray) -> float:
     start = 0
     for rows in _block_lengths(d, d):
         block = inv_t[start : start + rows]
-        # column i of the block's residual is inv[i] - a_i inv[parent(i)] over these columns of inv
-        res = np.take(block, parent, axis=1, out=np.empty((rows, d)))
+        # column i of the block's residual is inv[i] - a_i inv[parent(i)] over these columns of inv;
+        # every parent is in range, and ``clip`` gathers into ``res`` without a buffer of its own
+        res = np.take(block, parent, axis=1, out=np.empty((rows, d)), mode="clip")
         np.subtract(block, np.multiply(res, coeffs, out=res), out=res)
         res.reshape(-1)[start :: d + 1] -= 1.0  # entries (k, start + k), the identity's
         worst = np.maximum(worst, np.abs(res, out=res).max())  # unlike max(), keeps a NaN

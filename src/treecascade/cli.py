@@ -261,11 +261,14 @@ def _cmd_chow_check(args) -> int:
         names = dataio._column_names(doc.get("names"), model.d)
         known = model.rt
     report = correspondence_check(corr, candidate=known)
-    for (i, j), rho_sq, mi in report.edge_pairs:
-        print(f"edge {names[i]} -- {names[j]}: squared_correlation={rho_sq:.6f} mi_weight={mi:.6f}")
-    print(f"trees_equal: {str(report.trees_equal).lower()}")
+    lines = [
+        f"edge {names[i]} -- {names[j]}: squared_correlation={rho_sq:.6f} mi_weight={mi:.6f}"
+        for (i, j), rho_sq, mi in report.edge_pairs
+    ]
+    lines.append(f"trees_equal: {str(report.trees_equal).lower()}")
     if report.tie_detected:
-        print("tie detected: the maximum spanning tree is not unique")
+        lines.append("tie detected: the maximum spanning tree is not unique")
+    print("\n".join(lines))
     return 0 if report.trees_equal else 1
 
 

@@ -21,6 +21,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -395,7 +396,7 @@ def _standardize_in_place(v: np.ndarray, names) -> np.ndarray:
         raise InvalidInputError(f"standardization needs at least 2 rows, got {n}")
     # exact: the mean of a constant column can round, and centering would
     # leave a tiny constant of positive scale
-    constant = np.flatnonzero(v.max(axis=0) == v.min(axis=0))
+    constant = np.flatnonzero(np.equal(*_column_extrema(v)))
     if constant.size:
         raise DataError(f"column {names[constant[0]]!r} has zero variance; cannot standardize")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -410,6 +411,23 @@ def _standardize_in_place(v: np.ndarray, names) -> np.ndarray:
     v -= means
     v /= scales
     return v
+
+
+def _column_extrema(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column maxima and minima of ``v``, equal to ``v.max(axis=0)`` and ``v.min(axis=0)``.
+
+    numpy reduces axis 0 with an inner loop d long.  Viewed as
+    ``(n / 64, 64 d)``, the leading rows reduce with one 64 times longer,
+    and the 64 partial extrema per column then reduce with the tail rows.
+    Maxima and minima are exact, so the grouping changes no value but the
+    sign of a zero.
+    """
+    n, d = v.shape
+    head = n - n % 64
+    wide, tail = v[:head].reshape(-1, 64 * d), v[head:]
+    hi = np.vstack((wide.max(axis=0, initial=-np.inf).reshape(64, d), tail)).max(axis=0)
+    lo = np.vstack((wide.min(axis=0, initial=np.inf).reshape(64, d), tail)).min(axis=0)
+    return hi, lo
 
 
 def _moments(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,9 +499,11 @@ def document_to_fit(doc: Mapping):
     """Validate a fit document and rebuild the fit result.
 
     The result keeps the tree rooted as the document orients it.  Each
-    field is checked once: the edges take ``Tree``'s checks and messages
+    field is checked once: the ``edges``, ``error_vars`` and ``weights``
+    lists in bulk, and the edges then take ``Tree``'s checks and messages
     in the one :func:`root_tree` walk that also gives the rooting.
-    Raises a schema error naming the offending field path.
+    Raises a schema error naming the offending field path, the first
+    fault of a list in list order.
     """
     from .regression import FitResult
 
@@ -495,24 +515,9 @@ def document_to_fit(doc: Mapping):
     edges_field = _require(doc, "edges", list)
     if len(edges_field) != d - 1:
         raise SchemaError(f"edges: expected {d - 1} entries for d={d}, got {len(edges_field)}")
-    coeffs: dict[int, float] = {}
-    parents = [-1] * d
-    for k, entry in enumerate(edges_field):
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"edges[{k}]: expected an object")
-        child = _require_int(entry, "child", minimum=0, prefix=f"edges[{k}].")
-        parent = _require_int(entry, "parent", minimum=0, prefix=f"edges[{k}].")
-        coeff = _require_number(entry, "coeff", prefix=f"edges[{k}].")
-        if child >= d or parent >= d:
-            raise SchemaError(f"edges[{k}]: vertex out of range for d={d}")
-        if child == root:
-            raise SchemaError(f"edges[{k}].child: the root {root} cannot be a child")
-        if child in coeffs:
-            raise SchemaError(f"edges[{k}].child: vertex {child} appears twice")
-        coeffs[child] = coeff
-        parents[child] = parent
+    children, parents, coeffs = _edge_lists(edges_field, d, root)
     try:
-        edges = [canonical_edge(child, parents[child]) for child in coeffs]
+        edges = list(map(canonical_edge, children, parents))
         # each non-root vertex is the child of one edge, so on a tree each
         # edge leads from its child toward the root: the walk's parents are ``parents``
         rt = root_tree(_unchecked(Tree, d=d, edges=edges), root)
@@ -523,16 +528,12 @@ def document_to_fit(doc: Mapping):
         raise SchemaError(f"error_vars: expected {d} entries, got {len(error_vars)}")
     # zero is legal here (a perfectly collinear pair fits with |coeff| = 1);
     # rebuilding a generative model from such a document fails separately
-    for k, v in enumerate(error_vars):
-        if _finite_number(v, f"error_vars[{k}]") < 0:
-            raise SchemaError(f"error_vars[{k}]: expected a nonnegative number, got {v!r}")
+    _finite_numbers(error_vars, "error_vars", nonnegative=True)
     _require(doc, "unit_variance", bool)
     weights_field = _require(doc, "weights", list)
     if len(weights_field) != d - 1:
         raise SchemaError(f"weights: expected {d - 1} entries aligned with edges")
-    weights = {}
-    for k, w in enumerate(weights_field):
-        weights[edges[k]] = _finite_number(w, f"weights[{k}]")
+    weights = dict(zip(edges, _finite_numbers(weights_field, "weights")))
     source = _require(doc, "root_hint_source", str)
     if source not in _SOURCES:
         raise SchemaError(f"root_hint_source: expected one of {_SOURCES}, got {source!r}")
@@ -548,7 +549,7 @@ def document_to_fit(doc: Mapping):
             raise SchemaError(f"names: {exc}") from None
     return FitResult(
         rt=rt,
-        coeffs=coeffs,
+        coeffs=dict(zip(children, coeffs)),
         objective=_require_number(doc, "objective"),
         weights=weights,
         tree_unique=_require(doc, "tree_unique", bool),
@@ -567,20 +568,20 @@ def model_from_document(doc: Mapping):
     from .cascade import CascadeModel, make_unit_variance_model
 
     fit = document_to_fit(doc)
-    error_vars = {i: float(v) for i, v in enumerate(doc["error_vars"])}
+    error_vars = [float(v) for v in doc["error_vars"]]
     if doc["unit_variance"]:
         try:
             model = make_unit_variance_model(fit.rt, fit.coeffs)
         except InvalidInputError as exc:
             raise SchemaError(f"edges: unit-variance model rejected: {exc}") from None
-        for i in range(fit.tree.d):
-            if abs(model.error_vars[i] - error_vars[i]) > 1e-12:
-                raise SchemaError(
-                    f"error_vars[{i}]: {error_vars[i]!r} inconsistent with "
-                    "unit-variance coefficients"
-                )
+        off = np.flatnonzero(np.abs(model.error_variance_vector() - error_vars) > 1e-12)
+        if off.size:
+            i = int(off[0])
+            raise SchemaError(
+                f"error_vars[{i}]: {error_vars[i]!r} inconsistent with unit-variance coefficients"
+            )
         return model
-    return CascadeModel(fit.rt, fit.coeffs, error_vars)
+    return CascadeModel(fit.rt, fit.coeffs, dict(enumerate(error_vars)))
 
 
 def save_fit(fit, path) -> None:
@@ -673,15 +674,93 @@ def _require_number(doc: Mapping, key: str, prefix: str = "") -> float:
 
 
 def _finite_number(value, field: str) -> float:
-    if type(value) is float and math.isfinite(value):
-        return value
+    number = _number(value)
+    if math.isfinite(number):
+        return number
     # json reads NaN and Infinity literals, and integers too large for a float
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{field}: expected a number, got {value!r}")
+    raise SchemaError(f"{field}: value is not finite: {number!r}")
+
+
+def _number(value) -> float:
+    """``value`` as a float: NaN for what is no number, bools included, and inf past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise SchemaError(f"{field}: value is not finite: {number!r}")
-    return number
+        return math.inf
+
+
+def _finite_numbers(values: list, field: str, nonnegative: bool = False) -> list[float]:
+    """The entries of the list ``field`` as ``_finite_number`` takes each, checked in bulk.
+
+    Exact floats pass as they are and the rest as ``_number`` reads them,
+    so that one finiteness sweep, and one minimum for ``nonnegative``,
+    checks the list.  Only the first entry that fails goes to
+    ``_finite_number`` and the sign check, which raise its message.
+    """
+    numbers = [v if type(v) is float else _number(v) for v in values]
+    low = 0.0 if nonnegative else -math.inf
+    if not (all(map(math.isfinite, numbers)) and min(numbers, default=low) >= low):
+        k = next(k for k, x in enumerate(numbers) if not (math.isfinite(x) and x >= low))
+        _finite_number(values[k], f"{field}[{k}]")  # raises unless the entry is only negative
+        raise SchemaError(f"{field}[{k}]: expected a nonnegative number, got {values[k]!r}")
+    return numbers
+
+
+def _integer(value) -> int:
+    """``value`` where ``_require`` takes it as an int, else -1, which no vertex range holds."""
+    return value if isinstance(value, int) and not isinstance(value, bool) else -1
+
+
+def _edge_lists(entries: list, d: int, root: int) -> tuple[list, list, list[float]]:
+    """Children, parents and coefficients of the ``edges`` entries, checked in bulk.
+
+    An entry passes with a child and a parent that ``_require_int`` takes
+    and that lie in ``0..d-1``, a child that is neither the root nor an
+    earlier entry's, and a coefficient that ``_finite_number`` takes.
+    Ranges, the root, repeats and finiteness are each one sweep over the
+    list; only the first entry that fails goes to :func:`_reject_edge`.
+    """
+    rows = [
+        (e.get("child"), e.get("parent"), e.get("coeff"))
+        if type(e) is dict or isinstance(e, Mapping)  # an exact dict skips the slower abstract check
+        else (None, None, None)
+        for e in entries
+    ]
+    children = [c if type(c) is int else _integer(c) for c, _, _ in rows]
+    parents = [p if type(p) is int else _integer(p) for _, p, _ in rows]
+    coeffs = [a if type(a) is float else _number(a) for _, _, a in rows]
+    vertices = children + parents
+    if not (
+        min(vertices, default=0) >= 0
+        and max(vertices, default=0) < d
+        and root not in children
+        and len(set(children)) == len(children)
+        and all(map(math.isfinite, coeffs))
+    ):
+        seen: set[int] = set()
+        for k, (child, parent, coeff) in enumerate(zip(children, parents, coeffs)):
+            in_range = 0 <= child < d and 0 <= parent < d and child != root
+            if not (in_range and math.isfinite(coeff)) or child in seen:
+                _reject_edge(entries[k], k, d, root)
+            seen.add(child)
+    return children, parents, coeffs
+
+
+def _reject_edge(entry, k: int, d: int, root: int) -> NoReturn:
+    """Raise the schema error of ``edges[k]``, the first entry to fail the bulk check, at its first bad field."""
+    if not isinstance(entry, Mapping):
+        raise SchemaError(f"edges[{k}]: expected an object")
+    prefix = f"edges[{k}]."
+    child = _require_int(entry, "child", minimum=0, prefix=prefix)
+    parent = _require_int(entry, "parent", minimum=0, prefix=prefix)
+    _require_number(entry, "coeff", prefix=prefix)
+    if child >= d or parent >= d:
+        raise SchemaError(f"edges[{k}]: vertex out of range for d={d}")
+    if child == root:
+        raise SchemaError(f"edges[{k}].child: the root {root} cannot be a child")
+    # every other check holds, so an earlier entry has the same child
+    raise SchemaError(f"edges[{k}].child: vertex {child} appears twice")

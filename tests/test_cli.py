@@ -31,6 +31,8 @@ Claims covered:
     sweep for its strict-dominance and strict-triangle rows;
     chow-check --fit normalizes a model that is not unit variance and
     reports the full mutual-information oracle's edges on it.
+  - verify checks the inverse with one d-by-d work array: at d = 200
+    the residual's traced peak is at most 1.5 such arrays.
   - A tie planted in the covariance of a 200-vertex chain at 0.1 fails
     verify's strict-dominance and strict-triangle rows.
   - A fit keeps its rooting: fit calls root_tree only for a root other
@@ -65,7 +67,8 @@ Claims covered:
     negative --root, --random D of 0, --k 0, and two malformed documents,
     whose loads fail with the loader's messages.  It runs chow-check --fit
     and verify on a model that is not unit variance, which verify rejects,
-    and verify on a unit-variance 200-vertex chain at 0.1, which passes.
+    and verify and chow-check --fit on a unit-variance 200-vertex chain at
+    0.1: verify passes, and chow-check lists its 199 edges.
 """
 
 from __future__ import annotations
@@ -1600,6 +1603,23 @@ class TestPeakMemory:
             assert code == 0
             assert peak <= arrays * 8 * d * d, f"{argv[0]}: peak {peak / (8 * d * d):.2f} arrays"
 
+    def test_inverse_residual_holds_one_work_array(self):
+        # the parent gather writes into the work array; one that checked its
+        # indices would buffer its output in a second d-by-d array
+        d = 200
+        assert _block_rows(d) >= d  # one block: the work array is d by d
+        rt = root_tree(Tree.from_edges(d, [(i, i + 1) for i in range(d - 1)]), d // 3)
+        model = make_unit_variance_model(rt, dict.fromkeys(rt.non_root_vertices(), 0.5))
+        inv = cascade_inverse(model)
+        tracemalloc.start()
+        try:
+            residual = inverse_residual(model, inv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-12
+        assert peak <= 1.5 * 8 * d * d, f"peak {peak / (8 * d * d):.2f} arrays"
+
     SAMPLERS = ("gaussian", "laplace", "uniform", "rademacher", "dependent")
     # A child prints the peak of its own memory image, VmHWM.  Its ru_maxrss
     # would not do: Linux carries the spawning process's peak across the
@@ -1853,12 +1873,18 @@ class TestSameBytesTool:
             assert model.unit_variance is (error_vars is None)
             assert load_document(path)["unit_variance"] is model.unit_variance
         assert {("chow-check", "--fit", "not_unit.json"), ("verify", "--model", "not_unit.json")} <= set(tool.COMMANDS)
-        assert ("verify", "--model", "weak_chain.json") in tool.COMMANDS
+        weak_chain = {("verify", "--model", "weak_chain.json"), ("chow-check", "--fit", "weak_chain.json")}
+        assert weak_chain <= set(tool.COMMANDS)
         assert run(capsys, "verify", "--model", str(tmp_path / "not_unit.json")) == (
             2, "", "error: verify requires a unit-variance model document\n"
         )
         code, stdout, _ = run(capsys, "verify", "--model", str(tmp_path / "weak_chain.json"))
         assert code == 0 and stdout.endswith("result: pass\n")
+        # chow-check writes the chain's 199 edge lines and its verdict at once
+        code, stdout, _ = run(capsys, "chow-check", "--fit", str(tmp_path / "weak_chain.json"))
+        lines = stdout.splitlines()
+        assert code == 0 and len(lines) == 200 and lines[-1] == "trees_equal: true"
+        assert lines[0] == "edge x0 -- x1: squared_correlation=0.010000 mi_weight=0.005025"
 
     def test_commands_replay_the_full_mutual_information_path(self, tool, tmp_path, capsys, monkeypatch):
         # the tie CSV is the one input whose chow-check builds every pair's MI weight

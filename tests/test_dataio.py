@@ -21,7 +21,9 @@ Claims covered:
   - tools/generate_sample_prices.py reproduces the bundled sample CSV.
   - The in-place standardization hits the n-1 convention exactly and is
     idempotent; correlation_from_dataset errors by column name on zero
-    variance.
+    variance, naming the first constant column also when a column varies
+    in one row only, grouped or in the tail; its column extrema, taken
+    over rows grouped 64 at a time, equal numpy's axis-0 max and min.
   - The in-place differencing obeys the shape contract, and a constant
     series chains into the zero-variance error under diff=True.
   - The in-place kernel (differences, standardization, correlation over
@@ -33,13 +35,16 @@ Claims covered:
     cannot be written leaves the old document's bytes.
   - Loading a document checks each field once and roots its tree in one
     walk, with the result, or the first error, of the loaders that ran
-    every constructor's checks, on documents with up to three faults.
+    every constructor's checks, on documents with up to three faults, and
+    at d = 200 and 300 with up to two faults in a list past its hundredth
+    entry, integers written for floats among them.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import importlib.util
 import io
 import math
@@ -644,6 +649,26 @@ class TestStandardize:
         with pytest.raises(DataError, match="column 'a' has zero variance"):
             correlation_from_dataset(ds)
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 64 * 5 + 7])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_column_extrema_are_the_axis_extrema(self, n, d):
+        # whole groups of 64 rows side by side, then the tail rows
+        rng = np.random.default_rng(n * d)
+        v = np.round(rng.standard_normal((n, d)), 1)
+        v[rng.integers(n), :] = -0.0
+        hi, lo = dataio._column_extrema(v)
+        assert np.array_equal(hi, v.max(axis=0)) and np.array_equal(lo, v.min(axis=0))
+
+    @pytest.mark.parametrize("row", [0, 100, 64 * 3 + 4], ids=["first", "grouped", "tail"])
+    def test_first_constant_column_named_past_the_row_groups(self, row):
+        # 3 groups of 64 rows and 5 tail rows; 'spike' differs in one row only
+        values = np.tile([1.0, 2.0, 3.0, 4.0], (64 * 3 + 5, 1))
+        values[:, 0] = np.arange(len(values))
+        values[row, 1] = 2.5
+        ds = Dataset(values=values, names=("ramp", "spike", "flat", "also flat"))
+        with pytest.raises(DataError, match="^column 'flat' has zero variance"):
+            correlation_from_dataset(ds)
+
     def test_needs_two_rows(self):
         with pytest.raises(InvalidInputError, match="standardization needs at least 2 rows"):
             correlation_from_dataset(Dataset(values=np.array([[1.0]]), names=("a",)))
@@ -1068,6 +1093,75 @@ def two_fault_documents() -> list[dict]:
 TWO_FAULT_DOCUMENTS = two_fault_documents()
 
 
+@functools.cache
+def large_document(d: int) -> dict:
+    """A unit-variance fit document on ``d`` vertices rooted at 0, whose entry k has child k + 1.
+
+    The root's error variance is the integer 1, as a hand-written document has it.
+    """
+    doc = fit_to_document(example_fit(d=d, seed=d))
+    doc["error_vars"][doc["root"]] = 1
+    return doc
+
+
+MISSING = object()  # a fault that deletes the key
+
+
+def with_faults(d: int, faults) -> dict:
+    """``large_document(d)`` with each fault ``(field, k, key, value)`` put in; a key of None sets entry k."""
+    doc = copy.deepcopy(large_document(d))
+    for field, k, key, value in faults:
+        if key is None:
+            doc[field][k] = value
+        elif value is MISSING:
+            del doc[field][k][key]
+        else:
+            doc[field][k][key] = value
+    return doc
+
+
+# values for a number field: faults, integers where floats are written, and
+# numbers that are valid but inconsistent with a unit-variance model
+FAR_NUMBERS = (math.nan, math.inf, -math.inf, 10**400, "0.5", None, True, -0.5, 0.123, 0, 1, -1, 2)
+FAR_ENTRIES = (None, "edge", [1, 0, 0.5], 3)
+
+
+@st.composite
+def far_fault_documents(draw) -> dict:
+    """A fit document at d = 200 or 300 with faults at entries past 100, up to two in one list.
+
+    A loader that scans a list in bulk must still report the first fault
+    in list order: the faults sit beyond the first hundred entries, and a
+    vertex drawn over ``-1..d`` repeats the child of an earlier or a later
+    entry, or names the root.
+    """
+    d = draw(st.sampled_from([200, 300]))
+    faults = []
+    fields = st.sampled_from(["edges", "error_vars", "weights"])
+    for field in draw(st.lists(fields, min_size=1, max_size=2, unique=True)):
+        for k in draw(st.lists(st.integers(101, d - 2), min_size=1, max_size=2, unique=True)):
+            key = draw(st.sampled_from(["child", "parent", "coeff", None])) if field == "edges" else None
+            if key is None:
+                value = draw(st.sampled_from(FAR_ENTRIES if field == "edges" else FAR_NUMBERS))
+            elif key == "coeff":
+                value = draw(st.sampled_from((*FAR_NUMBERS, MISSING)))
+            else:
+                value = draw(st.one_of(st.integers(-1, d), st.sampled_from([1.0, True, "3", None, MISSING])))
+            faults.append((field, k, key, value))
+    return with_faults(d, faults)
+
+
+# (faults at d = 300, the field document_to_fit names, or None when it loads)
+FAR_CASES = {
+    "integer coefficient": ([("edges", 150, "coeff", 1)], None),
+    "two error variances": ([("error_vars", 120, None, -0.5), ("error_vars", 250, None, math.nan)], "error_vars[120]"),
+    "two inconsistent error variances": ([("error_vars", 180, None, 0.123), ("error_vars", 140, None, 1)], None),
+    "two weights": ([("weights", 290, None, "x"), ("weights", 150, None, math.inf)], "weights[150]"),
+    "coefficient before a range": ([("edges", 200, "child", 300), ("edges", 120, "coeff", math.nan)], "edges[120]"),
+    "repeat of a later child": ([("edges", 150, "child", 281)], "edges[280]"),
+}
+
+
 class TestDocumentLoaderOracle:
     """The one-walk loaders return what the checking loaders return, or raise as they raise."""
 
@@ -1084,6 +1178,28 @@ class TestDocumentLoaderOracle:
     @example(doc=TWO_FAULT_DOCUMENTS[0])
     def test_model_from_document(self, doc):
         assert load_outcome(model_from_document, doc) == load_outcome(checking_model_from_document, doc)
+
+    @given(doc=far_fault_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_document_to_fit_at_far_entries(self, doc):
+        assert load_outcome(document_to_fit, doc) == load_outcome(checking_document_to_fit, doc)
+
+    @given(doc=far_fault_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_model_from_document_at_far_entries(self, doc):
+        assert load_outcome(model_from_document, doc) == load_outcome(checking_model_from_document, doc)
+
+    @pytest.mark.parametrize("case", FAR_CASES)
+    def test_first_far_fault_is_named(self, case):
+        faults, field = FAR_CASES[case]
+        doc = with_faults(300, faults)
+        outcome = load_outcome(document_to_fit, doc)
+        assert outcome == load_outcome(checking_document_to_fit, doc)
+        assert load_outcome(model_from_document, doc) == load_outcome(checking_model_from_document, doc)
+        if field is None:
+            assert not isinstance(outcome[0], type)  # a result, not an error's type
+        else:
+            assert outcome[0] is SchemaError and outcome[1].startswith(field)
 
     def test_repeated_edge_is_named(self):
         # two children that name each other as parent give one edge twice

@@ -73,6 +73,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ),
     ("chow-check", "--fit", "not_unit.json"),
     ("verify", "--model", "weak_chain.json"),
+    ("chow-check", "--fit", "weak_chain.json"),
     ("fit", "--data", CSV, "--root", "-1", "--out", "negative_root.json"),
     ("verify", "--model", "not_unit.json"),
     ("verify", "--random", "0", "1"),
